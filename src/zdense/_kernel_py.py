@@ -1,8 +1,7 @@
 """Pure-Python twins of the compiled hot kernels.
 
 Same signatures and pivot policy as zdense._kernel_cy; selected at import
-time by zdense.kernels when the extension is unavailable (or forced via
-ZDENSE_PURE_PYTHON=1).
+time by zdense.kernels when the extension is unavailable.
 
 Polynomials here are lists of ints in [0, q), constant term first.
 """

@@ -136,7 +136,7 @@ def _derived_seed(seed: int, trial: int) -> int:
 def _galois_mode_verdict(
     f: IntPoly, eps: Fraction, rng: Random, prime_range
 ) -> GaloisVerdict:
-    if f.degree >= 2 and f.degree % 2 == 0 and is_reciprocal(f) and f.is_monic():
+    if f.degree >= 2 and f.degree % 2 == 0 and is_reciprocal(f):
         return is_hyperoctahedral(f, eps, rng, prime_range)
     return is_sn(f, eps, rng, prime_range)
 

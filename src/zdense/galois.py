@@ -7,15 +7,19 @@ and therefore certain:
 
 * empty intersection of cycle-type sumsets  => invariably transitive
   => f irreducible over Q;
-* transitive + primitive + a transposition  => the full symmetric group;
+* transitive + primitive + a transposition  => the full symmetric group
+  (degree < 13 route, and degrees 14..16, where no prime fits the
+  long-cycle window);
 * transitive + primitive + a long prime cycle + non-square discriminant
-  => the full symmetric group (degree >= 13 route);
+  => the full symmetric group (degree 13 and >= 17 route);
 * trace polynomial certified S_n + a transposition pattern on f itself
   => the full hyperoctahedral group for reciprocal f.
 
-Cycle types sampled at different primes are all realized inside the one
-Galois group of f, so certificates gathered from different primes compose
-freely.
+Every stage is one call of the same sampling loop, which draws primes
+until a certificate predicate accepts a cycle type or the stage's trial
+budget runs out.  Cycle types sampled at different primes are all realized
+inside the one Galois group of f, so certificates gathered from different
+primes compose freely.
 
 A NO answer only says the sampling budget for the requested error bound
 was exhausted; it is wrong with probability at most eps.
@@ -27,6 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from random import Random
 from typing import Iterable
 
@@ -142,16 +147,71 @@ def has_long_prime_cycle(degrees: Iterable[int], n: int, upper_slack: int) -> bo
     )
 
 
-def _sample(f, disc, rng, prime_range):
-    q = random_prime_avoiding(disc, prime_range[0], prime_range[1], rng)
-    return q, factor_degrees_mod(f, q)
-
-
 def _window_has_prime(n: int, upper_slack: int) -> bool:
     """Does the cycle-length window n/2 < l < n - upper_slack contain a
     prime?  Empty for n in {14, 15, 16} at slack 5 (and {14, 15} at slack 4),
     where the long-cycle certificate is structurally unavailable."""
     return any(is_prime(l) for l in range(n // 2 + 1, n - upper_slack) if l >= 2)
+
+
+def _require_monic(f: IntPoly) -> None:
+    if f.degree < 1 or not f.is_monic():
+        raise ValueError("need a monic polynomial of positive degree")
+
+
+def _hunt(f, disc, rng, prime_range, witnesses, budget, certified) -> bool:
+    """The one sampling loop behind every certifier stage.
+
+    Draws up to `budget` primes q not dividing disc, appends each
+    (q, cycle type of f mod q) to `witnesses`, and stops at the first cycle
+    type that `certified` accepts.  True iff a certificate turned up.
+    """
+    for _ in range(budget):
+        q = random_prime_avoiding(disc, prime_range[0], prime_range[1], rng)
+        degrees = factor_degrees_mod(f, q)
+        witnesses.append((q, degrees))
+        if certified(degrees):
+            return True
+    return False
+
+
+def _verdict(found, yes, eps, witnesses, carried=0) -> GaloisVerdict:
+    answer = yes if found else GaloisAnswer.NOT_GENERIC
+    return GaloisVerdict(answer, eps, tuple(witnesses), carried + len(witnesses))
+
+
+def _transitive(hunt, n: int, eps: Fraction) -> bool:
+    """The sumset-intersection stage of is_transitive."""
+    survivors = set(range(1, n))
+
+    def invariably_transitive(degrees):
+        survivors.intersection_update(sumset(degrees))
+        return not survivors
+
+    return hunt(trials_invariable_transitivity(eps), invariably_transitive)
+
+
+def _sn_after_transitivity(hunt, n: int, disc: int, eps: Fraction) -> bool:
+    # Primitivity evidence.  Transitive groups of prime degree are primitive;
+    # otherwise hunt for a long prime cycle.  Any prime cycle longer than n/2
+    # forces primitivity, so the window widens to n/2 < l <= n whenever the
+    # strict one holds no prime (always below degree 13, and at 14 and 15).
+    if not is_prime(n):
+        slack = 4 if n >= 13 and _window_has_prime(n, 4) else -1
+        budget = trials_long_prime_cycle(n, eps)
+        if not hunt(budget, lambda d: has_long_prime_cycle(d, n, slack)):
+            return False
+    if n >= 13:
+        # A square discriminant means the group sits inside A_n.
+        if disc > 0 and math.isqrt(disc) ** 2 == disc:
+            return False
+        if _window_has_prime(n, 5):
+            budget = trials_long_prime_cycle(n, eps)
+            return hunt(budget, lambda d: has_long_prime_cycle(d, n, 5))
+    # Below degree 13, and at 14..16 where no prime fits the long-cycle
+    # window, use the transposition certificate, which is sound at every
+    # degree.
+    return hunt(trials_transposition(n, eps), has_transposition_pattern)
 
 
 def is_transitive(
@@ -167,24 +227,14 @@ def is_transitive(
     Galois group is transitive and f has no rational factor (certain).
     """
     eps = as_epsilon(eps)
-    n = f.degree
-    if n < 1 or not f.is_monic():
-        raise ValueError("need a monic polynomial of positive degree")
+    _require_monic(f)
     disc = discriminant(f)
     if disc == 0:
         raise ValueError("discriminant is zero")
-    survivors = set(range(1, n))
     witnesses = []
-    budget = trials_invariable_transitivity(eps)
-    for trial in range(1, budget + 1):
-        q, degrees = _sample(f, disc, rng, prime_range)
-        witnesses.append((q, degrees))
-        survivors &= sumset(degrees)
-        if not survivors:
-            return GaloisVerdict(
-                GaloisAnswer.IRREDUCIBLE, eps, tuple(witnesses), trial
-            )
-    return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, tuple(witnesses), budget)
+    hunt = partial(_hunt, f, disc, rng, prime_range, witnesses)
+    found = _transitive(hunt, f.degree, eps)
+    return _verdict(found, GaloisAnswer.IRREDUCIBLE, eps, witnesses)
 
 
 def is_sn(
@@ -196,92 +246,26 @@ def is_sn(
     """Decide whether the Galois group of f is the full symmetric group.
 
     Pipeline: transitivity, then primitivity evidence, then either a
-    transposition pattern (degree < 13) or square-discriminant rejection
-    plus a long prime cycle (degree >= 13).  The error budget is split
-    evenly across the three sampling stages.  A zero discriminant is an
-    immediate NO: a polynomial with repeated roots has no S_n action on
-    distinct roots.
+    transposition pattern (degree < 13 and degrees 14..16) or
+    square-discriminant rejection plus a long prime cycle (degree 13 and
+    >= 17).  The error budget is split evenly across the three sampling
+    stages.  A zero discriminant is an immediate NO: a polynomial with
+    repeated roots has no S_n action on distinct roots.
     """
     eps = as_epsilon(eps)
+    _require_monic(f)
     n = f.degree
-    if n < 1 or not f.is_monic():
-        raise ValueError("need a monic polynomial of positive degree")
     disc = discriminant(f)
     if disc == 0:
         return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, (), 0)
-
-    if n <= 2:
-        # S_1 is trivial and S_2 = C_2: irreducibility alone decides.
-        sub = is_transitive(f, eps, rng, prime_range)
-        answer = (
-            GaloisAnswer.CONFIRMED_SN
-            if sub.answer is GaloisAnswer.IRREDUCIBLE
-            else GaloisAnswer.NOT_GENERIC
-        )
-        return GaloisVerdict(answer, eps, sub.witnesses, sub.trials_used)
-
-    stage_eps = eps / 3
-    sub = is_transitive(f, stage_eps, rng, prime_range)
-    witnesses = list(sub.witnesses)
-    trials = sub.trials_used
-    if sub.answer is not GaloisAnswer.IRREDUCIBLE:
-        return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, tuple(witnesses), trials)
-
-    # Primitivity evidence.  Transitive groups of prime degree are primitive;
-    # otherwise hunt for a long prime cycle.  Any prime cycle longer than n/2
-    # forces primitivity, so the window widens to n/2 < l <= n whenever the
-    # strict one holds no prime (always below degree 13, and at 14 and 15).
-    if not is_prime(n):
-        slack = 4 if n >= 13 and _window_has_prime(n, 4) else -1
-        found = False
-        for _ in range(trials_long_prime_cycle(n, stage_eps)):
-            q, degrees = _sample(f, disc, rng, prime_range)
-            witnesses.append((q, degrees))
-            trials += 1
-            if has_long_prime_cycle(degrees, n, slack):
-                found = True
-                break
-        if not found:
-            return GaloisVerdict(
-                GaloisAnswer.NOT_GENERIC, eps, tuple(witnesses), trials
-            )
-
-    if n < 13:
-        for _ in range(trials_transposition(n, stage_eps)):
-            q, degrees = _sample(f, disc, rng, prime_range)
-            witnesses.append((q, degrees))
-            trials += 1
-            if has_transposition_pattern(degrees):
-                return GaloisVerdict(
-                    GaloisAnswer.CONFIRMED_SN, eps, tuple(witnesses), trials
-                )
-        return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, tuple(witnesses), trials)
-
-    # Degree >= 13: a square discriminant means the group sits inside A_n.
-    root = math.isqrt(abs(disc))
-    if disc > 0 and root * root == disc:
-        return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, tuple(witnesses), trials)
-    if not _window_has_prime(n, 5):
-        # degrees 14..16: no prime fits the long-cycle certificate, so use
-        # the transposition certificate, which is sound at every degree
-        for _ in range(trials_transposition(n, stage_eps)):
-            q, degrees = _sample(f, disc, rng, prime_range)
-            witnesses.append((q, degrees))
-            trials += 1
-            if has_transposition_pattern(degrees):
-                return GaloisVerdict(
-                    GaloisAnswer.CONFIRMED_SN, eps, tuple(witnesses), trials
-                )
-        return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, tuple(witnesses), trials)
-    for _ in range(trials_long_prime_cycle(n, stage_eps)):
-        q, degrees = _sample(f, disc, rng, prime_range)
-        witnesses.append((q, degrees))
-        trials += 1
-        if has_long_prime_cycle(degrees, n, 5):
-            return GaloisVerdict(
-                GaloisAnswer.CONFIRMED_SN, eps, tuple(witnesses), trials
-            )
-    return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, tuple(witnesses), trials)
+    witnesses = []
+    hunt = partial(_hunt, f, disc, rng, prime_range, witnesses)
+    # S_1 is trivial and S_2 = C_2: irreducibility alone decides.
+    stage_eps = eps if n <= 2 else eps / 3
+    found = _transitive(hunt, n, stage_eps)
+    if found and n > 2:
+        found = _sn_after_transitivity(hunt, n, disc, stage_eps)
+    return _verdict(found, GaloisAnswer.CONFIRMED_SN, eps, witnesses)
 
 
 def is_hyperoctahedral(
@@ -301,9 +285,8 @@ def is_hyperoctahedral(
     only its trial count is carried over.
     """
     eps = as_epsilon(eps)
-    if not f.is_monic():
-        raise ValueError("need a monic polynomial")
-    if f.degree < 2 or f.degree % 2 != 0:
+    _require_monic(f)
+    if f.degree % 2 != 0:
         raise ValueError("need even degree >= 2")
     if not is_reciprocal(f):
         raise ValueError("need a reciprocal polynomial")
@@ -313,20 +296,14 @@ def is_hyperoctahedral(
     # A squarefree reciprocal polynomial of even degree cannot vanish at +-1
     # (those roots would be double), so its roots honestly split into pairs
     # r, 1/r and the Galois group embeds in the hyperoctahedral group.
-    half = f.degree // 2
     stage_eps = eps / 2
     projection = is_sn(trace_polynomial(f), stage_eps, rng, prime_range)
-    trials = projection.trials_used
-    if projection.answer is not GaloisAnswer.CONFIRMED_SN:
-        return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, (), trials)
-
     witnesses = []
-    for _ in range(trials_transposition(half, stage_eps)):
-        q, degrees = _sample(f, disc, rng, prime_range)
-        witnesses.append((q, degrees))
-        trials += 1
-        if has_transposition_pattern(degrees):
-            return GaloisVerdict(
-                GaloisAnswer.CONFIRMED_HYPEROCTAHEDRAL, eps, tuple(witnesses), trials
-            )
-    return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, tuple(witnesses), trials)
+    budget = trials_transposition(f.degree // 2, stage_eps)
+    found = projection.confirmed and _hunt(
+        f, disc, rng, prime_range, witnesses, budget, has_transposition_pattern
+    )
+    return _verdict(
+        found, GaloisAnswer.CONFIRMED_HYPEROCTAHEDRAL, eps, witnesses,
+        projection.trials_used,
+    )

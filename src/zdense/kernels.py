@@ -1,26 +1,21 @@
 """Hot-kernel backend selection.
 
 The compiled extension is used when it was built and the modulus fits in a
-machine word; otherwise the pure-Python twin takes over.  Set
-ZDENSE_PURE_PYTHON=1 to force the fallback (used by the benchmark).
+machine word; otherwise the pure-Python twin takes over.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 from . import _kernel_py
 
 _WORD_LIMIT = 1 << 63
 
-if os.environ.get("ZDENSE_PURE_PYTHON") == "1":
+try:
+    from . import _kernel_cy as _compiled  # type: ignore[attr-defined]
+except ImportError:
     _compiled = None
-else:
-    try:
-        from . import _kernel_cy as _compiled  # type: ignore[attr-defined]
-    except ImportError:
-        _compiled = None
 
 BACKEND = "cython" if _compiled is not None else "python"
 

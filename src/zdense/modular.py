@@ -73,7 +73,7 @@ def random_prime_avoiding(disc: int, lo: int, hi: int, rng: Random) -> int:
     attempts = 64 * (hi - lo).bit_length()
     for _ in range(attempts):
         q = rng.randrange(lo, hi)
-        if q >= 2 and is_prime(q) and disc % q != 0:
+        if is_prime(q) and disc % q != 0:
             return q
     raise PrimeSearchExhausted(
         f"no admissible prime in [{lo}, {hi}) after {attempts} draws"

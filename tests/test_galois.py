@@ -18,7 +18,7 @@ from zdense.galois import (
     trials_transposition,
 )
 from zdense.modular import factor_degrees_mod
-from zdense.polynomials import IntPoly, cyclotomic
+from zdense.polynomials import IntPoly, cyclotomic, discriminant, trace_polynomial
 from zdense.polynomials import is_reciprocal as is_reciprocal_poly
 
 EPS = "1e-6"
@@ -253,3 +253,140 @@ def test_seed_determinism():
     a = is_sn(f, EPS, Random(99))
     b = is_sn(f, EPS, Random(99))
     assert a == b
+
+
+def TRINOMIAL(n):
+    # x^n - x - 1 has Galois group S_n for every n (Osada)
+    return IntPoly([-1, -1] + [0] * (n - 2) + [1])
+
+
+# (answer, trials_used, witnesses) at eps 1/10 for fixed seeds, one row per
+# branch of the certifiers: transposition hunts below degree 13 and at
+# 14..16, the primitivity hunt at both window widths, the long-cycle route
+# at 13 and 18, the hyperoctahedral stage, and budgets that run out.  Any
+# change to a trial budget or to the order of rng draws moves these rows.
+PINNED_VERDICTS = [
+    # x^3 - x - 1
+    (is_sn, TRINOMIAL(3), 1, GaloisAnswer.CONFIRMED_SN, 7, (
+        (1295869, (1, 1, 1)), (1258291, (1, 2)), (1446719, (1, 2)),
+        (1229911, (1, 1, 1)), (2075537, (1, 2)), (1853231, (3,)), (1427707, (1, 2)),
+    )),
+    # x^4 - x - 1
+    (is_sn, TRINOMIAL(4), 2, GaloisAnswer.CONFIRMED_SN, 12, (
+        (2023529, (1, 1, 2)), (1790521, (2, 2)), (2076209, (1, 3)), (2006033, (1, 3)),
+        (1396849, (1, 3)), (1764667, (4,)), (1066237, (1, 3)), (1271203, (1, 3)),
+        (1151147, (4,)), (1648417, (1, 3)), (1316039, (1, 3)), (1574501, (1, 1, 2)),
+    )),
+    # x^12 - x - 1
+    (is_sn, TRINOMIAL(12), 3, GaloisAnswer.CONFIRMED_SN, 28, (
+        (1076191, (1, 2, 4, 5)), (2032627, (6, 6)), (1540003, (1, 11)),
+        (1080341, (2, 10)), (1382861, (1, 2, 4, 5)), (1943923, (1, 11)),
+        (1329907, (1, 1, 5, 5)), (1333723, (4, 8)), (2086421, (2, 2, 8)),
+        (1635119, (1, 3, 8)), (1297963, (3, 9)), (1698001, (1, 2, 3, 6)),
+        (1600909, (1, 11)), (1105033, (2, 2, 8)), (1515271, (1, 1, 2, 2, 6)),
+        (1375727, (2, 2, 2, 6)), (1525607, (5, 7)), (1301941, (1, 2, 3, 6)),
+        (2049331, (1, 11)), (1786441, (1, 2, 3, 6)), (1511633, (1, 2, 2, 3, 4)),
+        (2040319, (2, 2, 8)), (1726199, (1, 1, 2, 8)), (1939631, (1, 2, 2, 7)),
+        (1306831, (2, 2, 8)), (1543441, (1, 11)), (1863683, (2, 10)),
+        (1258109, (2, 3, 7)),
+    )),
+    # x^13 - x - 1
+    (is_sn, TRINOMIAL(13), 4, GaloisAnswer.CONFIRMED_SN, 3, (
+        (1237529, (3, 10)), (1410679, (13,)), (1597441, (1, 1, 1, 3, 7)),
+    )),
+    # x^14 - x - 1
+    (is_sn, TRINOMIAL(14), 5, GaloisAnswer.CONFIRMED_SN, 29, (
+        (1584283, (1, 1, 3, 4, 5)), (1377517, (1, 1, 12)), (1828283, (1, 13)),
+        (1503091, (3, 4, 7)), (1634693, (1, 2, 2, 9)), (1314283, (1, 1, 1, 3, 4, 4)),
+        (1397719, (3, 11)), (1675181, (1, 13)), (1146569, (1, 2, 4, 7)),
+        (1564657, (1, 1, 2, 2, 3, 5)), (1275179, (1, 13)), (1387327, (6, 8)),
+        (1150397, (1, 5, 8)), (1749413, (5, 9)), (1666843, (2, 3, 4, 5)),
+        (1839203, (4, 5, 5)), (1120547, (3, 3, 8)), (1810747, (1, 2, 3, 4, 4)),
+        (1465181, (4, 5, 5)), (1973563, (1, 1, 5, 7)), (1454081, (2, 12)),
+        (1832933, (6, 8)), (1632691, (14,)), (1124203, (1, 1, 12)), (1319443, (14,)),
+        (1851253, (6, 8)), (2048983, (1, 2, 3, 8)), (1050563, (3, 5, 6)),
+        (1849381, (2, 5, 7)),
+    )),
+    # x^16 - x - 1
+    (is_sn, TRINOMIAL(16), 6, GaloisAnswer.CONFIRMED_SN, 25, (
+        (1808039, (1, 2, 6, 7)), (1108181, (1, 1, 1, 1, 1, 1, 10)), (1562159, (8, 8)),
+        (1460087, (1, 2, 3, 10)), (1488737, (2, 4, 10)), (1746743, (1, 1, 2, 12)),
+        (1840051, (1, 5, 10)), (1161449, (5, 11)), (1087459, (2, 2, 12)),
+        (2028493, (8, 8)), (1719901, (1, 3, 12)), (1452553, (2, 14)), (1558939, (16,)),
+        (1986167, (5, 11)), (2049823, (1, 15)), (1810771, (1, 5, 10)),
+        (1317119, (4, 5, 7)), (1058567, (1, 1, 4, 10)), (1361911, (1, 4, 5, 6)),
+        (1258597, (1, 1, 3, 3, 3, 5)), (1112323, (1, 15)),
+        (1372271, (1, 1, 1, 3, 4, 6)), (1070939, (1, 15)), (1924331, (1, 15)),
+        (1312523, (1, 1, 2, 3, 9)),
+    )),
+    # x^18 - x - 1
+    (is_sn, TRINOMIAL(18), 7, GaloisAnswer.CONFIRMED_SN, 8, (
+        (1172539, (1, 17)), (1695509, (2, 7, 9)), (1264699, (1, 8, 9)),
+        (1806869, (2, 8, 8)), (1697869, (1, 1, 1, 2, 5, 8)), (2016821, (2, 5, 11)),
+        (1883027, (1, 1, 2, 14)), (1632467, (1, 1, 1, 2, 2, 11)),
+    )),
+    # x^4 + 3x^3 + x^2 + 3x + 1
+    (is_hyperoctahedral, IntPoly([1, 3, 1, 3, 1]), 8, GaloisAnswer.CONFIRMED_HYPEROCTAHEDRAL, 5, (
+        (1405421, (1, 1, 2)),
+    )),
+    # (x^2 + 1)(x^2 + x + 1): transitivity budget runs out
+    (is_sn, IntPoly([1, 0, 1]) * IntPoly([1, 1, 1]), 9, GaloisAnswer.NOT_GENERIC, 8, (
+        (1547723, (2, 2)), (1156231, (1, 1, 2)), (1910899, (1, 1, 2)),
+        (1545041, (1, 1, 2)), (1979741, (1, 1, 2)), (1234837, (1, 1, 1, 1)),
+        (2091553, (1, 1, 1, 1)), (1830749, (1, 1, 2)),
+    )),
+    # C_3 cubic: transposition budget runs out
+    (is_sn, IntPoly([-1, -2, 1, 1]), 10, GaloisAnswer.NOT_GENERIC, 14, (
+        (1116911, (3,)), (1948021, (3,)), (2060581, (3,)), (1079681, (1, 1, 1)),
+        (2018677, (3,)), (1384601, (1, 1, 1)), (1142017, (3,)), (1914427, (3,)),
+        (1744111, (3,)), (1968341, (3,)), (1292633, (1, 1, 1)), (1145539, (3,)),
+        (1888841, (3,)), (1456799, (1, 1, 1)),
+    )),
+    # Phi_5: trace stage certifies, f stage runs out
+    (is_hyperoctahedral, cyclotomic(5), 11, GaloisAnswer.NOT_GENERIC, 13, (
+        (1173463, (4,)), (1447471, (1, 1, 1, 1)), (1188721, (1, 1, 1, 1)),
+        (1496321, (1, 1, 1, 1)), (1986893, (4,)), (1323233, (4,)), (1876643, (4,)),
+        (1614377, (4,)), (1858433, (4,)), (1486321, (1, 1, 1, 1)),
+        (1862711, (1, 1, 1, 1)),
+    )),
+]
+
+
+@pytest.mark.parametrize("certifier,f,seed,answer,trials,witnesses", PINNED_VERDICTS)
+def test_pinned_verdicts(certifier, f, seed, answer, trials, witnesses):
+    v = certifier(f, "1/10", Random(seed))
+    assert (v.answer, v.trials_used, v.witnesses) == (answer, trials, witnesses)
+
+
+def test_discriminant_once_per_polynomial(monkeypatch):
+    from zdense import galois
+
+    seen = []
+
+    def counting(f):
+        seen.append(f)
+        return discriminant(f)
+
+    monkeypatch.setattr(galois, "discriminant", counting)
+    for n in (2, 5, 12, 13, 16, 18):
+        seen.clear()
+        assert is_sn(TRINOMIAL(n), "1/10", Random(n)).confirmed
+        assert seen == [TRINOMIAL(n)]
+    seen.clear()
+    f = IntPoly([1, 3, 1, 3, 1])
+    assert is_hyperoctahedral(f, "1/10", Random(8)).confirmed
+    assert seen == [f, trace_polynomial(f)]
+
+
+def test_trials_used_counts_witnesses():
+    runs = [
+        (is_sn, TRINOMIAL(7)),
+        (is_sn, TRINOMIAL(14)),
+        (is_sn, IntPoly([-1, -2, 1, 1])),
+        (is_sn, IntPoly([1, 0, 1]) * IntPoly([1, 1, 1])),
+        (is_transitive, IntPoly([1, 0, 1]) * IntPoly([1, 1, 1])),
+        (is_transitive, TRINOMIAL(9)),
+    ]
+    for seed, (certifier, f) in enumerate(runs):
+        v = certifier(f, "1/10", Random(seed))
+        assert v.trials_used == len(v.witnesses) > 0

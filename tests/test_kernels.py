@@ -1,6 +1,8 @@
 """Backend parity: the compiled kernels must be bit-for-bit interchangeable
 with the pure-Python twins."""
 
+import re
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -86,3 +88,27 @@ def test_wrapper_routes_large_moduli_to_python():
     p = (1 << 89) - 1
     rows = [[1, 2], [2, 4]]
     assert kernels.rank_mod(rows, p) == _kernel_py.rank_mod(rows, p)
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src" / "zdense"
+_MARKED = "# <<<<<<<<<<<<<<"
+
+
+def _embedded_source_lines(c_text):
+    """(pyx line number, marked line) for every source block that Cython
+    copied into the generated C file."""
+    blocks = re.finditer(r'/\* "zdense/_kernel_cy\.pyx":(\d+)\n(.*?)\*/', c_text, re.S)
+    for block in blocks:
+        marked = [l for l in block.group(2).splitlines() if l.endswith(_MARKED)]
+        assert len(marked) == 1, block.group(0)
+        yield int(block.group(1)), marked[0][len(" * "):-len(_MARKED)].rstrip()
+
+
+def test_shipped_c_file_matches_pyx():
+    # the tracked _kernel_cy.c must be generated from the current .pyx:
+    # each embedded block marks line N of the .pyx it was compiled from
+    pyx = (_SRC / "_kernel_cy.pyx").read_text().splitlines()
+    embedded = list(_embedded_source_lines((_SRC / "_kernel_cy.c").read_text()))
+    assert embedded
+    for number, line in embedded:
+        assert line == pyx[number - 1].rstrip(), (number, line)
