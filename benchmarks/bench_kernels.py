@@ -2,16 +2,24 @@
 """Benchmark the compiled kernels against the pure-Python twins.
 
 Two workloads, both straight from the deciders' inner loops:
-  * ddf: factorization degree patterns of random monic polynomials modulo
-    21-bit primes (one call per sampling trial of every certifier);
-  * rank: row rank of dense integer matrices modulo a 62-bit prime (tier-1
+  * ddf: factorization degree patterns of random monic polynomials of
+    degree 8, 17 and 30 modulo 21-bit primes (one call per sampling trial
+    of every certifier);
+  * rank: row rank of dense integer matrices modulo a 61-bit prime (tier-1
     of the Burnside irreducibility loop).
 
-Usage: python benchmarks/bench_kernels.py [--repeat N]
+Usage: python benchmarks/bench_kernels.py [--repeat N] [--json PATH [--label TEXT]]
+
+--json appends this run (its label, interpreter, core count and one row per
+workload with the best time per backend) to the JSON list in PATH.
 """
 
 import argparse
+import json
+import os
+import platform
 import time
+from pathlib import Path
 from random import Random
 
 from zdense import _kernel_py
@@ -22,8 +30,10 @@ try:
 except ImportError:
     _kernel_cy = None
 
+DDF_SIZES = ((8, 400), (17, 100), (30, 40))  # (degree, polynomials)
 
-def make_ddf_workload(rng, count=400, degree=8):
+
+def make_ddf_workload(rng, count, degree):
     primes = []
     while len(primes) < 40:
         candidate = rng.randrange(1 << 20, 1 << 21)
@@ -64,30 +74,62 @@ def time_backend(label, fn, jobs, repeat):
     return best
 
 
+def measure(kernel, workload, jobs, repeat):
+    print(f"{kernel}: {workload}")
+    py = time_backend("python", getattr(_kernel_py, kernel), jobs, repeat)
+    row = {"kernel": kernel, "workload": workload, "python_ms": py * 1000}
+    if _kernel_cy is not None:
+        cy = time_backend("cython", getattr(_kernel_cy, kernel), jobs, repeat)
+        print(f"  speedup  {py / cy:10.1f}x")
+        row.update(cython_ms=cy * 1000, speedup=py / cy)
+    else:
+        print("  cython   (not built)")
+    return row
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--json", type=Path, default=None, metavar="PATH")
+    parser.add_argument("--label", default="", help="names the --json entry")
     args = parser.parse_args()
 
     rng = Random(12345)
-    ddf_jobs = make_ddf_workload(rng)
+    ddf_jobs = [
+        (degree, make_ddf_workload(rng, count, degree)) for degree, count in DDF_SIZES
+    ]
     rank_jobs = make_rank_workload(rng)
 
-    print(f"ddf_degrees: {len(ddf_jobs)} degree-8 polynomials, 21-bit primes")
-    py = time_backend("python", _kernel_py.ddf_degrees, ddf_jobs, args.repeat)
-    if _kernel_cy is not None:
-        cy = time_backend("cython", _kernel_cy.ddf_degrees, ddf_jobs, args.repeat)
-        print(f"  speedup  {py / cy:10.1f}x")
-    else:
-        print("  cython   (not built)")
+    rows = [
+        measure(
+            "ddf_degrees",
+            f"{len(jobs)} degree-{degree} polynomials, 21-bit primes",
+            jobs,
+            args.repeat,
+        )
+        for degree, jobs in ddf_jobs
+    ]
+    rows.append(
+        measure(
+            "rank_mod",
+            f"{len(rank_jobs)} matrices 100x100, 61-bit prime",
+            rank_jobs,
+            args.repeat,
+        )
+    )
 
-    print(f"rank_mod: {len(rank_jobs)} matrices 100x100, 61-bit prime")
-    py = time_backend("python", _kernel_py.rank_mod, rank_jobs, args.repeat)
-    if _kernel_cy is not None:
-        cy = time_backend("cython", _kernel_cy.rank_mod, rank_jobs, args.repeat)
-        print(f"  speedup  {py / cy:10.1f}x")
-    else:
-        print("  cython   (not built)")
+    if args.json is not None:
+        entries = json.loads(args.json.read_text()) if args.json.exists() else []
+        entries.append(
+            {
+                "label": args.label,
+                "python": platform.python_version(),
+                "nproc": os.cpu_count(),
+                "repeat": args.repeat,
+                "rows": rows,
+            }
+        )
+        args.json.write_text(json.dumps(entries, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,11 @@
 """Pure-Python twins of the compiled hot kernels.
 
-Same signatures and pivot policy as zdense._kernel_cy; selected at import
-time by zdense.kernels when the extension is unavailable.
+Same signatures, results, errors and pivot policy as zdense._kernel_cy;
+selected at import time by zdense.kernels when the extension is
+unavailable.  ddf_degrees gets there by a different route: it computes the
+Frobenius power x^q mod f once, multiplies by Kronecker substitution (one
+big-int product per polynomial product), and walks the degrees through a
+table of its powers instead of raising to the q-th power at every step.
 
 Polynomials here are lists of ints in [0, q), constant term first.
 """
@@ -31,18 +35,6 @@ def _rem(a: list[int], f: list[int], q: int) -> list[int]:
     return _trim(a)
 
 
-def _mulmod(a: list[int], b: list[int], f: list[int], q: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    out = [v % q for v in out]
-    return _rem(out, f, q)
-
-
 def _monic(a: list[int], q: int) -> list[int]:
     lc = a[-1]
     if lc == 1:
@@ -59,20 +51,6 @@ def _gcd(a: list[int], b: list[int], q: int) -> list[int]:
     return _monic(a, q) if a else a
 
 
-def _powmod_q(h: list[int], q: int, f: list[int]) -> list[int]:
-    """h^q mod (f, q) by square-and-multiply on the exponent q."""
-    result = [1]
-    base = h[:]
-    e = q
-    while e:
-        if e & 1:
-            result = _mulmod(result, base, f, q)
-        e >>= 1
-        if e:
-            base = _mulmod(base, base, f, q)
-    return result
-
-
 def _quo(a: list[int], b: list[int], q: int) -> list[int]:
     """Exact quotient of a by monic b, mod q."""
     a = a[:]
@@ -85,6 +63,85 @@ def _quo(a: list[int], b: list[int], q: int) -> list[int]:
             for j in range(db + 1):
                 a[i - db + j] = (a[i - db + j] - c * b[j]) % q
     return _trim(quo)
+
+
+class _PackedRing:
+    """F_q[x]/(f) for a monic f of degree n >= 2, elements as length-n lists.
+
+    A product is one big-int multiply (Kronecker substitution): coefficients
+    sit in w-bit slots, w >= 2 bitlen(q-1) + bitlen(n) + 1, so a slot that
+    sums up to 2n - 1 products of two coefficients in [0, q) never carries
+    into the next.  The product is folded back with the packed rows
+    x^n .. x^(2n-2) mod f.
+    """
+
+    def __init__(self, f: list[int], q: int):
+        n = len(f) - 1
+        self.n, self.q = n, q
+        self.w = 8 * ((2 * (q - 1).bit_length() + n.bit_length() + 8) // 8)
+        self.xn = [-c % q for c in f[:n]]  # x^n mod f
+        rows = [self.xn]
+        for _ in range(n - 2):
+            rows.append(self.times_x(rows[-1]))
+        self.rows = [self.pack(r) for r in rows]
+
+    def pack(self, a: list[int]) -> int:
+        v = 0
+        for c in reversed(a):
+            v = (v << self.w) | c
+        return v
+
+    def unpack(self, v: int, m: int) -> list[int]:
+        """The m low slots of v, each reduced mod q."""
+        w, q = self.w, self.q
+        mask = (1 << w) - 1
+        out = []
+        for _ in range(m):
+            out.append((v & mask) % q)
+            v >>= w
+        return out
+
+    def reduce(self, v: int) -> list[int]:
+        """The reduced element of a packed product of two reduced elements."""
+        n, w = self.n, self.w
+        acc = v & ((1 << (w * n)) - 1)
+        for c, row in zip(self.unpack(v >> (w * n), n - 1), self.rows):
+            if c:
+                acc += c * row
+        return self.unpack(acc, n)
+
+    def times_x(self, a: list[int]) -> list[int]:
+        c = a[-1]
+        a = [0] + a[:-1]
+        if c:
+            a = [(u + c * v) % self.q for u, v in zip(a, self.xn)]
+        return a
+
+    def frobenius(self) -> list[int]:
+        """x^q, left to right over the bits of q."""
+        a = [0, 1] + [0] * (self.n - 2)
+        for bit in bin(self.q)[3:]:
+            v = self.pack(a)
+            a = self.reduce(v * v)
+            if bit == "1":
+                a = self.times_x(a)
+        return a
+
+    def powers(self, a: list[int]) -> list[int]:
+        """Packed a^0 .. a^(n-1)."""
+        v = self.pack(a)
+        table = [1, v]
+        for _ in range(self.n - 2):
+            table.append(self.pack(self.reduce(table[-1] * v)))
+        return table
+
+    def compose(self, h: list[int], table: list[int]) -> list[int]:
+        """h(a), where table = powers(a)."""
+        acc = 0
+        for c, t in zip(h, table):
+            if c:
+                acc += c * t
+        return self.unpack(acc, self.n)
 
 
 def ddf_degrees(coeffs: Sequence[int], q: int) -> list[int]:
@@ -102,22 +159,24 @@ def ddf_degrees(coeffs: Sequence[int], q: int) -> list[int]:
         raise ValueError("polynomial is not squarefree mod q")
     degrees: list[int] = []
     remaining = f
-    h = _rem([0, 1], f, q)  # x mod f
     d = 0
+    # h = x^(q^d) stays reduced mod f, not mod remaining: remaining divides
+    # f, so gcd(remaining, h - x) is the same either way
     while 2 * (d + 1) <= len(remaining) - 1:
         d += 1
-        h = _powmod_q(h, q, remaining)
+        if d == 1:
+            ring = _PackedRing(f, q)
+            h = frob = ring.frobenius()
+        else:
+            if d == 2:
+                table = ring.powers(frob)
+            h = ring.compose(h, table)  # h(x^q) = x^(q^d)
         diff = h[:]
-        while len(diff) < 2:
-            diff.append(0)
         diff[1] = (diff[1] - 1) % q
         part = _gcd(remaining, _trim(diff), q)
         if len(part) > 1:
             degrees.extend([d] * ((len(part) - 1) // d))
             remaining = _quo(remaining, part, q)
-            if len(remaining) == 1:
-                break
-            h = _rem(h, remaining, q)
     if len(remaining) > 1:
         degrees.append(len(remaining) - 1)
     return sorted(degrees)

@@ -3,7 +3,8 @@
 Reads a JSON input file (a generator set or a polynomial), runs the chosen
 decider with a seeded generator, and emits a machine-readable report: JSON
 on stdout, a human summary on stderr, exit code 0 for dense/confirmed,
-1 for not dense/not generic, 2 for input errors.
+1 for not dense/not generic, 2 for input errors and a report that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -322,19 +323,26 @@ def _summary(report: dict) -> str:
     )
 
 
+def _error(message: str, quiet: bool) -> int:
+    if not quiet:
+        print(json.dumps({"error": message}, indent=2))
+        print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         exit_code, report = run(config)
     except (InputError, PrimeSearchExhausted) as exc:
-        if not args.quiet:
-            print(json.dumps({"error": str(exc)}, indent=2))
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc), args.quiet)
     text = json.dumps(report, indent=2)
     if config.report_path:
-        Path(config.report_path).write_text(text + "\n")
+        try:
+            Path(config.report_path).write_text(text + "\n")
+        except OSError as exc:
+            return _error(f"cannot write report {config.report_path}: {exc}", args.quiet)
     if not config.quiet:
         print(text)
         print(_summary(report), file=sys.stderr)

@@ -96,12 +96,6 @@ def characteristic_polynomial(a: Matrix) -> IntPoly:
     return IntPoly(list(reversed(p)))
 
 
-def determinant(a: Matrix) -> int:
-    # charpoly(0) = det(-A) = (-1)^n det(A)
-    p = characteristic_polynomial(a)
-    return (-1) ** a.dim * p[0]
-
-
 def adjugate_inverse(a: Matrix) -> Matrix:
     """The adjugate of a determinant-1 matrix, i.e. its exact integer inverse.
 

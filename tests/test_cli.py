@@ -235,6 +235,19 @@ def test_main_input_error_exit_2(tmp_path, capsys):
     assert main([str(bad), "--prime-bits", "8", "4"]) == 2
 
 
+def test_main_unwritable_report_exit_2(tmp_path, capsys):
+    # a confirmed input must not read as exit 1 ("not generic") when only
+    # the report write fails
+    path = write(tmp_path, "cubic.json", {"poly": [-1, -1, 0, 1]})
+    report_path = tmp_path / "missing" / "r.json"
+    assert main([path, "--report", str(report_path)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write report" in json.loads(captured.out)["error"]
+    assert not report_path.exists()
+    assert main([path, "--report", str(report_path), "--quiet"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_main_prime_exhaustion_exit_2(tmp_path, capsys):
     # disc(x^2 - 35) = 140 is divisible by both primes in [4, 8)
     path = write(tmp_path, "smooth.json", {"poly": [-35, 0, 1]})

@@ -1,6 +1,8 @@
 """Backend parity: the compiled kernels must be bit-for-bit interchangeable
-with the pure-Python twins."""
+with the pure-Python twins, and ddf_degrees must agree with oracles that do
+not share its code."""
 
+import itertools
 import re
 from pathlib import Path
 from random import Random
@@ -35,6 +37,136 @@ def test_ddf_known_patterns(impl):
         impl.ddf_degrees([1, -2, 1], 5)  # (x-1)^2
     with pytest.raises(ValueError):
         impl.ddf_degrees([3], 5)
+
+
+def _divmod_monic(a, b, p):
+    """Quotient and remainder of a by monic b over F_p, by long division."""
+    a = [c % p for c in a]
+    db = len(b) - 1
+    quo = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1 - db, -1, -1):
+        c = quo[i] = a[i + db]
+        for j, bj in enumerate(b):
+            a[i + j] = (a[i + j] - c * bj) % p
+    return quo, a[:db]
+
+
+def _monic_irreducibles(p, max_degree):
+    """Monic irreducibles over F_p by degree, found by trial division."""
+    found = []
+    for d in range(1, max_degree + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            g = list(tail) + [1]
+            if all(
+                any(_divmod_monic(g, h, p)[1])
+                for h in found
+                if 2 * (len(h) - 1) <= d
+            ):
+                found.append(g)
+    return found
+
+
+def _factor_degrees(f, p, irreducibles):
+    """Sorted factor degrees of a monic f over F_p, or None if f has a
+    repeated factor; every factor of degree <= deg f / 2 is in irreducibles."""
+    degrees = []
+    for g in irreducibles:
+        if 2 * (len(g) - 1) > len(f) - 1:
+            break
+        quo, rem = _divmod_monic(f, g, p)
+        if any(rem):
+            continue
+        if not any(_divmod_monic(quo, g, p)[1]):
+            return None
+        degrees.append(len(g) - 1)
+        f = quo
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return sorted(degrees)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ddf_matches_trial_division(p):
+    irreducibles = _monic_irreducibles(p, 4)
+    rng = Random(p)
+    repeated = 0
+    for _ in range(120):
+        if rng.random() < 0.3:
+            # g^2 h: never squarefree
+            g = [rng.randrange(p) for _ in range(rng.randrange(1, 3))] + [1]
+            h = [rng.randrange(p) for _ in range(rng.randrange(0, 5))] + [1]
+            f = [c % p for c in _poly_mul(_poly_mul(g, g), h)]
+        else:
+            f = [rng.randrange(p) for _ in range(rng.randrange(1, 9))] + [1]
+        expected = _factor_degrees(f, p, irreducibles)
+        # hide f behind a unit leading coefficient and multiples of p
+        unit = rng.randrange(1, p)
+        coeffs = [unit * c + p * rng.randrange(-9, 10) for c in f]
+        if expected is None:
+            repeated += 1
+            with pytest.raises(ValueError, match="not squarefree"):
+                _kernel_py.ddf_degrees(coeffs, p)
+        else:
+            assert _kernel_py.ddf_degrees(coeffs, p) == expected, (f, p)
+    assert repeated > 20
+
+
+def _taylor_shift(coeffs, a):
+    """coeffs(x + a), by Horner."""
+    out = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        out = _poly_mul(out, [a, 1])
+        out[0] += c
+    return out
+
+
+def _osada(n):
+    return [-1, -1] + [0] * (n - 2) + [1]
+
+
+_PINNED_PRIMES = (1048583, 2097143, (1 << 62) - 57, (1 << 63) + 29)
+_BAND = _taylor_shift(_poly_mul([-2] + [0] * 7 + [1], [-3] + [0] * 8 + [1]), 3141592653)
+
+# recorded at commit 71230c9, whose kernel raised to the q-th power by
+# schoolbook square-and-multiply at every degree step; one list per prime
+# in _PINNED_PRIMES
+_PINNED_DDF = [
+    (_osada(17), [[2, 2, 4, 9], [1, 1, 1, 14], [6, 11], [3, 3, 4, 7]]),
+    (_osada(22), [[4, 5, 13], [1, 4, 17], [1, 4, 17], [7, 15]]),
+    (
+        _osada(30),
+        [[1, 1, 2, 4, 4, 18], [1, 5, 10, 14], [1, 2, 2, 5, 20], [1, 2, 3, 4, 20]],
+    ),
+    (
+        _BAND,
+        [
+            [1, 1, 1, 2, 2, 2, 2, 6],
+            [1, 1, 1, 2, 2, 2, 2, 2, 2, 2],
+            [1, 1, 2, 2, 2, 3, 3, 3],
+            [1, 1, 1, 1, 1, 1, 1, 1, 1, 8],
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected", _PINNED_DDF, ids=["osada17", "osada22", "osada30", "band17"]
+)
+def test_ddf_pinned_large_degrees(coeffs, expected):
+    # the last prime is above 2^63, where zdense.kernels always takes the
+    # pure-Python kernel
+    assert _PINNED_PRIMES[-1] >= 1 << 63
+    for q, degrees in zip(_PINNED_PRIMES, expected):
+        assert _kernel_py.ddf_degrees(coeffs, q) == degrees, q
+        assert kernels.ddf_degrees(coeffs, q) == degrees, q
 
 
 @pytest.mark.parametrize("impl", [b for b in (_kernel_py, _kernel_cy) if b is not None])
