@@ -6,6 +6,8 @@ unavailable.  ddf_degrees gets there by a different route: it computes the
 Frobenius power x^q mod f once, multiplies by Kronecker substitution (one
 big-int product per polynomial product), and walks the degrees through a
 table of its powers instead of raising to the q-th power at every step.
+rank_mod packs rows the same way: each row is one int with a column per
+slot, so eliminating against a pivot row is one big-int multiply-add.
 
 Polynomials here are lists of ints in [0, q), constant term first.
 """
@@ -186,23 +188,41 @@ def rank_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[int, list[int]]:
     """Rank of an integer matrix mod p, plus the indices of the rows kept
     as pivots (greedy: a row is kept iff independent of the kept rows
     before it).
+
+    Rows are packed into one int each, column j in the w-bit slot j, with
+    w >= 2 bitlen(p) + bitlen(ncols) + 1.  Eliminating against a
+    normalized pivot row adds (p - c) times it, which clears the pivot
+    column mod p and adds less than p^2 to every slot; a row meets fewer
+    than ncols pivots, so no slot carries into the next.
     """
-    pivots: list[tuple[int, list[int]]] = []  # (pivot column, normalized row)
-    kept: list[int] = []
     ncols = len(rows[0]) if rows else 0
+    w = 8 * ((2 * p.bit_length() + ncols.bit_length() + 8) // 8)
+    width = w // 8
+    mask = (1 << w) - 1
+
+    def pack(values) -> int:
+        return int.from_bytes(
+            b"".join([x.to_bytes(width, "little") for x in values]), "little"
+        )
+
+    pivots: list[tuple[int, int]] = []  # (pivot slot offset, packed normalized row)
+    kept: list[int] = []
     for idx, row in enumerate(rows):
-        v = [x % p for x in row]
-        for col, prow in pivots:
-            c = v[col]
+        v = pack([x % p for x in row])
+        for shift, prow in pivots:
+            c = (v >> shift & mask) % p
             if c:
-                for j in range(ncols):
-                    v[j] = (v[j] - c * prow[j]) % p
-        lead = next((j for j in range(ncols) if v[j]), None)
+                v += (p - c) * prow
+        raw = v.to_bytes(width * ncols, "little")
+        vals = [
+            int.from_bytes(raw[i : i + width], "little") % p
+            for i in range(0, len(raw), width)
+        ]
+        lead = next((j for j in range(ncols) if vals[j]), None)
         if lead is None:
             continue
-        inv = pow(v[lead], -1, p)
-        v = [x * inv % p for x in v]
-        pivots.append((lead, v))
+        inv = pow(vals[lead], -1, p)
+        pivots.append((lead * w, pack([x * inv % p for x in vals])))
         kept.append(idx)
         if len(pivots) == ncols:
             break

@@ -126,11 +126,17 @@ def is_irreducible_algebra(
     matrices?  By Burnside, that is equivalent to the group acting
     irreducibly over C.
 
-    Grows span(I) by left multiplication until the dimension stabilizes or
-    hits dim^2.  Ranks go through a random 62-bit prime first (full rank
-    mod p certifies full rank over Q); any stabilization verdict is
-    re-verified by exact fraction-free elimination, so both outcomes are
-    certain.
+    Spins a basis of the algebra from I modulo a random 62-bit prime p:
+    each round multiplies only the frontier (the elements added the round
+    before) by every generator and ranks the basis followed by these new
+    products mod p.  Full rank mod p certifies full rank over Q: YES.
+    When the rank stops growing, the span of the basis is closed under the
+    generators mod p; an exact fraction-free rank of the basis and of
+    every product formed settles it.  Exact rank dim^2 is a YES.  Exact
+    rank equal to the basis size means span(basis) contains I and is
+    closed under every generator over Q, so it is the whole algebra and
+    too small: NO.  Anything else means p divided a minor, and the spin
+    restarts with a fresh prime.  Both answers are certain.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -140,32 +146,30 @@ def is_irreducible_algebra(
     if rng is None:
         rng = Random(0x5EED)
     target = dim * dim
-    p = random_prime_avoiding(1, _RANK_PRIME_RANGE[0], _RANK_PRIME_RANGE[1], rng)
-    basis = [Matrix.identity(dim)]
-    rank = 1
+    identity = Matrix.identity(dim)
     while True:
-        cands = list(basis)
-        for g in mats:
-            for b in basis:
-                cands.append(multiply(g, b))
-        vecs = [c.flatten() for c in cands]
-        rank_p, kept = kernels.rank_mod(vecs, p)
-        if rank_p == target:
+        p = random_prime_avoiding(1, _RANK_PRIME_RANGE[0], _RANK_PRIME_RANGE[1], rng)
+        basis = [identity.flatten()]
+        frontier = [identity]
+        products: list[tuple[int, ...]] = []
+        while True:
+            new = [multiply(g, b) for g in mats for b in frontier]
+            new_rows = [m.flatten() for m in new]
+            products += new_rows
+            # the basis rows are independent mod p, so all of them are kept
+            rank, kept = kernels.rank_mod(basis + new_rows, p)
+            if rank == target:
+                return IrreducibilityResult(True, True, target)
+            if rank == len(basis):
+                break
+            fresh = [i - len(basis) for i in kept[len(basis):]]
+            frontier = [new[i] for i in fresh]
+            basis += [new_rows[i] for i in fresh]
+        rank, _ = _bareiss_rank(basis + products)
+        if rank == target:
             return IrreducibilityResult(True, True, target)
-        if rank_p > rank:
-            basis = [cands[i] for i in kept]
-            rank = rank_p
-            continue
-        # Apparent stabilization mod p: settle it exactly.
-        rank_exact, kept_exact = _bareiss_rank(vecs)
-        if rank_exact == target:
-            return IrreducibilityResult(True, True, target)
-        if rank_exact == rank:
-            # span(basis) is closed under every generator and contains I:
-            # it is the whole algebra, and it is too small.
-            return IrreducibilityResult(False, True, rank_exact)
-        basis = [cands[i] for i in kept_exact]
-        rank = rank_exact
+        if rank == len(basis):
+            return IrreducibilityResult(False, True, rank)
 
 
 def lie_algebra_dimension(kind: GroupKind, dim: int) -> int:

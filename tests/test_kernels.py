@@ -178,6 +178,56 @@ def test_rank_mod_semantics(impl):
     assert rank == 1 and list(kept) == [1]
 
 
+def _greedy_independent(rows, p):
+    """Indices of the rows independent of the kept rows before them over
+    GF(p), by elimination on plain lists against a reduced echelon basis."""
+    echelon = {}  # lead column -> row with 1 there and 0 in every other lead
+    kept = []
+    for idx, row in enumerate(rows):
+        v = [x % p for x in row]
+        for lead, e in echelon.items():
+            if v[lead]:
+                c = v[lead]
+                v = [(a - c * b) % p for a, b in zip(v, e)]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        inv = pow(v[lead], -1, p)
+        v = [x * inv % p for x in v]
+        for other, e in echelon.items():
+            if e[lead]:
+                c = e[lead]
+                echelon[other] = [(a - c * b) % p for a, b in zip(e, v)]
+        echelon[lead] = v
+        kept.append(idx)
+    return kept
+
+
+@pytest.mark.parametrize("p", [2, 3, (1 << 61) - 1, (1 << 63) + 29])
+def test_rank_mod_matches_greedy_oracle(p):
+    # above 2^63, zdense.kernels always takes the pure-Python kernel
+    rng = Random(p % 1000)
+    for trial in range(24):
+        ncols = 100 if trial < 3 else rng.randrange(1, 30)
+        rows = []
+        for _ in range(rng.randrange(1, ncols + 12)):
+            if rows and rng.random() < 0.3:
+                # planted: a combination of earlier rows, shifted by p
+                row = [0] * ncols
+                for src in rng.sample(rows, min(len(rows), 3)):
+                    c = rng.randrange(-3, 4)
+                    row = [a + c * b for a, b in zip(row, src)]
+                rows.append([a + p * rng.randrange(-2, 3) for a in row])
+            else:
+                bound = rng.choice([p, 3 * p, 1 << 70])
+                rows.append([rng.randrange(-bound, bound) for _ in range(ncols)])
+        expected = _greedy_independent(rows, p)
+        for impl in (_kernel_py, kernels):
+            rank, kept = impl.rank_mod(rows, p)
+            assert (rank, list(kept)) == (len(expected), expected), (trial, impl)
+    assert _kernel_py.rank_mod([], p) == (0, [])
+
+
 @needs_compiled
 def test_ddf_backend_parity():
     rng = Random(7)

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from zdense import zariski
 from zdense.matrices import (
     GroupKind,
     Matrix,
@@ -78,6 +79,94 @@ def test_irreducible_algebra_examples():
     assert not res.irreducible and res.algebra_dimension == 1
     with pytest.raises(ValueError):
         is_irreducible_algebra([S], 3)
+
+
+def test_unlucky_rank_prime_restarts_the_spin(monkeypatch):
+    # mod 2 both generators collapse to I, so the spin stops at rank 1 while
+    # the exact rank of I and the two products is 3: the first prime divided
+    # a minor and a fresh one must be drawn
+    real = zariski.random_prime_avoiding
+    draws = []
+
+    def first_prime_two(*args):
+        draws.append(args)
+        return 2 if len(draws) == 1 else real(*args)
+
+    monkeypatch.setattr(zariski, "random_prime_avoiding", first_prime_two)
+    cases = [
+        ([Matrix([[1, 2], [0, 1]]), Matrix([[1, 0], [2, 1]])], (True, 4)),
+        ([Matrix([[1, 2], [0, 1]]), Matrix([[1, 0], [0, 3]])], (False, 3)),
+    ]
+    for mats, expected in cases:
+        draws.clear()
+        res = is_irreducible_algebra(mats, 2)
+        assert (res.irreducible, res.algebra_dimension) == expected
+        assert res.certain
+        assert len(draws) == 2
+
+
+@pytest.fixture
+def sl3_parabolic():
+    # block upper triangular: stabilizes the plane spanned by e1, e2
+    return validate(
+        GroupKind.SPECIAL_LINEAR,
+        3,
+        [
+            Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+            Matrix([[1, 0, 0], [1, 1, 0], [0, 0, 1]]),
+            Matrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]]),
+            Matrix([[1, 0, 0], [0, 1, 1], [0, 0, 1]]),
+        ],
+    )
+
+
+@pytest.fixture
+def sp4_siegel_parabolic():
+    # [[A, B], [0, A^-T]] with B symmetric: stabilizes the Lagrangian e1, e2
+    return validate(
+        GroupKind.SYMPLECTIC,
+        4,
+        [
+            Matrix([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+            Matrix([[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+            Matrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -1, 1]]),
+            Matrix([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 0, 1]]),
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "group, expected",
+    [
+        ("sl3", (True, 64)),
+        ("sl3_parabolic", (False, 34)),
+        ("sp4_siegel_parabolic", (False, 34)),
+        ("sp4", (True, 100)),
+    ],
+)
+def test_adjoint_irreducibility_pinned(group, expected, request):
+    # recorded at commit f81fa9a, whose span loop re-multiplied and re-ranked
+    # the whole basis every round
+    gs = request.getfixturevalue(group)
+    dim = lie_algebra_dimension(gs.kind, gs.dim)
+    res = is_irreducible_algebra(adjoint_matrices(gs), dim, Random(0))
+    assert (res.irreducible, res.algebra_dimension) == expected
+
+
+@pytest.mark.parametrize("group", ["sl3_parabolic", "sp4_siegel_parabolic"])
+def test_spin_multiplies_each_basis_element_once(group, request, monkeypatch):
+    gs = request.getfixturevalue(group)
+    mats = adjoint_matrices(gs)
+    calls = []
+
+    def counting_multiply(a, b):
+        calls.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(zariski, "multiply", counting_multiply)
+    res = is_irreducible_algebra(mats, lie_algebra_dimension(gs.kind, gs.dim))
+    assert not res.irreducible
+    assert len(calls) == len(mats) * res.algebra_dimension
 
 
 def test_irreducible_algebra_scalars_on_line():
