@@ -3,10 +3,7 @@
 The package is pure Python plus one optional Cython extension
 (zdense._kernel_cy).  If Cython or a C compiler is unavailable the build
 falls through to the pure-Python kernels selected at import time.
-Set ZDENSE_NO_EXTENSION=1 to skip the extension on purpose.
 """
-
-import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -29,21 +26,20 @@ class optional_build_ext(build_ext):
 
 
 ext_modules = []
-if os.environ.get("ZDENSE_NO_EXTENSION") != "1":
-    try:
-        from Cython.Build import cythonize
+try:
+    from Cython.Build import cythonize
 
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "zdense._kernel_cy",
-                    ["src/zdense/_kernel_cy.pyx"],
-                    extra_compile_args=["-O2"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        print("warning: Cython not available, building without compiled kernels")
+    ext_modules = cythonize(
+        [
+            Extension(
+                "zdense._kernel_cy",
+                ["src/zdense/_kernel_cy.pyx"],
+                extra_compile_args=["-O2"],
+            )
+        ],
+        compiler_directives={"language_level": "3"},
+    )
+except ImportError:
+    print("warning: Cython not available, building without compiled kernels")
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

@@ -4,7 +4,7 @@ Reads a JSON input file (a generator set or a polynomial), runs the chosen
 decider with a seeded generator, and emits a machine-readable report: JSON
 on stdout, a human summary on stderr, exit code 0 for dense/confirmed,
 1 for not dense/not generic, 2 for input errors and a report that cannot
-be written.
+be written, 3 for an internal error (a bug, never a verdict).
 """
 
 from __future__ import annotations
@@ -14,17 +14,18 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 from . import kernels
-from .galois import GaloisVerdict, as_epsilon, is_hyperoctahedral, is_sn
+from .galois import DEFAULT_PRIME_RANGE, GaloisVerdict, as_epsilon, is_hyperoctahedral, is_sn
 from .matrices import GeneratorSet, GroupKind, Matrix, validate
 from .modular import PrimeSearchExhausted
 from .polynomials import IntPoly, is_reciprocal
-from .zariski import DensityVerdict, general_zariski_dense, zariski_dense
+from .zariski import DEFAULT_WORD_CONSTANT, DensityVerdict, general_zariski_dense, zariski_dense
 
 MODES = ("weyl", "adjoint", "galois")
 _SAFE_INT = 1 << 53
@@ -73,7 +74,7 @@ def parse_input(path: str) -> GeneratorSet | IntPoly:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise InputError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
@@ -106,9 +107,10 @@ def parse_input(path: str) -> GeneratorSet | IntPoly:
             [_as_int(v, f"generator {gi}, row {ri}") for v in row]
             for ri, row in enumerate(rows)
         ]
-        if any(len(r) != len(entries) for r in entries):
-            raise InputError(f"{path}: generator {gi} is not square")
-        mats.append(Matrix(entries))
+        try:
+            mats.append(Matrix(entries))
+        except ValueError as exc:
+            raise InputError(f"{path}: generator {gi}: {exc}") from None
     try:
         return validate(kind, dim, mats)
     except ValueError as exc:
@@ -143,103 +145,110 @@ def _galois_mode_verdict(
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
-    """Execute the configured decider; returns (exit_code, report)."""
-    t0 = time.perf_counter()
-    parsed = parse_input(config.input_path)
-    parse_seconds = time.perf_counter() - t0
+    """Execute the configured decider; returns (exit_code, report).  Inputs
+    and reports carry exact integers of any length, so Python's cap on
+    int <-> str conversions (4300 digits by default) is lifted while it runs."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        t0 = time.perf_counter()
+        parsed = parse_input(config.input_path)
+        parse_seconds = time.perf_counter() - t0
 
-    prime_range = (1 << config.prime_bits[0], 1 << config.prime_bits[1])
-    poly_mode = isinstance(parsed, IntPoly)
-    mode = config.mode
-    if mode == "auto":
-        mode = "galois" if poly_mode else "weyl"
-    if poly_mode != (mode == "galois"):
-        raise InputError(
-            f"mode {mode!r} does not match the input "
-            f"({'polynomial' if poly_mode else 'generator set'})"
-        )
-    if poly_mode and (parsed.degree < 1 or not parsed.is_monic()):
-        raise InputError("polynomial input must be monic of positive degree")
-
-    description: dict
-    if poly_mode:
-        description = {"poly_degree": parsed.degree, "poly": list(parsed.coeffs)}
-    else:
-        description = {
-            "group": parsed.kind.value,
-            "dim": parsed.dim,
-            "generator_count": len(parsed.generators),
-            "norm_bound": parsed.norm_bound,
-        }
-
-    trial_records = []
-    trial_seconds = []
-    confirmed = False
-    falses = 0
-    for trial in range(config.trials):
-        seed = _derived_seed(config.seed, trial)
-        rng = Random(seed)
-        t1 = time.perf_counter()
-        verdict: GaloisVerdict | DensityVerdict
-        if mode == "galois":
-            verdict = _galois_mode_verdict(parsed, config.epsilon, rng, prime_range)
-            positive = verdict.confirmed
-        elif mode == "weyl":
-            verdict = zariski_dense(
-                parsed, config.epsilon, rng, config.word_constant, prime_range
+        prime_range = (1 << config.prime_bits[0], 1 << config.prime_bits[1])
+        poly_mode = isinstance(parsed, IntPoly)
+        mode = config.mode
+        if mode == "auto":
+            mode = "galois" if poly_mode else "weyl"
+        if poly_mode != (mode == "galois"):
+            raise InputError(
+                f"mode {mode!r} does not match the input "
+                f"({'polynomial' if poly_mode else 'generator set'})"
             )
-            positive = verdict.dense
+        if poly_mode and (parsed.degree < 1 or not parsed.is_monic()):
+            raise InputError("polynomial input must be monic of positive degree")
+
+        description: dict
+        if poly_mode:
+            description = {"poly_degree": parsed.degree, "poly": list(parsed.coeffs)}
         else:
-            verdict = general_zariski_dense(
-                parsed, config.epsilon, rng, config.word_constant, prime_range
+            description = {
+                "group": parsed.kind.value,
+                "dim": parsed.dim,
+                "generator_count": len(parsed.generators),
+                "norm_bound": parsed.norm_bound,
+            }
+
+        trial_records = []
+        trial_seconds = []
+        confirmed = False
+        falses = 0
+        for trial in range(config.trials):
+            seed = _derived_seed(config.seed, trial)
+            rng = Random(seed)
+            t1 = time.perf_counter()
+            verdict: GaloisVerdict | DensityVerdict
+            if mode == "galois":
+                verdict = _galois_mode_verdict(parsed, config.epsilon, rng, prime_range)
+                positive = verdict.confirmed
+            elif mode == "weyl":
+                verdict = zariski_dense(
+                    parsed, config.epsilon, rng, config.word_constant, prime_range
+                )
+                positive = verdict.dense
+            else:
+                verdict = general_zariski_dense(
+                    parsed, config.epsilon, rng, config.word_constant, prime_range
+                )
+                positive = verdict.dense
+            trial_seconds.append(time.perf_counter() - t1)
+            trial_records.append(
+                {"trial": trial, "seed": seed, "verdict": verdict.to_json()}
             )
-            positive = verdict.dense
-        trial_seconds.append(time.perf_counter() - t1)
-        trial_records.append(
-            {"trial": trial, "seed": seed, "verdict": verdict.to_json()}
-        )
-        if positive:
-            confirmed = True
-            break  # any YES is final and certain
-        falses += 1
+            if positive:
+                confirmed = True
+                break  # any YES is final and certain
+            falses += 1
 
-    if confirmed:
-        answer = "dense" if mode != "galois" else "confirmed"
-        certainty = "certain"
-        effective_eps = config.epsilon
-        exit_code = 0
-    else:
-        answer = "not_dense" if mode != "galois" else "not_generic"
-        certainty = "monte_carlo"
-        # k independent NO runs tighten the bound to eps^k
-        effective_eps = config.epsilon**falses
-        exit_code = 1
+        if confirmed:
+            answer = "dense" if mode != "galois" else "confirmed"
+            certainty = "certain"
+            effective_eps = config.epsilon
+            exit_code = 0
+        else:
+            answer = "not_dense" if mode != "galois" else "not_generic"
+            certainty = "monte_carlo"
+            # k independent NO runs tighten the bound to eps^k
+            effective_eps = config.epsilon**falses
+            exit_code = 1
 
-    report = {
-        "mode": mode,
-        "input": config.input_path,
-        "parsed": description,
-        "epsilon": str(config.epsilon),
-        "seed": config.seed,
-        "word_constant": str(config.word_constant),
-        "prime_interval": [1 << config.prime_bits[0], 1 << config.prime_bits[1]],
-        "kernel_backend": kernels.BACKEND,
-        "trials_requested": config.trials,
-        "trials_run": len(trial_records),
-        "trials": trial_records,
-        "overall": {
-            "answer": answer,
-            "certainty": certainty,
-            "epsilon": str(effective_eps),
-            "exit_code": exit_code,
-        },
-        "timings": {
-            "parse_s": parse_seconds,
-            "trial_s": trial_seconds,
-            "total_s": time.perf_counter() - t0,
-        },
-    }
-    return exit_code, _jsonable(report)
+        report = {
+            "mode": mode,
+            "input": config.input_path,
+            "parsed": description,
+            "epsilon": str(config.epsilon),
+            "seed": config.seed,
+            "word_constant": str(config.word_constant),
+            "prime_interval": [1 << config.prime_bits[0], 1 << config.prime_bits[1]],
+            "kernel_backend": kernels.BACKEND,
+            "trials_requested": config.trials,
+            "trials_run": len(trial_records),
+            "trials": trial_records,
+            "overall": {
+                "answer": answer,
+                "certainty": certainty,
+                "epsilon": str(effective_eps),
+                "exit_code": exit_code,
+            },
+            "timings": {
+                "parse_s": parse_seconds,
+                "trial_s": trial_seconds,
+                "total_s": time.perf_counter() - t0,
+            },
+        }
+        return exit_code, _jsonable(report)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,14 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     parser.add_argument(
         "--word-constant",
-        default="10",
+        default=str(DEFAULT_WORD_CONSTANT),
         help="multiplier c in the word length max(16, ceil(c ln(1/eps)))",
     )
     parser.add_argument(
         "--prime-bits",
         nargs=2,
         type=int,
-        default=(20, 21),
+        default=tuple(b.bit_length() - 1 for b in DEFAULT_PRIME_RANGE),
         metavar=("LO", "HI"),
         help="sample primes from [2^LO, 2^HI)",
     )
@@ -323,11 +332,11 @@ def _summary(report: dict) -> str:
     )
 
 
-def _error(message: str, quiet: bool) -> int:
+def _error(message: str, quiet: bool, code: int = 2) -> int:
     if not quiet:
         print(json.dumps({"error": message}, indent=2))
         print(f"error: {message}", file=sys.stderr)
-    return 2
+    return code
 
 
 def main(argv=None) -> int:
@@ -337,6 +346,10 @@ def main(argv=None) -> int:
         exit_code, report = run(config)
     except (InputError, PrimeSearchExhausted) as exc:
         return _error(str(exc), args.quiet)
+    except Exception as exc:  # a crash must not read as exit 1, "not dense"
+        if not args.quiet:
+            traceback.print_exc()
+        return _error(f"internal error: {type(exc).__name__}: {exc}", args.quiet, 3)
     text = json.dumps(report, indent=2)
     if config.report_path:
         try:

@@ -48,12 +48,6 @@ class Matrix:
     def flatten(self) -> tuple[int, ...]:
         return tuple(v for row in self.rows for v in row)
 
-    def max_abs_entry(self) -> int:
-        return max(abs(v) for row in self.rows for v in row)
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(str(v) for v in row) for row in self.rows) + "]"
-
 
 def multiply(a: Matrix, b: Matrix) -> Matrix:
     if a.dim != b.dim:
@@ -171,12 +165,14 @@ def validate(
     generators = tuple(generators)
     if not generators:
         raise ValueError("at least one generator required")
+    for idx, g in enumerate(generators):
+        if g.dim != dim:
+            raise ValueError(f"generator {idx} has size {g.dim}, expected {dim}")
+    # J is O(dim^2): build it only once every size matches the declared dim
     j = symplectic_form(dim) if kind is GroupKind.SYMPLECTIC else None
     inverses = []
     norm_bound = 1
     for idx, g in enumerate(generators):
-        if g.dim != dim:
-            raise ValueError(f"generator {idx} has size {g.dim}, expected {dim}")
         try:
             inverses.append(adjugate_inverse(g))
         except ValueError as exc:

@@ -94,26 +94,6 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
-            if c == 0:
-                continue
-            term = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            mag = "" if abs(c) == 1 and i > 0 else str(abs(c))
-            sign = "-" if c < 0 else ("+" if parts else "")
-            parts.append(f"{sign} {mag}{term}".strip() if parts else f"{sign}{mag}{term}")
-        return " ".join(parts)
-
 
 ONE = IntPoly([1])
 

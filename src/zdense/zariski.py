@@ -19,8 +19,8 @@ from random import Random
 from typing import Sequence
 
 from . import kernels
-from .galois import GaloisVerdict, as_epsilon, is_hyperoctahedral, is_sn
-from .galois import DEFAULT_PRIME_RANGE
+from .galois import DEFAULT_PRIME_RANGE, GaloisVerdict, _log_inv, as_epsilon
+from .galois import is_hyperoctahedral, is_sn
 from .matrices import (
     GeneratorSet,
     GroupKind,
@@ -68,7 +68,6 @@ class IrreducibilityResult:
     """Outcome of the matrix-algebra span loop; both answers are exact."""
 
     irreducible: bool
-    certain: bool
     algebra_dimension: int
 
 
@@ -78,30 +77,24 @@ def word_length(eps, word_constant=DEFAULT_WORD_CONSTANT) -> int:
     Exponential-convergence theory guarantees some length linear in
     log(1/eps) suffices; the constant is an empirical knob.
     """
-    eps = as_epsilon(eps)
     c = Fraction(word_constant)
     if c <= 0:
         raise ValueError("word constant must be positive")
-    log_inv = math.log(eps.denominator) - math.log(eps.numerator)
-    return max(16, math.ceil(float(c) * log_inv))
+    return max(16, math.ceil(float(c) * _log_inv(as_epsilon(eps))))
 
 
-def _bareiss_rank(rows: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
-    """Exact rank over Q by fraction-free elimination, plus the original
-    indices of the rows swapped into pivot position."""
+def _bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank over Q by fraction-free elimination."""
     a = [list(map(int, r)) for r in rows]
-    idx = list(range(len(a)))
     m = len(a)
     n = len(a[0]) if m else 0
     rank = 0
     prev = 1
-    pivots = []
     for col in range(n):
         piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        idx[rank], idx[piv] = idx[piv], idx[rank]
         prow = a[rank]
         pval = prow[col]
         for i in range(rank + 1, m):
@@ -113,10 +106,9 @@ def _bareiss_rank(rows: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
             ri[col] = 0
         prev = pval
         rank += 1
-        pivots.append(idx[rank - 1])
         if rank == m:
             break
-    return rank, sorted(pivots)
+    return rank
 
 
 def is_irreducible_algebra(
@@ -159,17 +151,17 @@ def is_irreducible_algebra(
             # the basis rows are independent mod p, so all of them are kept
             rank, kept = kernels.rank_mod(basis + new_rows, p)
             if rank == target:
-                return IrreducibilityResult(True, True, target)
+                return IrreducibilityResult(True, target)
             if rank == len(basis):
                 break
             fresh = [i - len(basis) for i in kept[len(basis):]]
             frontier = [new[i] for i in fresh]
             basis += [new_rows[i] for i in fresh]
-        rank, _ = _bareiss_rank(basis + products)
+        rank = _bareiss_rank(basis + products)
         if rank == target:
-            return IrreducibilityResult(True, True, target)
+            return IrreducibilityResult(True, target)
         if rank == len(basis):
-            return IrreducibilityResult(False, True, rank)
+            return IrreducibilityResult(False, rank)
 
 
 def lie_algebra_dimension(kind: GroupKind, dim: int) -> int:

@@ -1,9 +1,11 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from zdense import cli
 from zdense.cli import InputError, RunConfig, main, parse_input, run
 from zdense.matrices import GeneratorSet, GroupKind
 from zdense.modular import factor_degrees_mod
@@ -266,3 +268,75 @@ def test_exit_code_contract_on_fixture_corpus(tmp_path):
     for i, (doc, mode, expected) in enumerate(corpus):
         code, _ = run(config(write(tmp_path, f"fix{i}.json", doc), mode=mode))
         assert code == expected, (doc, mode)
+
+
+def test_report_carries_integers_beyond_the_str_digit_limit(tmp_path):
+    # at seed 0 a word trace of <[[1,a],[0,1]], [[1,0],[a,1]]> passes 4300 digits
+    a = str(10**100)
+    doc = {"group": "SL", "dim": 2, "generators": [[[1, a], [0, 1]], [[1, 0], [a, 1]]]}
+    limit = sys.get_int_max_str_digits()
+    code, report = run(config(write(tmp_path, "huge.json", doc), seed=0))
+    assert code == 0 and report["overall"]["answer"] == "dense"
+    trail = report["trials"][0]["verdict"]["trail"]
+    traces = [s["charpoly"][1] for s in trail if s["step"] == "galois_certificate"]
+    assert max(len(t.lstrip("-")) for t in traces) > 4300
+    assert sys.get_int_max_str_digits() == limit  # lifted only while run() runs
+
+
+def test_polynomial_coefficient_string_beyond_the_str_digit_limit(tmp_path):
+    c = "1" + "0" * 4398 + "7"
+    code, report = run(config(write(tmp_path, "c.json", {"poly": [c, 0, 1]})))
+    assert code == 0
+    assert report["parsed"]["poly"] == [c, 0, 1]
+
+
+def test_bare_json_number_beyond_the_str_digit_limit(tmp_path, capsys):
+    c = "1" + "0" * 4998 + "1"
+    path = tmp_path / "bare.json"
+    path.write_text('{"poly": [%s, 0, 1]}' % c)
+    assert main([str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["parsed"]["poly"][0] == c
+
+
+SHEAR4 = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]  # det 1, not symplectic
+I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "doc, mode",
+    [
+        ({"group": "SL", "dim": 2, "generators": [[]]}, "auto"),
+        ({"group": "SL", "dim": 2, "generators": [[[1, 0, 0], [0, 1]]]}, "auto"),
+        ({"group": "SL", "dim": 3, "generators": [[[1, 0], [0, 1]]]}, "auto"),
+        ({"group": "SL", "dim": 2, "generators": [[[2, 0], [0, 1]]]}, "auto"),
+        ({"group": "Sp", "dim": 4, "generators": [SHEAR4]}, "auto"),
+        ({"group": "Sp", "dim": 3, "generators": [I3]}, "auto"),
+        ({"group": "SL", "dim": 2, "generators": [[[1, "x"], [0, 1]]]}, "auto"),
+        ("{broken", "auto"),
+        ("[" * 100000 + "]" * 100000, "auto"),
+        (SL2_DOC, "galois"),
+    ],
+    ids=["empty-generator", "ragged", "size-not-dim", "det-not-1", "not-symplectic",
+         "odd-sp-dim", "non-integer", "invalid-json", "nested-too-deep", "mode-mismatch"],
+)
+def test_main_malformed_input_exit_2(tmp_path, capsys, doc, mode):
+    path = tmp_path / "in.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert main([str(path), "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert set(json.loads(captured.out)) == {"error"}
+    assert "Traceback" not in captured.err
+
+
+def test_main_internal_error_exit_3(tmp_path, capsys, monkeypatch):
+    def crash(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "zariski_dense", crash)
+    path = write(tmp_path, "sl2.json", SL2_DOC)
+    assert main([path]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": "internal error: RuntimeError: boom"}
+    assert "Traceback" in captured.err
+    assert main([path, "--quiet"]) == 3
+    assert capsys.readouterr() == ("", "")

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from zdense import matrices
 from zdense.matrices import (
     GroupKind,
     Matrix,
@@ -122,6 +123,18 @@ def test_validate_rejects():
         validate(GroupKind.SPECIAL_LINEAR, 3, [S])  # wrong size
 
 
+def test_validate_checks_sizes_before_building_the_form(monkeypatch):
+    # a wrong-size generator is rejected before J is built for the declared dim
+    def no_form(dim):
+        raise AssertionError(f"symplectic_form({dim}) built before the size check")
+
+    monkeypatch.setattr(matrices, "symplectic_form", no_form)
+    with pytest.raises(ValueError, match="generator 0 has size 2, expected 4000"):
+        validate(GroupKind.SYMPLECTIC, 4000, [I2])
+    with pytest.raises(ValueError, match="generator 1 has size 2, expected 4"):
+        validate(GroupKind.SYMPLECTIC, 4, [Matrix.identity(4), I2])
+
+
 def test_validate_symplectic_blocks():
     # I + E_13 is [[I, S], [0, I]] with S = E_11 symmetric: allowed
     good = Matrix([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -169,7 +182,7 @@ def test_random_word_det_and_growth(sl2, sp4):
             w = random_word(gs, length, rng)
             assert characteristic_polynomial(w)[0] == 1  # det w, dimension even
             bound = (gs.dim * gs.norm_bound) ** length
-            assert w.max_abs_entry() <= bound
+            assert max(abs(v) for v in w.flatten()) <= bound
 
 
 def test_symplectic_word_charpoly_reciprocal(sp4):
