@@ -25,10 +25,15 @@ from .galois import DEFAULT_PRIME_RANGE, GaloisVerdict, as_epsilon, is_hyperocta
 from .matrices import GeneratorSet, GroupKind, Matrix, validate
 from .modular import PrimeSearchExhausted
 from .polynomials import IntPoly, is_reciprocal
-from .zariski import DEFAULT_WORD_CONSTANT, DensityVerdict, general_zariski_dense, zariski_dense
+from .zariski import (
+    DEFAULT_WORD_CONSTANT, Certainty, DensityVerdict, general_zariski_dense, zariski_dense,
+)
 
 MODES = ("weyl", "adjoint", "galois")
 _SAFE_INT = 1 << 53
+# str -> int is quadratic in the digit count, so longer input integers are
+# rejected before conversion.
+MAX_INT_DIGITS = 20_000
 
 
 class InputError(ValueError):
@@ -54,6 +59,8 @@ def _as_int(value, where: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        if len(value.lstrip("+-")) > MAX_INT_DIGITS:
+            raise InputError(f"{where}: integer longer than {MAX_INT_DIGITS} digits")
         try:
             return int(value, 10)
         except ValueError:
@@ -66,14 +73,16 @@ def parse_input(path: str) -> GeneratorSet | IntPoly:
 
     Matrix form: {"group": "SL"|"Sp", "dim": n, "generators": [[row, ...], ...]}
     Polynomial form: {"poly": [c0, c1, ...]} (constant term first).
-    Entries beyond the 53-bit safe range may be strings.
+    Entries beyond the 53-bit safe range may be strings.  No integer may
+    be longer than MAX_INT_DIGITS digits.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
-        doc = json.loads(text)
+        # an overlong bare number stays a string for _as_int to reject
+        doc = json.loads(text, parse_int=lambda t: t if len(t) > MAX_INT_DIGITS else int(t))
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise InputError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
@@ -146,8 +155,9 @@ def _galois_mode_verdict(
 
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute the configured decider; returns (exit_code, report).  Inputs
-    and reports carry exact integers of any length, so Python's cap on
-    int <-> str conversions (4300 digits by default) is lifted while it runs."""
+    (up to MAX_INT_DIGITS digits) and reports carry exact integers beyond
+    Python's cap on int <-> str conversions (4300 digits by default), so the
+    cap is lifted while it runs."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -181,8 +191,6 @@ def run(config: RunConfig) -> tuple[int, dict]:
 
         trial_records = []
         trial_seconds = []
-        confirmed = False
-        falses = 0
         for trial in range(config.trials):
             seed = _derived_seed(config.seed, trial)
             rng = Random(seed)
@@ -190,37 +198,28 @@ def run(config: RunConfig) -> tuple[int, dict]:
             verdict: GaloisVerdict | DensityVerdict
             if mode == "galois":
                 verdict = _galois_mode_verdict(parsed, config.epsilon, rng, prime_range)
-                positive = verdict.confirmed
-            elif mode == "weyl":
-                verdict = zariski_dense(
-                    parsed, config.epsilon, rng, config.word_constant, prime_range
-                )
-                positive = verdict.dense
+                positive = certain = verdict.confirmed
             else:
-                verdict = general_zariski_dense(
-                    parsed, config.epsilon, rng, config.word_constant, prime_range
-                )
+                decide = zariski_dense if mode == "weyl" else general_zariski_dense
+                verdict = decide(parsed, config.epsilon, rng, config.word_constant, prime_range)
                 positive = verdict.dense
+                certain = verdict.certainty is Certainty.CERTAIN
             trial_seconds.append(time.perf_counter() - t1)
             trial_records.append(
                 {"trial": trial, "seed": seed, "verdict": verdict.to_json()}
             )
-            if positive:
-                confirmed = True
-                break  # any YES is final and certain
-            falses += 1
+            if certain:
+                break  # a YES, or a NO with an exact proof, is final
 
-        if confirmed:
+        if positive:
             answer = "dense" if mode != "galois" else "confirmed"
-            certainty = "certain"
-            effective_eps = config.epsilon
             exit_code = 0
         else:
             answer = "not_dense" if mode != "galois" else "not_generic"
-            certainty = "monte_carlo"
-            # k independent NO runs tighten the bound to eps^k
-            effective_eps = config.epsilon**falses
             exit_code = 1
+        # k independent Monte Carlo NO runs tighten the bound to eps^k
+        effective_eps = config.epsilon if certain else config.epsilon ** len(trial_records)
+        certainty = "certain" if certain else "monte_carlo"
 
         report = {
             "mode": mode,

@@ -8,10 +8,10 @@ and therefore certain:
 * empty intersection of cycle-type sumsets  => invariably transitive
   => f irreducible over Q;
 * transitive + primitive + a transposition  => the full symmetric group
-  (degree < 13 route, and degrees 14..16, where no prime fits the
-  long-cycle window);
-* transitive + primitive + a long prime cycle + non-square discriminant
-  => the full symmetric group (degree 13 and >= 17 route);
+  (degree < 13 route);
+* transitive + a prime cycle l with n/2 < l <= n - 3 + non-square
+  discriminant => the full symmetric group (degree >= 13 route: the cycle
+  forces primitivity, and Jordan's theorem then gives A_n);
 * trace polynomial certified S_n + a transposition pattern on f itself
   => the full hyperoctahedral group for reciprocal f.
 
@@ -115,6 +115,15 @@ def trials_long_prime_cycle(n: int, eps) -> int:
     return math.ceil(math.log(n) / math.log(2) * _log_inv(as_epsilon(eps)))
 
 
+def trials_jordan_cycle(n: int, eps) -> int:
+    """Budget against the exact density of a prime cycle l in the Jordan
+    window n/2 < l <= n - 3 (nonempty for n >= 8).  An l-cycle with l > n/2
+    has density exactly 1/l in S_n and no element has two, so the window's
+    density is the sum of 1/l over its primes."""
+    density = sum(1 / l for l in range(n // 2 + 1, n - 2) if is_prime(l))
+    return math.ceil(_log_inv(as_epsilon(eps)) / density)
+
+
 def sumset(parts: Iterable[int]) -> frozenset[int]:
     """All proper nonempty subset sums of a partition, excluding 0 and the
     total; O(n^2) dynamic program."""
@@ -139,19 +148,13 @@ def has_long_prime_cycle(degrees: Iterable[int], n: int, upper_slack: int) -> bo
     """Some prime entry l with n/2 < l < n - upper_slack.
 
     Raising the element to the lcm of its other cycles leaves a bare l-cycle,
-    which forces primitivity and (inside the window) A_n-or-S_n.  The widened
-    small-degree window n/2 < l <= n is upper_slack = -1.
+    which makes a transitive group primitive.  upper_slack = 2 is the Jordan
+    window n/2 < l <= n - 3, where a primitive group with an l-cycle contains
+    A_n; upper_slack = -1 is the primitivity-only window n/2 < l <= n.
     """
     return any(
         2 * l > n and l < n - upper_slack and is_prime(l) for l in degrees if l >= 2
     )
-
-
-def _window_has_prime(n: int, upper_slack: int) -> bool:
-    """Does the cycle-length window n/2 < l < n - upper_slack contain a
-    prime?  Empty for n in {14, 15, 16} at slack 5 (and {14, 15} at slack 4),
-    where the long-cycle certificate is structurally unavailable."""
-    return any(is_prime(l) for l in range(n // 2 + 1, n - upper_slack) if l >= 2)
 
 
 def _require_monic(f: IntPoly) -> None:
@@ -192,25 +195,20 @@ def _transitive(hunt, n: int, eps: Fraction) -> bool:
 
 
 def _sn_after_transitivity(hunt, n: int, disc: int, eps: Fraction) -> bool:
-    # Primitivity evidence.  Transitive groups of prime degree are primitive;
-    # otherwise hunt for a long prime cycle.  Any prime cycle longer than n/2
-    # forces primitivity, so the window widens to n/2 < l <= n whenever the
-    # strict one holds no prime (always below degree 13, and at 14 and 15).
-    if not is_prime(n):
-        slack = 4 if n >= 13 and _window_has_prime(n, 4) else -1
-        budget = trials_long_prime_cycle(n, eps)
-        if not hunt(budget, lambda d: has_long_prime_cycle(d, n, slack)):
-            return False
     if n >= 13:
-        # A square discriminant means the group sits inside A_n.
+        # A square discriminant means the group sits inside A_n.  Otherwise
+        # one prime cycle in the Jordan window gives primitivity and A_n.
         if disc > 0 and math.isqrt(disc) ** 2 == disc:
             return False
-        if _window_has_prime(n, 5):
-            budget = trials_long_prime_cycle(n, eps)
-            return hunt(budget, lambda d: has_long_prime_cycle(d, n, 5))
-    # Below degree 13, and at 14..16 where no prime fits the long-cycle
-    # window, use the transposition certificate, which is sound at every
-    # degree.
+        return hunt(trials_jordan_cycle(n, eps), lambda d: has_long_prime_cycle(d, n, 2))
+    # Below degree 13 (Jordan's window is nonempty from 8, but its hunt costs
+    # more there): transitive groups of prime degree are primitive, and
+    # otherwise a prime cycle longer than n/2 forces primitivity.  A
+    # transposition then gives S_n.
+    if not is_prime(n):
+        budget = trials_long_prime_cycle(n, eps)
+        if not hunt(budget, lambda d: has_long_prime_cycle(d, n, -1)):
+            return False
     return hunt(trials_transposition(n, eps), has_transposition_pattern)
 
 
@@ -245,12 +243,12 @@ def is_sn(
 ) -> GaloisVerdict:
     """Decide whether the Galois group of f is the full symmetric group.
 
-    Pipeline: transitivity, then primitivity evidence, then either a
-    transposition pattern (degree < 13 and degrees 14..16) or
-    square-discriminant rejection plus a long prime cycle (degree 13 and
-    >= 17).  The error budget is split evenly across the three sampling
-    stages.  A zero discriminant is an immediate NO: a polynomial with
-    repeated roots has no S_n action on distinct roots.
+    Pipeline: transitivity, then below degree 13 primitivity evidence and a
+    transposition pattern, and from degree 13 square-discriminant rejection
+    plus one prime cycle in the Jordan window n/2 < l <= n - 3.  The error
+    budget is split evenly across at most three sampling stages.  A zero
+    discriminant is an immediate NO: a polynomial with repeated roots has no
+    S_n action on distinct roots.
     """
     eps = as_epsilon(eps)
     _require_monic(f)

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -162,6 +163,28 @@ def test_trials_tighten_epsilon(tmp_path):
     assert len(set(seeds)) == 3
 
 
+PARABOLIC_SL3_DOC = {  # <I+e12, I+e23, I+e32> fixes the line spanned by e1
+    "group": "SL",
+    "dim": 3,
+    "generators": [
+        [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 1], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 1, 1]],
+    ],
+}
+
+
+def test_certain_no_is_final_and_reported_certain(tmp_path):
+    eps = Fraction(1, 10**6)
+    path = write(tmp_path, "parabolic.json", PARABOLIC_SL3_DOC)
+    code, report = run(config(path, mode="adjoint", trials=3, epsilon=eps))
+    assert code == 1
+    assert report["trials_run"] == 1  # the reducibility proof is exact
+    assert report["trials"][0]["verdict"]["certainty"] == "certain"
+    assert report["overall"]["certainty"] == "certain"
+    assert report["overall"]["epsilon"] == str(eps)
+
+
 def test_trials_stop_on_first_yes(tmp_path):
     code, report = run(config(write(tmp_path, "sl2.json", SL2_DOC), trials=5))
     assert code == 0
@@ -296,6 +319,18 @@ def test_bare_json_number_beyond_the_str_digit_limit(tmp_path, capsys):
     path.write_text('{"poly": [%s, 0, 1]}' % c)
     assert main([str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["parsed"]["poly"][0] == c
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["bare", "string"])
+def test_overlong_integer_exit_2_in_linear_time(tmp_path, capsys, quoted):
+    c = "1" * 400_000
+    path = tmp_path / "long.json"
+    path.write_text('{"poly": [%s, 0, 1]}' % (f'"{c}"' if quoted else c))
+    t0 = time.perf_counter()
+    assert main([str(path)]) == 2
+    assert time.perf_counter() - t0 < 0.1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == f"poly[0]: integer longer than {cli.MAX_INT_DIGITS} digits"
 
 
 SHEAR4 = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]  # det 1, not symplectic
