@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=tuple(b.bit_length() - 1 for b in DEFAULT_PRIME_RANGE),
         metavar=("LO", "HI"),
-        help="sample primes from [2^LO, 2^HI)",
+        help="sample primes from [2^LO, 2^HI), 1 < LO < HI <= 64",
     )
     parser.add_argument("--trials", type=int, default=1, help="independent repetitions")
     parser.add_argument("--report", default=None, help="also write the JSON report here")
@@ -302,8 +302,8 @@ def _config_from_args(args) -> RunConfig:
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"--word-constant: {exc}") from None
     lo, hi = args.prime_bits
-    if not (1 < lo < hi):
-        raise InputError("--prime-bits: need 1 < LO < HI")
+    if not (1 < lo < hi <= 64):
+        raise InputError("--prime-bits: need 1 < LO < HI <= 64")
     if args.trials < 1:
         raise InputError("--trials: must be positive")
     if not 0 <= args.seed < 1 << 64:

@@ -15,14 +15,15 @@ and therefore certain:
 * trace polynomial certified S_n + a transposition pattern on f itself
   => the full hyperoctahedral group for reciprocal f.
 
-Every stage is one call of the same sampling loop, which draws primes
-until a certificate predicate accepts a cycle type or the stage's trial
-budget runs out.  Cycle types sampled at different primes are all realized
-inside the one Galois group of f, so certificates gathered from different
-primes compose freely.
-
-A NO answer only says the sampling budget for the requested error bound
-was exhausted; it is wrong with probability at most eps.
+NOs that the shape of f proves (a square or zero discriminant, a
+palindromic f where S_n is asked for) come first, with 0 trials.  Every
+sampling stage is one call of the same loop, which draws primes until a
+certificate predicate accepts a cycle type or the stage's trial budget runs
+out; cycle types sampled at different primes all lie in the one Galois
+group of f, so certificates compose freely.  Each budget but transitivity's
+is trials_for_density of the exact density of its certificate class in the
+group a YES would certify, so a sampled NO is wrong with probability at
+most eps.
 """
 
 from __future__ import annotations
@@ -39,11 +40,6 @@ from .modular import factor_degrees_mod, is_prime, random_prime_avoiding
 from .polynomials import IntPoly, discriminant, is_reciprocal, trace_polynomial
 
 DEFAULT_PRIME_RANGE = (1 << 20, 1 << 21)
-
-# Asymptotic density of odd-order elements in S_n is ~0.8/sqrt(n); feeding it
-# into the trial budgets is a calibration choice, not a correctness input.
-ODD_ORDER_DENSITY_CONSTANT = 0.8
-
 
 class GaloisAnswer(Enum):
     CONFIRMED_SN = "confirmed_sn"
@@ -103,25 +99,32 @@ def trials_invariable_transitivity(eps) -> int:
     return 4 * math.ceil(_log_inv(as_epsilon(eps)) / math.log(20))
 
 
-def trials_transposition(n_blocks: int, eps) -> int:
-    """Budget against the ~c/(2 sqrt(n-1)) density of elements with one
-    2-cycle and all other cycles odd."""
-    root = math.sqrt(max(n_blocks, 3) - 1)
-    return math.ceil(2 * root / ODD_ORDER_DENSITY_CONSTANT * _log_inv(as_epsilon(eps)))
-
-
-def trials_long_prime_cycle(n: int, eps) -> int:
-    """Budget against the ~log2/log n density of long-prime-cycle elements."""
-    return math.ceil(math.log(n) / math.log(2) * _log_inv(as_epsilon(eps)))
-
-
-def trials_jordan_cycle(n: int, eps) -> int:
-    """Budget against the exact density of a prime cycle l in the Jordan
-    window n/2 < l <= n - 3 (nonempty for n >= 8).  An l-cycle with l > n/2
-    has density exactly 1/l in S_n and no element has two, so the window's
-    density is the sum of 1/l over its primes."""
-    density = sum(1 / l for l in range(n // 2 + 1, n - 2) if is_prime(l))
+def trials_for_density(density, eps) -> int:
+    """Trials that miss a class of the given density with probability at
+    most eps: (1 - d)^t <= exp(-d t) <= eps."""
     return math.ceil(_log_inv(as_epsilon(eps)) / density)
+
+
+def prime_cycle_density(n: int, upper_slack: int) -> Fraction:
+    """Density in S_n of the cycle types has_long_prime_cycle accepts.  An
+    l-cycle with l > n/2 has density exactly 1/l and no element has two, so
+    this is the sum of 1/l over the accepted primes l."""
+    window = [l for l in range(2, n + 1) if has_long_prime_cycle((l,), n, upper_slack)]
+    return sum(Fraction(1, l) for l in window)
+
+
+def transposition_density(k: int, s: Fraction) -> Fraction:
+    """1/2 [x^k] ((1+x)/(1-x))^s, the density of has_transposition_pattern.
+
+    s = 1/2, k = n - 2: in S_n, one 2-cycle and every other cycle odd.
+    s = 1/4, k = m - 1: in C_2 wr S_m on 2m roots, where only a negated
+    fixed point gives a lone 2-cycle, and every other signed cycle is odd
+    and positive.  The coefficients g_j follow from (1 - x^2) g' = 2s g.
+    """
+    g = [Fraction(1), 2 * s]
+    for j in range(1, k):
+        g.append((2 * s * g[j] + (j - 1) * g[j - 1]) / (j + 1))
+    return g[k] / 2
 
 
 def sumset(parts: Iterable[int]) -> frozenset[int]:
@@ -194,29 +197,27 @@ def _transitive(hunt, n: int, eps: Fraction) -> bool:
     return hunt(trials_invariable_transitivity(eps), invariably_transitive)
 
 
-def _sn_after_transitivity(hunt, n: int, disc: int, eps: Fraction) -> bool:
+def _sn_after_transitivity(hunt, n: int, eps: Fraction) -> bool:
+    def long_cycle(upper_slack):
+        budget = trials_for_density(prime_cycle_density(n, upper_slack), eps)
+        return hunt(budget, lambda d: has_long_prime_cycle(d, n, upper_slack))
+
     if n >= 13:
-        # A square discriminant means the group sits inside A_n.  Otherwise
-        # one prime cycle in the Jordan window gives primitivity and A_n.
-        if disc > 0 and math.isqrt(disc) ** 2 == disc:
-            return False
-        return hunt(trials_jordan_cycle(n, eps), lambda d: has_long_prime_cycle(d, n, 2))
+        # One prime cycle in the Jordan window gives primitivity and A_n; the
+        # discriminant, already known not to be a square, then gives S_n.
+        return long_cycle(2)
     # Below degree 13 (Jordan's window is nonempty from 8, but its hunt costs
     # more there): transitive groups of prime degree are primitive, and
     # otherwise a prime cycle longer than n/2 forces primitivity.  A
     # transposition then gives S_n.
-    if not is_prime(n):
-        budget = trials_long_prime_cycle(n, eps)
-        if not hunt(budget, lambda d: has_long_prime_cycle(d, n, -1)):
-            return False
-    return hunt(trials_transposition(n, eps), has_transposition_pattern)
+    if not is_prime(n) and not long_cycle(-1):
+        return False
+    density = transposition_density(n - 2, Fraction(1, 2))
+    return hunt(trials_for_density(density, eps), has_transposition_pattern)
 
 
 def is_transitive(
-    f: IntPoly,
-    eps,
-    rng: Random,
-    prime_range: tuple[int, int] = DEFAULT_PRIME_RANGE,
+    f: IntPoly, eps, rng: Random, prime_range: tuple[int, int] = DEFAULT_PRIME_RANGE
 ) -> GaloisVerdict:
     """Certify irreducibility over Q or report "not the symmetric group".
 
@@ -236,25 +237,25 @@ def is_transitive(
 
 
 def is_sn(
-    f: IntPoly,
-    eps,
-    rng: Random,
-    prime_range: tuple[int, int] = DEFAULT_PRIME_RANGE,
+    f: IntPoly, eps, rng: Random, prime_range: tuple[int, int] = DEFAULT_PRIME_RANGE
 ) -> GaloisVerdict:
     """Decide whether the Galois group of f is the full symmetric group.
 
-    Pipeline: transitivity, then below degree 13 primitivity evidence and a
-    transposition pattern, and from degree 13 square-discriminant rejection
-    plus one prime cycle in the Jordan window n/2 < l <= n - 3.  The error
-    budget is split evenly across at most three sampling stages.  A zero
-    discriminant is an immediate NO: a polynomial with repeated roots has no
-    S_n action on distinct roots.
+    Structural NOs first, with 0 trials: from degree 2 a square (or zero)
+    discriminant puts the group inside A_n, and a palindromic f of even
+    degree n >= 4 pairs its roots as r <-> 1/r, inside C_2 wr S_(n/2).
+    Then transitivity, and below degree 13 primitivity evidence and a
+    transposition pattern, from degree 13 one prime cycle in the Jordan
+    window n/2 < l <= n - 3.  The error budget is split evenly across at
+    most three sampling stages.
     """
     eps = as_epsilon(eps)
     _require_monic(f)
     n = f.degree
     disc = discriminant(f)
-    if disc == 0:
+    # A zero discriminant counts as a square: repeated roots admit no S_n action.
+    square = math.isqrt(abs(disc)) ** 2 == disc
+    if n >= 2 and square or n >= 4 and n % 2 == 0 and is_reciprocal(f):
         return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, (), 0)
     witnesses = []
     hunt = partial(_hunt, f, disc, rng, prime_range, witnesses)
@@ -262,25 +263,23 @@ def is_sn(
     stage_eps = eps if n <= 2 else eps / 3
     found = _transitive(hunt, n, stage_eps)
     if found and n > 2:
-        found = _sn_after_transitivity(hunt, n, disc, stage_eps)
+        found = _sn_after_transitivity(hunt, n, stage_eps)
     return _verdict(found, GaloisAnswer.CONFIRMED_SN, eps, witnesses)
 
 
 def is_hyperoctahedral(
-    f: IntPoly,
-    eps,
-    rng: Random,
-    prime_range: tuple[int, int] = DEFAULT_PRIME_RANGE,
+    f: IntPoly, eps, rng: Random, prime_range: tuple[int, int] = DEFAULT_PRIME_RANGE
 ) -> GaloisVerdict:
     """Decide whether the Galois group of a monic reciprocal polynomial of
-    degree 2n is the full group of signed permutations C_2 wr S_n.
+    degree 2m is the full group of signed permutations C_2 wr S_m.
 
-    The group surjects onto S_n iff the trace polynomial has Galois group
-    S_n; together with a transposition (a one-2-rest-odd pattern on f
-    itself) that pins down the whole wreath product.  Half the budget goes
-    to each stage.  Witnesses recorded on the verdict are the ones sampled
-    against f; the trace-stage witnesses belong to the trace polynomial and
-    only its trial count is carried over.
+    A square (or zero) discriminant is a NO with 0 trials: swapping one root
+    pair r <-> 1/r is a transposition, which A_2m lacks.  Otherwise the
+    group surjects onto S_m iff the trace polynomial has Galois group S_m,
+    and a transposition pattern on f itself then pins down the whole wreath
+    product.  Half the budget goes to each stage; the verdict records only
+    the witnesses sampled against f and carries over the trace stage's
+    trial count.
     """
     eps = as_epsilon(eps)
     _require_monic(f)
@@ -289,7 +288,7 @@ def is_hyperoctahedral(
     if not is_reciprocal(f):
         raise ValueError("need a reciprocal polynomial")
     disc = discriminant(f)
-    if disc == 0:
+    if math.isqrt(abs(disc)) ** 2 == disc:
         return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, (), 0)
     # A squarefree reciprocal polynomial of even degree cannot vanish at +-1
     # (those roots would be double), so its roots honestly split into pairs
@@ -297,11 +296,11 @@ def is_hyperoctahedral(
     stage_eps = eps / 2
     projection = is_sn(trace_polynomial(f), stage_eps, rng, prime_range)
     witnesses = []
-    budget = trials_transposition(f.degree // 2, stage_eps)
+    m = f.degree // 2
+    budget = trials_for_density(transposition_density(m - 1, Fraction(1, 4)), stage_eps)
     found = projection.confirmed and _hunt(
         f, disc, rng, prime_range, witnesses, budget, has_transposition_pattern
     )
     return _verdict(
-        found, GaloisAnswer.CONFIRMED_HYPEROCTAHEDRAL, eps, witnesses,
-        projection.trials_used,
+        found, GaloisAnswer.CONFIRMED_HYPEROCTAHEDRAL, eps, witnesses, projection.trials_used
     )

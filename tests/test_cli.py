@@ -273,6 +273,15 @@ def test_main_unwritable_report_exit_2(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_main_prime_bits_above_64_exit_2(tmp_path, capsys):
+    # primality is proven only below 2^64; beyond it a "certain" YES would
+    # rest on fixed-base Miller-Rabin
+    path = write(tmp_path, "cubic.json", {"poly": [-1, -1, 0, 1]})
+    assert main([path, "--prime-bits", "64", "65"]) == 2
+    assert "HI <= 64" in json.loads(capsys.readouterr().out)["error"]
+    assert main([path, "--prime-bits", "63", "64", "--quiet"]) == 0
+
+
 def test_main_prime_exhaustion_exit_2(tmp_path, capsys):
     # disc(x^2 - 35) = 140 is divisible by both primes in [4, 8)
     path = write(tmp_path, "smooth.json", {"poly": [-35, 0, 1]})

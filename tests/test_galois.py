@@ -1,5 +1,8 @@
+import importlib.util
+import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -12,17 +15,22 @@ from zdense.galois import (
     is_hyperoctahedral,
     is_sn,
     is_transitive,
+    prime_cycle_density,
     sumset,
+    transposition_density,
+    trials_for_density,
     trials_invariable_transitivity,
-    trials_jordan_cycle,
-    trials_long_prime_cycle,
-    trials_transposition,
 )
 from zdense.modular import factor_degrees_mod, is_prime
 from zdense.polynomials import IntPoly, cyclotomic, discriminant, trace_polynomial
 from zdense.polynomials import is_reciprocal as is_reciprocal_poly
 
 EPS = "1e-6"
+
+AUDIT_SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "audit_error_rates.py"
+_AUDIT_SPEC = importlib.util.spec_from_file_location("audit_error_rates", AUDIT_SCRIPT)
+audit = importlib.util.module_from_spec(_AUDIT_SPEC)
+_AUDIT_SPEC.loader.exec_module(audit)
 
 
 def brute_force_sumset(parts):
@@ -63,19 +71,74 @@ def test_epsilon_normalization():
             as_epsilon(bad)
 
 
+def cycle_type(perm):
+    """Cycle lengths of a permutation given as a tuple of images."""
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i, length = perm[i], length + 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def density(elements, accepts):
+    elements = list(elements)
+    return Fraction(sum(accepts(cycle_type(g)) for g in elements), len(elements))
+
+
+def signed_permutations(m):
+    """C_2 wr S_m acting on 2m points, i in 0..m-1 standing for r_i and
+    i + m for 1/r_i."""
+    for perm in permutations(range(m)):
+        for signs in product((0, 1), repeat=m):
+            image = [0] * (2 * m)
+            for i in range(m):
+                image[i] = perm[i] + m * signs[i]
+                image[i + m] = perm[i] + m * (1 - signs[i])
+            yield tuple(image)
+
+
 def test_trial_budget_formulas():
     # 4 * ceil(ln(1e6)/ln 20)
     assert trials_invariable_transitivity(EPS) == 20
-    # ceil(2*sqrt(3)/0.8 * ln(1e6))
-    assert trials_transposition(4, EPS) == 60
-    # ceil(ln 13 / ln 2 * ln(1e6))
-    assert trials_long_prime_cycle(13, EPS) == 52
     # ceil(ln(1e6) * 7) and ceil(ln(1e6) / (1/11 + 1/13))
-    assert trials_jordan_cycle(13, EPS) == 97
-    assert trials_jordan_cycle(16, EPS) == 83
+    assert trials_for_density(prime_cycle_density(13, 2), EPS) == 97
+    assert trials_for_density(prime_cycle_density(16, 2), EPS) == 83
     # tighter eps means more trials
     assert trials_invariable_transitivity("1e-12") == 2 * trials_invariable_transitivity("1e-6")
-    assert trials_transposition(2, EPS) == trials_transposition(3, EPS)  # small-n clamp
+    # ceil(4 ln 10): a class of density 1/4 is missed 10 times with
+    # probability (3/4)^10 < 1/10
+    assert trials_for_density(Fraction(1, 4), "1/10") == 10
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_densities_match_symmetric_group_enumeration(n):
+    group = list(permutations(range(n)))
+    assert transposition_density(n - 2, Fraction(1, 2)) == density(
+        group, has_transposition_pattern
+    )
+    for slack in (-1, 2):
+        assert prime_cycle_density(n, slack) == density(
+            group, lambda d: has_long_prime_cycle(d, n, slack)
+        )
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_transposition_density_matches_hyperoctahedral_enumeration(m):
+    expected = density(signed_permutations(m), has_transposition_pattern)
+    assert transposition_density(m - 1, Fraction(1, 4)) == expected
+    assert expected == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 16), Fraction(3, 32)][m - 1]
+
+
+def test_prime_windows_match_direct_enumeration():
+    for n in range(4, 31):
+        primes = [l for l in range(2, n + 1) if is_prime(l) and 2 * l > n]
+        assert prime_cycle_density(n, -1) == sum(Fraction(1, l) for l in primes)
+        jordan = sum(Fraction(1, l) for l in primes if l <= n - 3)
+        assert prime_cycle_density(n, 2) == jordan
 
 
 def test_has_transposition_pattern():
@@ -154,6 +217,26 @@ def test_is_sn_zero_discriminant_is_not_generic():
     assert v.trials_used == 0
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        IntPoly([1, -3, 0, 1]),  # x^3 - 3x + 1: C_3, discriminant 81
+        IntPoly([-2] + [0] * 8 + [1]),  # x^9 - 2: discriminant 3^18 2^8
+        IntPoly([1, 3, 1, 3, 1]),  # palindromic: roots pair as r <-> 1/r
+    ],
+)
+def test_is_sn_structural_no_takes_no_trials(f):
+    v = is_sn(f, EPS, Random(1))
+    assert (v.answer, v.trials_used, v.witnesses) == (GaloisAnswer.NOT_GENERIC, 0, ())
+
+
+def test_hyperoctahedral_square_discriminant_takes_no_trials():
+    # disc(Phi_24) = 2^16 3^4: the group lies in A_8, which misses the lone
+    # 2-cycle of a swapped root pair r <-> 1/r
+    v = is_hyperoctahedral(cyclotomic(24), EPS, Random(1))
+    assert (v.answer, v.trials_used, v.witnesses) == (GaloisAnswer.NOT_GENERIC, 0, ())
+
+
 def test_is_sn_degree_one():
     v = is_sn(IntPoly([3, 1]), EPS, Random(1))
     assert v.answer is GaloisAnswer.CONFIRMED_SN
@@ -199,12 +282,40 @@ def test_false_no_rate_within_eps_from_degree_13():
     assert false_no <= runs / 10
 
 
+def test_hyperoctahedral_false_no_rate_within_eps():
+    # The reciprocal lift of x^m - x - 1 has Galois group C_2 wr S_m, which
+    # a YES at some seed certifies for each m.  A NO with witnesses on f
+    # ended in the transposition stage, whose share of the budget is eps/2.
+    runs = f_stage_no = 0
+    for m in range(3, 7):
+        f = audit.reciprocal_trinomial(m)
+        verdicts = [is_hyperoctahedral(f, "1/10", Random(seed)) for seed in range(100)]
+        assert any(v.confirmed for v in verdicts), m
+        runs += len(verdicts)
+        f_stage_no += sum(not v.confirmed and bool(v.witnesses) for v in verdicts)
+    assert audit.binomial_tail(f_stage_no, runs, 1 / 20) >= audit.LEVEL, f_stage_no
+
+
+def test_audit_script_rows(tmp_path):
+    out = tmp_path / "audit.json"
+    audit.main(["--seeds", "2", "--json", str(out)])
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 2 * sum(len(degrees) for _, _, degrees in audit.FAMILIES.values())
+    assert {row["family"] for row in rows} == set(audit.FAMILIES)
+    for row in rows:
+        assert set(row) == {
+            "family", "n", "eps", "runs", "false_no", "false_no_transitivity",
+            "upper95", "consistent_with_eps", "trials",
+        }
+        assert 0 <= row["false_no_transitivity"] <= row["false_no"] <= row["runs"] == 2
+
+
 def test_verdict_witnesses_reproduce():
     runs = [
         (IntPoly([-1, -1, 0, 1]), is_sn),
-        (cyclotomic(5), is_sn),
+        (IntPoly([-2, 0, 0, 0, 1]), is_sn),
         (IntPoly([1, 3, 1, 3, 1]), is_hyperoctahedral),
-        (IntPoly([1, 0, 0, 0, 1]), is_hyperoctahedral),
+        (cyclotomic(5), is_hyperoctahedral),
     ]
     for f, certifier in runs:
         v = certifier(f, EPS, Random(31))
@@ -285,8 +396,9 @@ def TRINOMIAL(n):
 # (answer, trials_used, witnesses) at eps 1/10 for fixed seeds, one row per
 # branch of the certifiers: transposition hunts below degree 13, the
 # primitivity hunt at composite degree 12, the Jordan-window hunt at 13, 14,
-# 16 and 18, the hyperoctahedral stage, and budgets that run out.  Any
-# change to a trial budget or to the order of rng draws moves these rows.
+# 16 and 18, the hyperoctahedral stage, structural NOs, and each budget
+# running out.  Any change to a trial budget or to the order of rng draws
+# moves these rows.
 PINNED_VERDICTS = [
     # x^3 - x - 1
     (is_sn, TRINOMIAL(3), 1, GaloisAnswer.CONFIRMED_SN, 7, (
@@ -337,25 +449,38 @@ PINNED_VERDICTS = [
     (is_hyperoctahedral, IntPoly([1, 3, 1, 3, 1]), 8, GaloisAnswer.CONFIRMED_HYPEROCTAHEDRAL, 5, (
         (1405421, (1, 1, 2)),
     )),
-    # (x^2 + 1)(x^2 + x + 1): transitivity budget runs out
-    (is_sn, IntPoly([1, 0, 1]) * IntPoly([1, 1, 1]), 9, GaloisAnswer.NOT_GENERIC, 8, (
-        (1547723, (2, 2)), (1156231, (1, 1, 2)), (1910899, (1, 1, 2)),
-        (1545041, (1, 1, 2)), (1979741, (1, 1, 2)), (1234837, (1, 1, 1, 1)),
-        (2091553, (1, 1, 1, 1)), (1830749, (1, 1, 2)),
-    )),
-    # C_3 cubic: transposition budget runs out
-    (is_sn, IntPoly([-1, -2, 1, 1]), 10, GaloisAnswer.NOT_GENERIC, 14, (
-        (1116911, (3,)), (1948021, (3,)), (2060581, (3,)), (1079681, (1, 1, 1)),
-        (2018677, (3,)), (1384601, (1, 1, 1)), (1142017, (3,)), (1914427, (3,)),
-        (1744111, (3,)), (1968341, (3,)), (1292633, (1, 1, 1)), (1145539, (3,)),
-        (1888841, (3,)), (1456799, (1, 1, 1)),
-    )),
-    # Phi_5: trace stage certifies, f stage runs out
-    (is_hyperoctahedral, cyclotomic(5), 11, GaloisAnswer.NOT_GENERIC, 13, (
+    # (x^2 + 1)(x^2 + x + 1): palindromic, a structural NO
+    (is_sn, IntPoly([1, 0, 1]) * IntPoly([1, 1, 1]), 9, GaloisAnswer.NOT_GENERIC, 0, ()),
+    # C_3 cubic: square discriminant 49, a structural NO
+    (is_sn, IntPoly([-1, -2, 1, 1]), 10, GaloisAnswer.NOT_GENERIC, 0, ()),
+    # Phi_5: trace stage certifies in 2 trials, f stage runs out after 12
+    (is_hyperoctahedral, cyclotomic(5), 11, GaloisAnswer.NOT_GENERIC, 14, (
         (1173463, (4,)), (1447471, (1, 1, 1, 1)), (1188721, (1, 1, 1, 1)),
         (1496321, (1, 1, 1, 1)), (1986893, (4,)), (1323233, (4,)), (1876643, (4,)),
         (1614377, (4,)), (1858433, (4,)), (1486321, (1, 1, 1, 1)),
-        (1862711, (1, 1, 1, 1)),
+        (1862711, (1, 1, 1, 1)), (1193603, (4,)),
+    )),
+    # (x^2 + 1)(x^2 + x - 1): transitivity budget runs out
+    (is_sn, IntPoly([1, 0, 1]) * IntPoly([-1, 1, 1]), 12, GaloisAnswer.NOT_GENERIC, 8, (
+        (1156271, (1, 1, 2)), (2033377, (1, 1, 2)), (1847413, (1, 1, 2)),
+        (1324837, (1, 1, 2)), (1924463, (2, 2)), (1243343, (2, 2)),
+        (1817149, (1, 1, 1, 1)), (1084247, (2, 2)),
+    )),
+    # x^4 - 2 (D_4): transitive after 6, primitivity budget (11) runs out
+    (is_sn, IntPoly([-2, 0, 0, 0, 1]), 13, GaloisAnswer.NOT_GENERIC, 17, (
+        (1438067, (2, 2)), (1341143, (1, 1, 2)), (1988891, (2, 2)), (1322843, (2, 2)),
+        (1915729, (2, 2)), (1802189, (4,)), (1667917, (4,)), (1784297, (2, 2)),
+        (1940747, (2, 2)), (1144223, (1, 1, 2)), (1158881, (1, 1, 1, 1)),
+        (1118567, (1, 1, 2)), (1972441, (2, 2)), (1880201, (2, 2)), (1112341, (4,)),
+        (2047039, (1, 1, 2)), (1423369, (1, 1, 1, 1)),
+    )),
+    # x^5 - 2 (F_20): transitive after 4, transposition budget (14) runs out
+    (is_sn, IntPoly([-2, 0, 0, 0, 0, 1]), 15, GaloisAnswer.NOT_GENERIC, 18, (
+        (1124443, (1, 4)), (1793417, (1, 4)), (1087897, (1, 4)), (1993711, (5,)),
+        (1067293, (1, 4)), (1729891, (5,)), (1885603, (1, 4)), (1769167, (1, 4)),
+        (2017313, (1, 4)), (1459543, (1, 4)), (1903859, (1, 2, 2)), (1522663, (1, 4)),
+        (1975153, (1, 4)), (1120051, (5,)), (1597793, (1, 4)), (1396849, (1, 2, 2)),
+        (1226213, (1, 4)), (1510021, (5,)),
     )),
 ]
 
@@ -390,8 +515,8 @@ def test_trials_used_counts_witnesses():
     runs = [
         (is_sn, TRINOMIAL(7)),
         (is_sn, TRINOMIAL(14)),
-        (is_sn, IntPoly([-1, -2, 1, 1])),
-        (is_sn, IntPoly([1, 0, 1]) * IntPoly([1, 1, 1])),
+        (is_sn, IntPoly([-2, 0, 0, 0, 0, 1])),
+        (is_sn, IntPoly([1, 0, 1]) * IntPoly([-1, 1, 1])),
         (is_transitive, IntPoly([1, 0, 1]) * IntPoly([1, 1, 1])),
         (is_transitive, TRINOMIAL(9)),
     ]
