@@ -21,12 +21,14 @@ from pathlib import Path
 from random import Random
 
 from . import kernels
-from .galois import DEFAULT_PRIME_RANGE, GaloisVerdict, as_epsilon, is_hyperoctahedral, is_sn
+from .galois import (
+    DEFAULT_PRIME_RANGE, Certainty, GaloisVerdict, as_epsilon, is_hyperoctahedral, is_sn,
+)
 from .matrices import GeneratorSet, GroupKind, Matrix, validate
-from .modular import PrimeSearchExhausted
+from .modular import PrimeSearchExhausted, check_prime_range
 from .polynomials import IntPoly, is_reciprocal
 from .zariski import (
-    DEFAULT_WORD_CONSTANT, Certainty, DensityVerdict, general_zariski_dense, zariski_dense,
+    DEFAULT_WORD_CONSTANT, DensityVerdict, general_zariski_dense, zariski_dense,
 )
 
 MODES = ("weyl", "adjoint", "galois")
@@ -198,12 +200,12 @@ def run(config: RunConfig) -> tuple[int, dict]:
             verdict: GaloisVerdict | DensityVerdict
             if mode == "galois":
                 verdict = _galois_mode_verdict(parsed, config.epsilon, rng, prime_range)
-                positive = certain = verdict.confirmed
+                positive = verdict.confirmed
             else:
                 decide = zariski_dense if mode == "weyl" else general_zariski_dense
                 verdict = decide(parsed, config.epsilon, rng, config.word_constant, prime_range)
                 positive = verdict.dense
-                certain = verdict.certainty is Certainty.CERTAIN
+            certain = verdict.certainty is Certainty.CERTAIN
             trial_seconds.append(time.perf_counter() - t1)
             trial_records.append(
                 {"trial": trial, "seed": seed, "verdict": verdict.to_json()}
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=tuple(b.bit_length() - 1 for b in DEFAULT_PRIME_RANGE),
         metavar=("LO", "HI"),
-        help="sample primes from [2^LO, 2^HI), 1 < LO < HI <= 64",
+        help="sample primes from [2^LO, 2^HI), 0 < LO < HI <= 64",
     )
     parser.add_argument("--trials", type=int, default=1, help="independent repetitions")
     parser.add_argument("--report", default=None, help="also write the JSON report here")
@@ -302,8 +304,12 @@ def _config_from_args(args) -> RunConfig:
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"--word-constant: {exc}") from None
     lo, hi = args.prime_bits
-    if not (1 < lo < hi <= 64):
-        raise InputError("--prime-bits: need 1 < LO < HI <= 64")
+    try:
+        # Shifts clamped to [0, 65] stay bounded and keep the verdict: 2^0
+        # and 2^65 lie outside every admissible range.
+        check_prime_range(*(1 << min(max(b, 0), 65) for b in (lo, hi)))
+    except ValueError as exc:
+        raise InputError(f"--prime-bits: {exc}") from None
     if args.trials < 1:
         raise InputError("--trials: must be positive")
     if not 0 <= args.seed < 1 << 64:

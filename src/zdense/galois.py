@@ -16,14 +16,14 @@ and therefore certain:
   => the full hyperoctahedral group for reciprocal f.
 
 NOs that the shape of f proves (a square or zero discriminant, a
-palindromic f where S_n is asked for) come first, with 0 trials.  Every
-sampling stage is one call of the same loop, which draws primes until a
-certificate predicate accepts a cycle type or the stage's trial budget runs
-out; cycle types sampled at different primes all lie in the one Galois
-group of f, so certificates compose freely.  Each budget but transitivity's
-is trials_for_density of the exact density of its certificate class in the
-group a YES would certify, so a sampled NO is wrong with probability at
-most eps.
+palindromic f where S_n is asked for) come first, with 0 trials, and are
+certain.  Every sampling stage is one call of the same loop, which draws
+primes until a certificate predicate accepts a cycle type or the stage's
+trial budget runs out; cycle types sampled at different primes all lie in
+the one Galois group of f, so certificates compose freely.  Each budget
+but transitivity's is trials_for_density of the exact density of its
+certificate class in the group a YES would certify, so a sampled NO is
+wrong with probability at most eps.
 """
 
 from __future__ import annotations
@@ -36,10 +36,16 @@ from functools import partial
 from random import Random
 from typing import Iterable
 
-from .modular import factor_degrees_mod, is_prime, random_prime_avoiding
+from .modular import check_prime_range, factor_degrees_mod, is_prime, random_prime_avoiding
 from .polynomials import IntPoly, discriminant, is_reciprocal, trace_polynomial
 
 DEFAULT_PRIME_RANGE = (1 << 20, 1 << 21)
+
+
+class Certainty(Enum):
+    CERTAIN = "certain"
+    MONTE_CARLO = "monte_carlo"
+
 
 class GaloisAnswer(Enum):
     CONFIRMED_SN = "confirmed_sn"
@@ -50,14 +56,17 @@ class GaloisAnswer(Enum):
 
 @dataclass(frozen=True)
 class GaloisVerdict:
-    """Decision record: YES answers are certain, NO answers carry the error
-    bound honored by the trial budget.  Every witness (q, degrees) reproduces
-    under factor_degrees_mod of the polynomial the verdict is about."""
+    """Decision record: YES answers are certain, and so are the structural
+    NOs that take 0 trials; a sampled NO carries the error bound honored by
+    the trial budget.  Every witness (q, degrees) reproduces under
+    factor_degrees_mod of the polynomial the verdict is about.  certainty
+    stays out of to_json, which the Weyl route's trail embeds."""
 
     answer: GaloisAnswer
     epsilon: Fraction
     witnesses: tuple[tuple[int, tuple[int, ...]], ...]
     trials_used: int
+    certainty: Certainty
 
     @property
     def confirmed(self) -> bool:
@@ -182,8 +191,15 @@ def _hunt(f, disc, rng, prime_range, witnesses, budget, certified) -> bool:
 
 
 def _verdict(found, yes, eps, witnesses, carried=0) -> GaloisVerdict:
-    answer = yes if found else GaloisAnswer.NOT_GENERIC
-    return GaloisVerdict(answer, eps, tuple(witnesses), carried + len(witnesses))
+    answer, certainty = (
+        (yes, Certainty.CERTAIN) if found else (GaloisAnswer.NOT_GENERIC, Certainty.MONTE_CARLO)
+    )
+    return GaloisVerdict(answer, eps, tuple(witnesses), carried + len(witnesses), certainty)
+
+
+def _structural_no(eps) -> GaloisVerdict:
+    """A NO that the shape of f proves before any prime is drawn."""
+    return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, (), 0, Certainty.CERTAIN)
 
 
 def _transitive(hunt, n: int, eps: Fraction) -> bool:
@@ -227,6 +243,7 @@ def is_transitive(
     """
     eps = as_epsilon(eps)
     _require_monic(f)
+    check_prime_range(*prime_range)
     disc = discriminant(f)
     if disc == 0:
         raise ValueError("discriminant is zero")
@@ -251,12 +268,13 @@ def is_sn(
     """
     eps = as_epsilon(eps)
     _require_monic(f)
+    check_prime_range(*prime_range)
     n = f.degree
     disc = discriminant(f)
     # A zero discriminant counts as a square: repeated roots admit no S_n action.
     square = math.isqrt(abs(disc)) ** 2 == disc
     if n >= 2 and square or n >= 4 and n % 2 == 0 and is_reciprocal(f):
-        return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, (), 0)
+        return _structural_no(eps)
     witnesses = []
     hunt = partial(_hunt, f, disc, rng, prime_range, witnesses)
     # S_1 is trivial and S_2 = C_2: irreducibility alone decides.
@@ -273,13 +291,13 @@ def is_hyperoctahedral(
     """Decide whether the Galois group of a monic reciprocal polynomial of
     degree 2m is the full group of signed permutations C_2 wr S_m.
 
-    A square (or zero) discriminant is a NO with 0 trials: swapping one root
-    pair r <-> 1/r is a transposition, which A_2m lacks.  Otherwise the
-    group surjects onto S_m iff the trace polynomial has Galois group S_m,
-    and a transposition pattern on f itself then pins down the whole wreath
-    product.  Half the budget goes to each stage; the verdict records only
-    the witnesses sampled against f and carries over the trace stage's
-    trial count.
+    A square (or zero) discriminant is a certain NO with 0 trials: swapping
+    one root pair r <-> 1/r is a transposition, which A_2m lacks.  Otherwise
+    the group surjects onto S_m iff the trace polynomial has Galois group
+    S_m (a structural NO there is a certain NO here), and a transposition
+    pattern on f itself then pins down the whole wreath product.  Half the
+    budget goes to each stage; the verdict records only the witnesses
+    sampled against f and carries over the trace stage's trial count.
     """
     eps = as_epsilon(eps)
     _require_monic(f)
@@ -287,14 +305,18 @@ def is_hyperoctahedral(
         raise ValueError("need even degree >= 2")
     if not is_reciprocal(f):
         raise ValueError("need a reciprocal polynomial")
+    check_prime_range(*prime_range)
     disc = discriminant(f)
     if math.isqrt(abs(disc)) ** 2 == disc:
-        return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, (), 0)
+        return _structural_no(eps)
     # A squarefree reciprocal polynomial of even degree cannot vanish at +-1
     # (those roots would be double), so its roots honestly split into pairs
     # r, 1/r and the Galois group embeds in the hyperoctahedral group.
     stage_eps = eps / 2
     projection = is_sn(trace_polynomial(f), stage_eps, rng, prime_range)
+    if projection.certainty is Certainty.CERTAIN and not projection.confirmed:
+        # The group of f maps onto the trace polynomial's, proven not S_m.
+        return _structural_no(eps)
     witnesses = []
     m = f.degree // 2
     budget = trials_for_density(transposition_density(m - 1, Fraction(1, 4)), stage_eps)

@@ -49,13 +49,39 @@ class Matrix:
         return tuple(v for row in self.rows for v in row)
 
 
+def _trusted(rows: tuple[tuple[int, ...], ...]) -> Matrix:
+    """A Matrix over rows that are already a square tuple of int tuples.
+
+    Matrix.__init__ validates at the input boundary (parse_input, validate);
+    rows computed from validated matrices skip that second pass.
+    """
+    m = object.__new__(Matrix)
+    object.__setattr__(m, "rows", rows)
+    return m
+
+
 def multiply(a: Matrix, b: Matrix) -> Matrix:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    bt = list(zip(*b.rows))
-    return Matrix(
-        [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a.rows]
-    )
+    """The exact product a*b, sparse and row-oriented.
+
+    Word letters are mostly zeros (4-31% nonzero at SL(12..24)), so b's rows
+    are read once as their nonzero (column, value) pairs, and each nonzero
+    a[i][k] adds a[i][k] times row k of b into row i.  No zero is multiplied,
+    and the result is not re-validated: sums of products of ints are ints,
+    and the shape follows from a and b.
+    """
+    n = a.dim
+    if n != b.dim:
+        raise ValueError(f"dimension mismatch: {n} vs {b.dim}")
+    b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in b.rows]
+    out_rows = []
+    for row in a.rows:
+        out = [0] * n
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, v in b_row:
+                    out[j] += x * v
+        out_rows.append(tuple(out))
+    return _trusted(tuple(out_rows))
 
 
 def commutes(a: Matrix, b: Matrix) -> bool:
@@ -101,19 +127,18 @@ def adjugate_inverse(a: Matrix) -> Matrix:
     det = (-1) ** n * p[0]
     if det != 1:
         raise ValueError(f"adjugate inverse needs det = 1, got {det}")
-    ident = Matrix.identity(n)
-    acc = ident
+    acc = Matrix.identity(n)
     for i in range(n - 1, 0, -1):
         ci = p[i]
-        acc = multiply(a, acc)
-        acc = Matrix(
-            [
-                [acc.rows[r][c] + (ci if r == c else 0) for c in range(n)]
-                for r in range(n)
-            ]
+        rows = multiply(a, acc).rows
+        acc = _trusted(
+            tuple(
+                tuple(v + ci if r == c else v for c, v in enumerate(row))
+                for r, row in enumerate(rows)
+            )
         )
     if n % 2 == 0:
-        acc = Matrix([[-v for v in row] for row in acc.rows])
+        acc = _trusted(tuple(tuple(-v for v in row) for row in acc.rows))
     return acc
 
 

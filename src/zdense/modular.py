@@ -60,6 +60,17 @@ def is_prime(r: int) -> bool:
     return all(_strong_probable_prime(r, a) for a in witnesses)
 
 
+def check_prime_range(lo: int, hi: int) -> None:
+    """The one rule on a prime sampling range [lo, hi): 1 < lo < hi <= 2^64.
+
+    is_prime proves primality only below 2^64; beyond it fixed-base
+    Miller-Rabin is not a proof, and a certificate resting on such a prime
+    would not be certain.
+    """
+    if not 1 < lo < hi <= 1 << 64:
+        raise ValueError("prime range [lo, hi) needs 1 < lo < hi <= 2^64")
+
+
 def random_prime_avoiding(disc: int, lo: int, hi: int, rng: Random) -> int:
     """Uniform (by rejection) prime q in [lo, hi) with q not dividing disc.
 
@@ -68,8 +79,7 @@ def random_prime_avoiding(disc: int, lo: int, hi: int, rng: Random) -> int:
     """
     if disc == 0:
         raise ValueError("discriminant must be nonzero")
-    if not 2 <= lo < hi:
-        raise ValueError("need 2 <= lo < hi")
+    check_prime_range(lo, hi)
     attempts = 64 * (hi - lo).bit_length()
     for _ in range(attempts):
         q = rng.randrange(lo, hi)

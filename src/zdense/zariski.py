@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from random import Random
 from typing import Sequence
 
 from . import kernels
-from .galois import DEFAULT_PRIME_RANGE, GaloisVerdict, _log_inv, as_epsilon
+from .galois import DEFAULT_PRIME_RANGE, Certainty, GaloisVerdict, _log_inv, as_epsilon
 from .galois import is_hyperoctahedral, is_sn
 from .matrices import (
     GeneratorSet,
@@ -36,11 +35,6 @@ from .polynomials import is_cyclotomic_product
 
 DEFAULT_WORD_CONSTANT = Fraction(10)
 _RANK_PRIME_RANGE = (1 << 61, 1 << 62)
-
-
-class Certainty(Enum):
-    CERTAIN = "certain"
-    MONTE_CARLO = "monte_carlo"
 
 
 @dataclass(frozen=True)

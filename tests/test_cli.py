@@ -9,7 +9,7 @@ import pytest
 from zdense import cli
 from zdense.cli import InputError, RunConfig, main, parse_input, run
 from zdense.matrices import GeneratorSet, GroupKind
-from zdense.modular import factor_degrees_mod
+from zdense.modular import check_prime_range, factor_degrees_mod
 from zdense.polynomials import IntPoly
 
 
@@ -185,6 +185,18 @@ def test_certain_no_is_final_and_reported_certain(tmp_path):
     assert report["overall"]["epsilon"] == str(eps)
 
 
+def test_galois_structural_no_is_final_and_reported_certain(tmp_path):
+    # x^9 - 2 has square discriminant 3^18 2^8: an exact NO with 0 trials
+    eps = Fraction(1, 10)
+    path = write(tmp_path, "x9.json", {"poly": [-2] + [0] * 8 + [1]})
+    code, report = run(config(path, trials=3, epsilon=eps))
+    assert code == 1
+    assert report["trials_run"] == 1
+    assert report["trials"][0]["verdict"]["trials_used"] == 0
+    assert report["overall"]["certainty"] == "certain"
+    assert report["overall"]["epsilon"] == str(eps)
+
+
 def test_trials_stop_on_first_yes(tmp_path):
     code, report = run(config(write(tmp_path, "sl2.json", SL2_DOC), trials=5))
     assert code == 0
@@ -277,8 +289,12 @@ def test_main_prime_bits_above_64_exit_2(tmp_path, capsys):
     # primality is proven only below 2^64; beyond it a "certain" YES would
     # rest on fixed-base Miller-Rabin
     path = write(tmp_path, "cubic.json", {"poly": [-1, -1, 0, 1]})
-    assert main([path, "--prime-bits", "64", "65"]) == 2
-    assert "HI <= 64" in json.loads(capsys.readouterr().out)["error"]
+    with pytest.raises(ValueError) as rule:
+        check_prime_range(1 << 64, 1 << 65)
+    for bits in (("64", "65"), ("0", "8"), ("-3", "8"), ("8", "4"), ("8", "1000")):
+        assert main([path, "--prime-bits", *bits]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == f"--prime-bits: {rule.value}"  # the library's one rule
     assert main([path, "--prime-bits", "63", "64", "--quiet"]) == 0
 
 

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from zdense.galois import (
+    Certainty,
     GaloisAnswer,
     as_epsilon,
     has_long_prime_cycle,
@@ -228,6 +229,7 @@ def test_is_sn_zero_discriminant_is_not_generic():
 def test_is_sn_structural_no_takes_no_trials(f):
     v = is_sn(f, EPS, Random(1))
     assert (v.answer, v.trials_used, v.witnesses) == (GaloisAnswer.NOT_GENERIC, 0, ())
+    assert v.certainty is Certainty.CERTAIN
 
 
 def test_hyperoctahedral_square_discriminant_takes_no_trials():
@@ -235,6 +237,41 @@ def test_hyperoctahedral_square_discriminant_takes_no_trials():
     # 2-cycle of a swapped root pair r <-> 1/r
     v = is_hyperoctahedral(cyclotomic(24), EPS, Random(1))
     assert (v.answer, v.trials_used, v.witnesses) == (GaloisAnswer.NOT_GENERIC, 0, ())
+    assert v.certainty is Certainty.CERTAIN
+
+
+def test_hyperoctahedral_structural_trace_no_is_certain():
+    # disc(Phi_7) = -7^5 is no square, but its trace polynomial
+    # x^3 + x^2 - 2x - 1 has discriminant 49: no S_3 on the root pairs
+    assert discriminant(cyclotomic(7)) == -(7**5)
+    v = is_hyperoctahedral(cyclotomic(7), EPS, Random(1))
+    assert (v.answer, v.trials_used, v.witnesses) == (GaloisAnswer.NOT_GENERIC, 0, ())
+    assert v.certainty is Certainty.CERTAIN
+
+
+def test_only_sampled_nos_are_monte_carlo():
+    yes = is_sn(IntPoly([-1, -1, 0, 1]), EPS, Random(1))
+    no = is_hyperoctahedral(cyclotomic(5), EPS, Random(1))  # C_4, sampled
+    assert yes.confirmed and yes.certainty is Certainty.CERTAIN
+    assert no.trials_used > 0 and no.certainty is Certainty.MONTE_CARLO
+    # the Weyl route embeds to_json in its trail, so certainty stays out
+    assert set(no.to_json()) == {"answer", "epsilon", "trials_used", "witnesses"}
+
+
+@pytest.mark.parametrize("prime_range", [
+    (2**100, 2**101),  # fixed-base Miller-Rabin, not a proof
+    (1 << 63, (1 << 64) + 1),
+    (1, 8),
+    (8, 4),
+])
+def test_certifiers_reject_prime_ranges_outside_the_proven_window(prime_range):
+    cubic = IntPoly([-1, -1, 0, 1])
+    structural = IntPoly([1, -3, 0, 1])  # a NO that draws no prime
+    for certify, f in ((is_sn, cubic), (is_sn, structural), (is_transitive, cubic),
+                       (is_hyperoctahedral, cyclotomic(5))):
+        with pytest.raises(ValueError, match=r"1 < lo < hi <= 2\^64"):
+            certify(f, EPS, Random(0), prime_range)
+    assert is_sn(cubic, EPS, Random(0), (1 << 63, 1 << 64)).confirmed
 
 
 def test_is_sn_degree_one():

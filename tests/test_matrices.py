@@ -39,6 +39,50 @@ def test_multiply_examples():
         multiply(I2, Matrix.identity(3))
 
 
+def assert_canonical(m, rows):
+    """m is the Matrix that validation would build from `rows`."""
+    assert m == Matrix(rows) and hash(m) == hash(Matrix(rows))
+    assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
+    assert all(type(v) is int for row in m.rows for v in row)
+
+
+def _entries(n, rng, kind):
+    if kind == "dense":
+        draw = lambda: rng.randrange(-99, 100)
+    elif kind == "sparse":
+        draw = lambda: rng.randrange(-99, 100) if rng.random() < 0.1 else 0
+    else:  # "big": beyond 2^64, either sign
+        draw = lambda: rng.choice((-1, 1)) * rng.randrange(1 << 64, 1 << 90)
+    rows = [[draw() for _ in range(n)] for _ in range(n)]
+    if n > 1:  # an all-zero row and an all-zero column
+        rows[rng.randrange(n)] = [0] * n
+        col = rng.randrange(n)
+        for row in rows:
+            row[col] = 0
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "big"])
+def test_multiply_matches_naive_triple_loop(kind):
+    rng = Random(f"multiply-{kind}")
+    for n in range(1, 31):
+        a, b = _entries(n, rng, kind), _entries(n, rng, kind)
+        naive = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+        assert_canonical(multiply(Matrix(a), Matrix(b)), naive)
+        with pytest.raises(ValueError):
+            multiply(Matrix(a), Matrix.identity(n + 1))
+
+
+def test_adjugate_inverse_is_canonical():
+    rng = Random(5)
+    for dim in range(1, 7):
+        a = random_unimodular(dim, rng)
+        inv = adjugate_inverse(a)
+        assert_canonical(inv, inv.rows)
+        assert multiply(a, inv) == Matrix.identity(dim)
+
+
 def test_multiply_inverse_roundtrip():
     rng = Random(3)
     for _ in range(25):
