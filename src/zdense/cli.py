@@ -28,7 +28,7 @@ from .matrices import GeneratorSet, GroupKind, Matrix, validate
 from .modular import PrimeSearchExhausted, check_prime_range
 from .polynomials import IntPoly, is_reciprocal
 from .zariski import (
-    DEFAULT_WORD_CONSTANT, DensityVerdict, general_zariski_dense, zariski_dense,
+    DEFAULT_WORD_CONSTANT, DensityVerdict, general_zariski_dense, word_length, zariski_dense,
 )
 
 MODES = ("weyl", "adjoint", "galois")
@@ -299,8 +299,7 @@ def _config_from_args(args) -> RunConfig:
         raise InputError(f"--epsilon: {exc}") from None
     try:
         word_constant = Fraction(args.word_constant)
-        if word_constant <= 0:
-            raise ValueError("must be positive")
+        word_length(epsilon, word_constant)  # rejects c <= 0 and a c that overflows
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"--word-constant: {exc}") from None
     lo, hi = args.prime_bits

@@ -5,6 +5,7 @@ inverses, and seeded random words over a symmetric generating set.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
@@ -21,7 +22,11 @@ class Matrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = [tuple(row) for row in rows]
+        try:  # int() would truncate 1.9, Fraction(3, 2) and "7" silently
+            rows = tuple(tuple(map(operator.index, row)) for row in rows)
+        except TypeError as exc:
+            raise ValueError(f"matrix entries must be integers ({exc})") from None
         if not rows:
             raise ValueError("matrix must be nonempty")
         if any(len(row) != len(rows) for row in rows):

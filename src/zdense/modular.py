@@ -17,8 +17,9 @@ from .polynomials import IntPoly
 # every n < 3317044064679887385961981 > 2^64 (Sorenson-Webster).
 _WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Beyond 2^64: fixed extra witnesses; the residual error is folded into the
-# caller's Monte Carlo budget.
+# Beyond 2^64: fixed extra witnesses, a probable-prime test kept for direct
+# callers.  No certificate relies on it: check_prime_range caps every prime
+# sampler at 2^64, and rank primes lie below 2^62.
 _WITNESSES_BIG = _WITNESSES_64 + (
     41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
 )
@@ -48,8 +49,9 @@ def _strong_probable_prime(n: int, a: int) -> bool:
 
 
 def is_prime(r: int) -> bool:
-    """Deterministic for r < 2^64 (complete witness base); fixed-witness
-    Miller-Rabin beyond that.  Raises for r < 2."""
+    """Deterministic for r < 2^64 (complete witness base).  Beyond that it
+    is a fixed-witness Miller-Rabin probable-prime test, kept for direct
+    callers; no certificate relies on it.  Raises for r < 2."""
     if r < 2:
         raise ValueError("primality is tested for integers >= 2")
     if r in _SMALL_PRIMES:

@@ -18,7 +18,7 @@ from random import Random
 from typing import Sequence
 
 from . import kernels
-from .galois import DEFAULT_PRIME_RANGE, Certainty, GaloisVerdict, _log_inv, as_epsilon
+from .galois import DEFAULT_PRIME_RANGE, Certainty, _log_inv, as_epsilon
 from .galois import is_hyperoctahedral, is_sn
 from .matrices import (
     GeneratorSet,
@@ -74,7 +74,10 @@ def word_length(eps, word_constant=DEFAULT_WORD_CONSTANT) -> int:
     c = Fraction(word_constant)
     if c <= 0:
         raise ValueError("word constant must be positive")
-    return max(16, math.ceil(float(c) * _log_inv(as_epsilon(eps))))
+    try:
+        return max(16, math.ceil(float(c) * _log_inv(as_epsilon(eps))))
+    except OverflowError:  # c * ln(1/eps) is not a finite float
+        raise ValueError("word constant too large: c * ln(1/eps) overflows a float") from None
 
 
 def _bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -165,89 +168,78 @@ def lie_algebra_dimension(kind: GroupKind, dim: int) -> int:
     return m * (2 * m + 1)
 
 
-def _unit(dim: int, cells) -> Matrix:
-    rows = [[0] * dim for _ in range(dim)]
-    for (i, j, v) in cells:
-        rows[i][j] = v
-    return Matrix(rows)
+def _basis_cells(kind: GroupKind, dim: int) -> list[list[tuple[int, int, int]]]:
+    """The (row, col, value) cells of each Lie algebra basis element.
+
+    Each element's first cell holds 1 and is touched by no other element,
+    so a member's coordinate on that element is its entry there.
+    """
+    if kind is GroupKind.SPECIAL_LINEAR:
+        if dim == 1:
+            raise ValueError("SL(1) has a trivial Lie algebra")
+        last = dim - 1
+        pairs = [(i, j) for i in range(dim) for j in range(dim)]
+        return (
+            [[(i, j, 1)] for i, j in pairs if i < j]
+            + [[(i, i, 1), (last, last, -1)] for i in range(last)]
+            + [[(i, j, 1)] for i, j in pairs if i > j]
+        )
+    m = dim // 2
+    cells = [[(a, b, 1), (m + b, m + a, -1)] for a in range(m) for b in range(m)]
+    for r, c in ((0, m), (m, 0)):  # symmetric upper-right, then lower-left blocks
+        cells += [
+            [(r + a, c + b, 1), (r + b, c + a, 1)] if a < b else [(r + a, c + a, 1)]
+            for a in range(m)
+            for b in range(a, m)
+        ]
+    return cells
 
 
 def lie_algebra_basis(kind: GroupKind, dim: int) -> tuple[Matrix, ...]:
     """Fixed integer basis of the Lie algebra.
 
-    SL(n): E_ij (i<j), then E_11-E_22, ..., then E_ij (i>j); for n = 2 this
-    is the classical (e, h, f).  Sp(2m): top-left units paired with their
-    negated transposes, then the symmetric upper-right units, then the
-    symmetric lower-left units.  Coordinates of any member are read off
+    SL(n): E_ij (i<j), then E_ii-E_nn (i<n), then E_ij (i>j); for n = 2
+    this is the classical (e, h, f).  Sp(2m): top-left units paired with
+    their negated transposes, then the symmetric upper-right units, then
+    the symmetric lower-left units.  Coordinates of any member are read off
     entrywise, so adjoint matrices stay integral.
     """
-    if kind is GroupKind.SPECIAL_LINEAR:
-        if dim == 1:
-            raise ValueError("SL(1) has a trivial Lie algebra")
-        upper = [
-            _unit(dim, [(i, j, 1)]) for i in range(dim) for j in range(dim) if i < j
-        ]
-        diag = [
-            _unit(dim, [(i, i, 1), (i + 1, i + 1, -1)]) for i in range(dim - 1)
-        ]
-        lower = [
-            _unit(dim, [(i, j, 1)]) for i in range(dim) for j in range(dim) if i > j
-        ]
-        return tuple(upper + diag + lower)
-    m = dim // 2
-    a_part = [
-        _unit(dim, [(a, b, 1), (m + b, m + a, -1)])
-        for a in range(m)
-        for b in range(m)
-    ]
-    b_part = [
-        _unit(dim, [(a, m + b, 1)] if a == b else [(a, m + b, 1), (b, m + a, 1)])
-        for a in range(m)
-        for b in range(a, m)
-    ]
-    c_part = [
-        _unit(dim, [(m + a, b, 1)] if a == b else [(m + a, b, 1), (m + b, a, 1)])
-        for a in range(m)
-        for b in range(a, m)
-    ]
-    return tuple(a_part + b_part + c_part)
-
-
-def _lie_coordinates(kind: GroupKind, dim: int, y: Matrix) -> list[int]:
-    rows = y.rows
-    if kind is GroupKind.SPECIAL_LINEAR:
-        coords = [rows[i][j] for i in range(dim) for j in range(dim) if i < j]
-        partial = 0
-        for i in range(dim - 1):
-            partial += rows[i][i]
-            coords.append(partial)
-        coords.extend(rows[i][j] for i in range(dim) for j in range(dim) if i > j)
-        return coords
-    m = dim // 2
-    coords = [rows[a][b] for a in range(m) for b in range(m)]
-    coords.extend(rows[a][m + b] for a in range(m) for b in range(a, m))
-    coords.extend(rows[m + a][b] for a in range(m) for b in range(a, m))
-    return coords
+    basis = []
+    for cells in _basis_cells(kind, dim):
+        rows = [[0] * dim for _ in range(dim)]
+        for i, j, v in cells:
+            rows[i][j] = v
+        basis.append(Matrix(rows))
+    return tuple(basis)
 
 
 def adjoint_matrices(gs: GeneratorSet) -> list[Matrix]:
     """For each generator g, the matrix of X -> g X g^-1 on the fixed Lie
     algebra basis.  Entries are exact integers because the inverses are."""
+    firsts = [cells[0][:2] for cells in _basis_cells(gs.kind, gs.dim)]
     basis = lie_algebra_basis(gs.kind, gs.dim)
     out = []
     for g, g_inv in zip(gs.generators, gs.inverses):
-        columns = [
-            _lie_coordinates(gs.kind, gs.dim, multiply(multiply(g, b), g_inv))
-            for b in basis
-        ]
+        columns = []
+        for b in basis:
+            rows = multiply(multiply(g, b), g_inv).rows
+            columns.append([rows[i][j] for i, j in firsts])
         out.append(Matrix(list(zip(*columns))))
     return out
 
 
-def _galois_certificate(kind: GroupKind, f, eps, rng, prime_range) -> GaloisVerdict:
-    if kind is GroupKind.SPECIAL_LINEAR:
-        return is_sn(f, eps, rng, prime_range)
-    return is_hyperoctahedral(f, eps, rng, prime_range)
+def _sample_word(gs: GeneratorSet, index: int, length: int, rng: Random, trail) -> Matrix:
+    letters = random_word_letters(gs, length, rng)
+    trail.append({"step": "sample_word", "word": index, "length": length,
+                  "letters": list(letters)})
+    return word_from_letters(gs, letters)
+
+
+def _irreducible(mats: Sequence[Matrix], dim: int, rng: Random, step: str, trail) -> bool:
+    result = is_irreducible_algebra(mats, dim, rng)
+    trail.append({"step": step, "irreducible": result.irreducible,
+                  "algebra_dimension": result.algebra_dimension})
+    return result.irreducible
 
 
 def zariski_dense(
@@ -268,36 +260,34 @@ def zariski_dense(
     """
     eps = as_epsilon(eps)
     trail: list[dict] = []
+
+    def verdict(dense: bool, certainty: Certainty = Certainty.CERTAIN) -> DensityVerdict:
+        return DensityVerdict(dense, certainty, eps, tuple(trail))
+
     if gs.dim == 1:
         # SL(1) is the trivial group: every subgroup is all of it.
         trail.append({"step": "trivial_group", "dense": True})
-        return DensityVerdict(True, Certainty.CERTAIN, eps, tuple(trail))
+        return verdict(True)
     n = word_length(eps, word_constant)
-    words = []
-    for index in (1, 2):
-        letters = random_word_letters(gs, n, rng)
-        words.append(word_from_letters(gs, letters))
-        trail.append(
-            {"step": "sample_word", "word": index, "length": n, "letters": list(letters)}
-        )
-    w1, w2 = words
+    w1, w2 = (_sample_word(gs, index, n, rng, trail) for index in (1, 2))
     commuting = commutes(w1, w2)
     trail.append({"step": "commutation_check", "commute": commuting})
     if commuting:
-        return DensityVerdict(False, Certainty.MONTE_CARLO, eps, tuple(trail))
+        return verdict(False, Certainty.MONTE_CARLO)
+    certify = is_sn if gs.kind is GroupKind.SPECIAL_LINEAR else is_hyperoctahedral
     for index, w in ((1, w1), (2, w2)):
         f = characteristic_polynomial(w)
-        verdict = _galois_certificate(gs.kind, f, eps / 2, rng, prime_range)
+        galois = certify(f, eps / 2, rng, prime_range)
         trail.append(
             {
                 "step": "galois_certificate",
                 "word": index,
                 "charpoly": list(f.coeffs),
-                "verdict": verdict.to_json(),
+                "verdict": galois.to_json(),
             }
         )
-        if not verdict.confirmed:
-            return DensityVerdict(False, Certainty.MONTE_CARLO, eps, tuple(trail))
+        if not galois.confirmed:
+            return verdict(False, Certainty.MONTE_CARLO)
         if gs.dim == 2:
             # An abelian Weyl group cannot rule out finite order by itself.
             cyclotomic = is_cyclotomic_product(f)
@@ -305,20 +295,13 @@ def zariski_dense(
                 {"step": "finite_order_guard", "word": index, "cyclotomic": cyclotomic}
             )
             if cyclotomic:
-                return DensityVerdict(False, Certainty.MONTE_CARLO, eps, tuple(trail))
-    if gs.kind is GroupKind.SYMPLECTIC:
-        result = is_irreducible_algebra(gs.generators, gs.dim, rng)
-        trail.append(
-            {
-                "step": "standard_rep_irreducibility",
-                "irreducible": result.irreducible,
-                "algebra_dimension": result.algebra_dimension,
-            }
-        )
-        if not result.irreducible:
-            # A reducible action can never be dense: this NO is structural.
-            return DensityVerdict(False, Certainty.CERTAIN, eps, tuple(trail))
-    return DensityVerdict(True, Certainty.CERTAIN, eps, tuple(trail))
+                return verdict(False, Certainty.MONTE_CARLO)
+    if gs.kind is GroupKind.SYMPLECTIC and not _irreducible(
+        gs.generators, gs.dim, rng, "standard_rep_irreducibility", trail
+    ):
+        # A reducible action can never be dense: this NO is structural.
+        return verdict(False)
+    return verdict(True)
 
 
 def general_zariski_dense(
@@ -338,29 +321,20 @@ def general_zariski_dense(
     """
     eps = as_epsilon(eps)
     trail: list[dict] = []
+
+    def verdict(dense: bool, certainty: Certainty = Certainty.CERTAIN) -> DensityVerdict:
+        return DensityVerdict(dense, certainty, eps, tuple(trail))
+
     if gs.dim == 1:
         trail.append({"step": "trivial_group", "dense": True})
-        return DensityVerdict(True, Certainty.CERTAIN, eps, tuple(trail))
-    n = word_length(eps, word_constant)
-    letters = random_word_letters(gs, n, rng)
-    w = word_from_letters(gs, letters)
-    trail.append({"step": "sample_word", "word": 1, "length": n, "letters": list(letters)})
+        return verdict(True)
+    w = _sample_word(gs, 1, word_length(eps, word_constant), rng, trail)
     f = characteristic_polynomial(w)
     cyclotomic = is_cyclotomic_product(f)
     trail.append(
         {"step": "cyclotomic_check", "charpoly": list(f.coeffs), "cyclotomic": cyclotomic}
     )
     if cyclotomic:
-        return DensityVerdict(False, Certainty.MONTE_CARLO, eps, tuple(trail))
-    adjoint = adjoint_matrices(gs)
-    result = is_irreducible_algebra(adjoint, lie_algebra_dimension(gs.kind, gs.dim), rng)
-    trail.append(
-        {
-            "step": "adjoint_irreducibility",
-            "irreducible": result.irreducible,
-            "algebra_dimension": result.algebra_dimension,
-        }
-    )
-    if not result.irreducible:
-        return DensityVerdict(False, Certainty.CERTAIN, eps, tuple(trail))
-    return DensityVerdict(True, Certainty.CERTAIN, eps, tuple(trail))
+        return verdict(False, Certainty.MONTE_CARLO)
+    dim = lie_algebra_dimension(gs.kind, gs.dim)
+    return verdict(_irreducible(adjoint_matrices(gs), dim, rng, "adjoint_irreducibility", trail))

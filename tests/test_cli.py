@@ -298,6 +298,15 @@ def test_main_prime_bits_above_64_exit_2(tmp_path, capsys):
     assert main([path, "--prime-bits", "63", "64", "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("constant", ["1e400", "1e308"])
+def test_main_word_constant_overflow_exit_2(tmp_path, capsys, constant):
+    # c * ln(1/eps) beyond the float range used to crash with exit 3
+    path = write(tmp_path, "sl2.json", SL2_DOC)
+    assert main([path, "--word-constant", constant]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith("--word-constant: ")
+
+
 def test_main_prime_exhaustion_exit_2(tmp_path, capsys):
     # disc(x^2 - 35) = 140 is divisible by both primes in [4, 8)
     path = write(tmp_path, "smooth.json", {"poly": [-35, 0, 1]})

@@ -2,8 +2,12 @@
 with the pure-Python twins, and ddf_degrees must agree with oracles that do
 not share its code."""
 
+import importlib.util
 import itertools
+import os
 import re
+import shutil
+import sysconfig
 from pathlib import Path
 from random import Random
 
@@ -12,21 +16,45 @@ import pytest
 from zdense import _kernel_py
 from zdense import kernels
 
-try:
-    from zdense import _kernel_cy
-except ImportError:
-    _kernel_cy = None
+_SRC = Path(__file__).resolve().parent.parent / "src" / "zdense"
 
-needs_compiled = pytest.mark.skipif(
-    _kernel_cy is None, reason="compiled kernels not built"
-)
+
+@pytest.fixture(scope="session")
+def kernel_cy(tmp_path_factory):
+    """zdense._kernel_cy compiled from the shipped _kernel_cy.c into a
+    temporary directory (no Cython needed), loaded without touching src/."""
+    compiler = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no C compiler ({compiler}) to build the compiled kernels")
+    if not (Path(sysconfig.get_paths()["include"]) / "Python.h").exists():
+        pytest.skip("no Python headers to build the compiled kernels")
+    from setuptools import Distribution, Extension
+
+    out = tmp_path_factory.mktemp("kernel_cy")
+    ext = Extension("zdense._kernel_cy", [str(_SRC / "_kernel_cy.c")], extra_compile_args=["-O2"])
+    build = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
+    build.build_lib, build.build_temp = str(out), str(out / "tmp")
+    build.ensure_finalized()
+    build.run()
+    spec = importlib.util.spec_from_file_location(
+        "zdense._kernel_cy", build.get_ext_fullpath("zdense._kernel_cy")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["zdense._kernel_py", "zdense._kernel_cy"])
+def impl(request):
+    if request.param == "zdense._kernel_py":
+        return _kernel_py
+    return request.getfixturevalue("kernel_cy")
 
 
 def test_backend_reports_something():
     assert kernels.BACKEND in ("cython", "python")
 
 
-@pytest.mark.parametrize("impl", [b for b in (_kernel_py, _kernel_cy) if b is not None])
 def test_ddf_known_patterns(impl):
     assert impl.ddf_degrees([1, 0, 1], 5) == [1, 1]
     assert impl.ddf_degrees([1, 0, 1], 3) == [2]
@@ -169,7 +197,6 @@ def test_ddf_pinned_large_degrees(coeffs, expected):
         assert kernels.ddf_degrees(coeffs, q) == degrees, q
 
 
-@pytest.mark.parametrize("impl", [b for b in (_kernel_py, _kernel_cy) if b is not None])
 def test_rank_mod_semantics(impl):
     rank, kept = impl.rank_mod([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 7)
     assert rank == 2
@@ -228,8 +255,7 @@ def test_rank_mod_matches_greedy_oracle(p):
     assert _kernel_py.rank_mod([], p) == (0, [])
 
 
-@needs_compiled
-def test_ddf_backend_parity():
+def test_ddf_backend_parity(kernel_cy):
     rng = Random(7)
     primes = [2, 3, 5, 7, 11, 13, 101, 1048583, 2147483647]
     for trial in range(600):
@@ -241,14 +267,13 @@ def test_ddf_backend_parity():
         except ValueError:
             a, err_a = None, True
         try:
-            b, err_b = _kernel_cy.ddf_degrees(list(coeffs), q), None
+            b, err_b = kernel_cy.ddf_degrees(list(coeffs), q), None
         except ValueError:
             b, err_b = None, True
         assert (a, err_a) == (b, err_b), (coeffs, q)
 
 
-@needs_compiled
-def test_rank_backend_parity():
+def test_rank_backend_parity(kernel_cy):
     rng = Random(8)
     big_prime = (1 << 61) - 1  # Mersenne
     for trial in range(300):
@@ -260,19 +285,18 @@ def test_rank_backend_parity():
         ]
         p = (5, 97, big_prime)[trial % 3]
         ra, ka = _kernel_py.rank_mod(rows, p)
-        rb, kb = _kernel_cy.rank_mod(rows, p)
+        rb, kb = kernel_cy.rank_mod(rows, p)
         assert (ra, list(ka)) == (rb, list(kb))
 
 
-@needs_compiled
-def test_wrapper_routes_large_moduli_to_python():
+def test_wrapper_routes_large_moduli_to_python(kernel_cy, monkeypatch):
     # a 64-bit-plus modulus exceeds the compiled kernel's contract
+    monkeypatch.setattr(kernels, "_compiled", kernel_cy)
     p = (1 << 89) - 1
     rows = [[1, 2], [2, 4]]
     assert kernels.rank_mod(rows, p) == _kernel_py.rank_mod(rows, p)
 
 
-_SRC = Path(__file__).resolve().parent.parent / "src" / "zdense"
 _MARKED = "# <<<<<<<<<<<<<<"
 
 

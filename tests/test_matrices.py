@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -30,6 +31,16 @@ def test_matrix_construction_rejects_nonsquare():
         Matrix([[1, 2], [3, 4], [5, 6]])
     with pytest.raises(ValueError):
         Matrix([])
+
+
+@pytest.mark.parametrize("entry", [1.9, Fraction(3, 2), "7", 2.0])
+def test_matrix_construction_rejects_non_integer_entries(entry):
+    # int() would turn these into 1, 1, 7 and 2 without a word
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        Matrix([[entry, 0], [0, 1]])
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        validate(GroupKind.SPECIAL_LINEAR, 2, [Matrix([[1.9, 0.5], [0, 1]])])
+    assert Matrix([[True, 0], [-(1 << 70), 1]]).rows == ((1, 0), (-(1 << 70), 1))
 
 
 def test_multiply_examples():

@@ -35,6 +35,9 @@ def test_word_length_formula():
     assert word_length("1e-6", Fraction("4.3")) == 60
     with pytest.raises(ValueError):
         word_length("1e-6", 0)
+    for huge in (Fraction(10) ** 400, Fraction("1e308")):  # float(c) or the product overflows
+        with pytest.raises(ValueError, match="word constant too large"):
+            word_length("1e-6", huge)
 
 
 def test_bareiss_rank_matches_fraction_elimination():
@@ -196,6 +199,28 @@ def test_lie_algebra_basis_shapes():
                 assert all(v == 0 for row in total.rows for v in row)
     with pytest.raises(ValueError):
         lie_algebra_basis(GroupKind.SPECIAL_LINEAR, 1)
+
+
+_LAYOUTS = [(GroupKind.SPECIAL_LINEAR, n) for n in range(2, 7)] + [
+    (GroupKind.SYMPLECTIC, n) for n in range(2, 9, 2)
+]
+
+
+@pytest.mark.parametrize("kind, dim", _LAYOUTS)
+def test_adjoint_of_identity_is_identity(kind, dim):
+    # coordinates read back from the first cells invert the basis
+    gs = validate(kind, dim, [Matrix.identity(dim)])
+    assert adjoint_matrices(gs) == [Matrix.identity(lie_algebra_dimension(kind, dim))]
+
+
+@pytest.mark.parametrize("kind, dim", _LAYOUTS)
+def test_first_cell_of_each_basis_element_is_its_own(kind, dim):
+    cells = zariski._basis_cells(kind, dim)
+    basis = lie_algebra_basis(kind, dim)
+    assert len(cells) == len(basis)
+    for k, (i, j, v) in enumerate(c[0] for c in cells):
+        assert v == 1 and basis[k].rows[i][j] == 1
+        assert all(b.rows[i][j] == 0 for other, b in enumerate(basis) if other != k)
 
 
 def test_adjoint_of_shear_matches_hand_computation(sl2):
