@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python twins.
+"""Benchmark the hot kernels (zdense._kernel_py).
 
 Two workloads, both straight from the deciders' inner loops:
   * ddf: factorization degree patterns of random monic polynomials of
@@ -11,7 +11,7 @@ Two workloads, both straight from the deciders' inner loops:
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--json PATH [--label TEXT]]
 
 --json appends this run (its label, interpreter, core count and one row per
-workload with the best time per backend) to the JSON list in PATH.
+workload with the best time) to the JSON list in PATH.
 """
 
 import argparse
@@ -24,11 +24,6 @@ from random import Random
 
 from zdense import _kernel_py
 from zdense.modular import is_prime
-
-try:
-    from zdense import _kernel_cy
-except ImportError:
-    _kernel_cy = None
 
 DDF_SIZES = ((8, 400), (17, 100), (30, 40))  # (degree, polynomials)
 
@@ -63,28 +58,16 @@ def make_rank_workload(rng, count=30, size=100):
     return jobs
 
 
-def time_backend(label, fn, jobs, repeat):
+def measure(kernel, workload, jobs, repeat):
+    fn = getattr(_kernel_py, kernel)
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
         for args in jobs:
             fn(*args)
         best = min(best, time.perf_counter() - t0)
-    print(f"  {label:8s} {best * 1000:10.1f} ms")
-    return best
-
-
-def measure(kernel, workload, jobs, repeat):
-    print(f"{kernel}: {workload}")
-    py = time_backend("python", getattr(_kernel_py, kernel), jobs, repeat)
-    row = {"kernel": kernel, "workload": workload, "python_ms": py * 1000}
-    if _kernel_cy is not None:
-        cy = time_backend("cython", getattr(_kernel_cy, kernel), jobs, repeat)
-        print(f"  speedup  {py / cy:10.1f}x")
-        row.update(cython_ms=cy * 1000, speedup=py / cy)
-    else:
-        print("  cython   (not built)")
-    return row
+    print(f"{kernel}: {workload}\n  python   {best * 1000:10.1f} ms")
+    return {"kernel": kernel, "workload": workload, "python_ms": best * 1000}
 
 
 def main():

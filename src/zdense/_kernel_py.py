@@ -1,13 +1,12 @@
-"""Pure-Python twins of the compiled hot kernels.
+"""The hot kernels: distinct-degree factorization degrees mod q and row
+rank mod p, in pure Python with big-int packing.
 
-Same signatures, results, errors and pivot policy as zdense._kernel_cy;
-selected at import time by zdense.kernels when the extension is
-unavailable.  ddf_degrees gets there by a different route: it computes the
-Frobenius power x^q mod f once, multiplies by Kronecker substitution (one
-big-int product per polynomial product), and walks the degrees through a
-table of its powers instead of raising to the q-th power at every step.
-rank_mod packs rows the same way: each row is one int with a column per
-slot, so eliminating against a pivot row is one big-int multiply-add.
+ddf_degrees computes the Frobenius power x^q mod f once, multiplies by
+Kronecker substitution (one big-int product per polynomial product), and
+walks the degrees through a table of its powers instead of raising to the
+q-th power at every step.  rank_mod packs rows the same way: each row is
+one int with a column per slot, so eliminating against a pivot row is one
+big-int multiply-add.
 
 Polynomials here are lists of ints in [0, q), constant term first.
 """

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 import traceback
@@ -36,6 +37,8 @@ _SAFE_INT = 1 << 53
 # str -> int is quadratic in the digit count, so longer input integers are
 # rejected before conversion.
 MAX_INT_DIGITS = 20_000
+# int(s, 10) also takes "1_000", " 7 " and non-ASCII digits such as "٣"
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 class InputError(ValueError):
@@ -63,10 +66,9 @@ def _as_int(value, where: str) -> int:
     if isinstance(value, str):
         if len(value.lstrip("+-")) > MAX_INT_DIGITS:
             raise InputError(f"{where}: integer longer than {MAX_INT_DIGITS} digits")
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise InputError(f"{where}: {value!r} is not an integer") from None
+        if not _DECIMAL.fullmatch(value):
+            raise InputError(f"{where}: {value!r} is not an integer")
+        return int(value)
     raise InputError(f"{where}: expected an integer or string, got {type(value).__name__}")
 
 
@@ -200,11 +202,13 @@ def run(config: RunConfig) -> tuple[int, dict]:
             verdict: GaloisVerdict | DensityVerdict
             if mode == "galois":
                 verdict = _galois_mode_verdict(parsed, config.epsilon, rng, prime_range)
-                positive = verdict.confirmed
+            elif mode == "weyl":
+                verdict = zariski_dense(
+                    parsed, config.epsilon, rng, config.word_constant, prime_range
+                )
             else:
-                decide = zariski_dense if mode == "weyl" else general_zariski_dense
-                verdict = decide(parsed, config.epsilon, rng, config.word_constant, prime_range)
-                positive = verdict.dense
+                verdict = general_zariski_dense(parsed, config.epsilon, rng, config.word_constant)
+            positive = verdict.confirmed if mode == "galois" else verdict.dense
             certain = verdict.certainty is Certainty.CERTAIN
             trial_seconds.append(time.perf_counter() - t1)
             trial_records.append(
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=tuple(b.bit_length() - 1 for b in DEFAULT_PRIME_RANGE),
         metavar=("LO", "HI"),
-        help="sample primes from [2^LO, 2^HI), 0 < LO < HI <= 64",
+        help="weyl and galois modes: sample primes from [2^LO, 2^HI), 0 < LO < HI <= 64",
     )
     parser.add_argument("--trials", type=int, default=1, help="independent repetitions")
     parser.add_argument("--report", default=None, help="also write the JSON report here")

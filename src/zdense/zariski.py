@@ -309,7 +309,6 @@ def general_zariski_dense(
     eps,
     rng: Random,
     word_constant=DEFAULT_WORD_CONSTANT,
-    prime_range: tuple[int, int] = DEFAULT_PRIME_RANGE,
 ) -> DensityVerdict:
     """Adjoint route: FALSE on a cyclotomic-product characteristic polynomial
     of one random word (finite-order suspicion, Monte Carlo), else TRUE iff

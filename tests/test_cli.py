@@ -367,6 +367,17 @@ def test_overlong_integer_exit_2_in_linear_time(tmp_path, capsys, quoted):
     assert error == f"poly[0]: integer longer than {cli.MAX_INT_DIGITS} digits"
 
 
+@pytest.mark.parametrize(
+    "c", ["1_000", "٣", "１２", " 7 "],
+    ids=["underscore", "arabic-indic", "fullwidth", "spaces"],
+)
+def test_integer_string_must_be_ascii_decimal(tmp_path, capsys, c):
+    # int(c, 10) accepts every one of these
+    assert main([write(tmp_path, "in.json", {"poly": [c, 0, 1]})]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == f"poly[0]: {c!r} is not an integer"
+
+
 SHEAR4 = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]  # det 1, not symplectic
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 

@@ -1,14 +1,7 @@
-"""Backend parity: the compiled kernels must be bit-for-bit interchangeable
-with the pure-Python twins, and ddf_degrees must agree with oracles that do
-not share its code."""
+"""The hot kernels against oracles that do not share their code."""
 
-import importlib.util
+import importlib
 import itertools
-import os
-import re
-import shutil
-import sysconfig
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -16,43 +9,14 @@ import pytest
 from zdense import _kernel_py
 from zdense import kernels
 
-_SRC = Path(__file__).resolve().parent.parent / "src" / "zdense"
 
-
-@pytest.fixture(scope="session")
-def kernel_cy(tmp_path_factory):
-    """zdense._kernel_cy compiled from the shipped _kernel_cy.c into a
-    temporary directory (no Cython needed), loaded without touching src/."""
-    compiler = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(compiler) is None:
-        pytest.skip(f"no C compiler ({compiler}) to build the compiled kernels")
-    if not (Path(sysconfig.get_paths()["include"]) / "Python.h").exists():
-        pytest.skip("no Python headers to build the compiled kernels")
-    from setuptools import Distribution, Extension
-
-    out = tmp_path_factory.mktemp("kernel_cy")
-    ext = Extension("zdense._kernel_cy", [str(_SRC / "_kernel_cy.c")], extra_compile_args=["-O2"])
-    build = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
-    build.build_lib, build.build_temp = str(out), str(out / "tmp")
-    build.ensure_finalized()
-    build.run()
-    spec = importlib.util.spec_from_file_location(
-        "zdense._kernel_cy", build.get_ext_fullpath("zdense._kernel_cy")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(params=["zdense._kernel_py", "zdense._kernel_cy"])
+@pytest.fixture(params=["zdense._kernel_py"])  # the test ids name the module
 def impl(request):
-    if request.param == "zdense._kernel_py":
-        return _kernel_py
-    return request.getfixturevalue("kernel_cy")
+    return importlib.import_module(request.param)
 
 
 def test_backend_reports_something():
-    assert kernels.BACKEND in ("cython", "python")
+    assert kernels.BACKEND == "python"
 
 
 def test_ddf_known_patterns(impl):
@@ -147,6 +111,78 @@ def test_ddf_matches_trial_division(p):
     assert repeated > 20
 
 
+def _strip(a):
+    while a and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _gcd_monic(a, b, p):
+    """Monic gcd of a and b over F_p, by Euclid."""
+    a, b = _strip([c % p for c in a]), _strip([c % p for c in b])
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _strip(_divmod_monic(a, b, p)[1])
+    return a
+
+
+def _powmod(a, e, f, p):
+    """a^e mod the monic f over F_p, by square-and-multiply on schoolbook
+    products."""
+    result = [1]
+    while e:
+        if e & 1:
+            result = _divmod_monic(_poly_mul(result, a), f, p)[1]
+        a = _divmod_monic(_poly_mul(a, a), f, p)[1]
+        e >>= 1
+    return result
+
+
+def _ddf_square_and_multiply(coeffs, q):
+    """Distinct-degree factorization degrees over F_q, or None if f is not
+    squarefree: h = x^(q^d) mod f is raised to the q-th power afresh at
+    every degree d, each gcd(f, h - x) is divided out exactly."""
+    f = _strip([c % q for c in coeffs])
+    inv = pow(f[-1], -1, q)
+    f = [c * inv % q for c in f]
+    deriv = [i * c for i, c in enumerate(f)][1:]
+    if len(_gcd_monic(f, deriv, q)) != 1:
+        return None
+    degrees, d, h = [], 0, [0, 1]
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _powmod(h, q, f, q)
+        hx = h + [0] * (2 - len(h))
+        hx[1] -= 1
+        g = _gcd_monic(f, hx, q)
+        if len(g) > 1:
+            degrees += [d] * ((len(g) - 1) // d)
+            f, rem = _divmod_monic(f, g, q)
+            assert not any(rem)
+            h = _divmod_monic(h, f, q)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return sorted(degrees)
+
+
+def test_ddf_matches_square_and_multiply_oracle():
+    rng = Random(7)
+    primes = [2, 3, 5, 7, 11, 13, 101, 1048583, 2147483647]
+    repeated = 0
+    for trial in range(600):
+        q = primes[trial % len(primes)]
+        coeffs = [rng.randrange(-50, 50) for _ in range(rng.randrange(1, 10))] + [1]
+        expected = _ddf_square_and_multiply(coeffs, q)
+        if expected is None:
+            repeated += 1
+            with pytest.raises(ValueError, match="not squarefree"):
+                _kernel_py.ddf_degrees(coeffs, q)
+        else:
+            assert _kernel_py.ddf_degrees(coeffs, q) == expected, (coeffs, q)
+    assert repeated > 20
+
+
 def _taylor_shift(coeffs, a):
     """coeffs(x + a), by Horner."""
     out = [coeffs[-1]]
@@ -189,12 +225,8 @@ _PINNED_DDF = [
     "coeffs, expected", _PINNED_DDF, ids=["osada17", "osada22", "osada30", "band17"]
 )
 def test_ddf_pinned_large_degrees(coeffs, expected):
-    # the last prime is above 2^63, where zdense.kernels always takes the
-    # pure-Python kernel
-    assert _PINNED_PRIMES[-1] >= 1 << 63
     for q, degrees in zip(_PINNED_PRIMES, expected):
         assert _kernel_py.ddf_degrees(coeffs, q) == degrees, q
-        assert kernels.ddf_degrees(coeffs, q) == degrees, q
 
 
 def test_rank_mod_semantics(impl):
@@ -232,7 +264,6 @@ def _greedy_independent(rows, p):
 
 @pytest.mark.parametrize("p", [2, 3, (1 << 61) - 1, (1 << 63) + 29])
 def test_rank_mod_matches_greedy_oracle(p):
-    # above 2^63, zdense.kernels always takes the pure-Python kernel
     rng = Random(p % 1000)
     for trial in range(24):
         ncols = 100 if trial < 3 else rng.randrange(1, 30)
@@ -249,72 +280,6 @@ def test_rank_mod_matches_greedy_oracle(p):
                 bound = rng.choice([p, 3 * p, 1 << 70])
                 rows.append([rng.randrange(-bound, bound) for _ in range(ncols)])
         expected = _greedy_independent(rows, p)
-        for impl in (_kernel_py, kernels):
-            rank, kept = impl.rank_mod(rows, p)
-            assert (rank, list(kept)) == (len(expected), expected), (trial, impl)
+        rank, kept = _kernel_py.rank_mod(rows, p)
+        assert (rank, list(kept)) == (len(expected), expected), trial
     assert _kernel_py.rank_mod([], p) == (0, [])
-
-
-def test_ddf_backend_parity(kernel_cy):
-    rng = Random(7)
-    primes = [2, 3, 5, 7, 11, 13, 101, 1048583, 2147483647]
-    for trial in range(600):
-        q = primes[trial % len(primes)]
-        deg = rng.randrange(1, 10)
-        coeffs = [rng.randrange(-50, 50) for _ in range(deg)] + [1]
-        try:
-            a, err_a = _kernel_py.ddf_degrees(coeffs, q), None
-        except ValueError:
-            a, err_a = None, True
-        try:
-            b, err_b = kernel_cy.ddf_degrees(list(coeffs), q), None
-        except ValueError:
-            b, err_b = None, True
-        assert (a, err_a) == (b, err_b), (coeffs, q)
-
-
-def test_rank_backend_parity(kernel_cy):
-    rng = Random(8)
-    big_prime = (1 << 61) - 1  # Mersenne
-    for trial in range(300):
-        nrows = rng.randrange(1, 10)
-        ncols = rng.randrange(1, 8)
-        rows = [
-            [rng.randrange(-(10**12), 10**12) for _ in range(ncols)]
-            for _ in range(nrows)
-        ]
-        p = (5, 97, big_prime)[trial % 3]
-        ra, ka = _kernel_py.rank_mod(rows, p)
-        rb, kb = kernel_cy.rank_mod(rows, p)
-        assert (ra, list(ka)) == (rb, list(kb))
-
-
-def test_wrapper_routes_large_moduli_to_python(kernel_cy, monkeypatch):
-    # a 64-bit-plus modulus exceeds the compiled kernel's contract
-    monkeypatch.setattr(kernels, "_compiled", kernel_cy)
-    p = (1 << 89) - 1
-    rows = [[1, 2], [2, 4]]
-    assert kernels.rank_mod(rows, p) == _kernel_py.rank_mod(rows, p)
-
-
-_MARKED = "# <<<<<<<<<<<<<<"
-
-
-def _embedded_source_lines(c_text):
-    """(pyx line number, marked line) for every source block that Cython
-    copied into the generated C file."""
-    blocks = re.finditer(r'/\* "zdense/_kernel_cy\.pyx":(\d+)\n(.*?)\*/', c_text, re.S)
-    for block in blocks:
-        marked = [l for l in block.group(2).splitlines() if l.endswith(_MARKED)]
-        assert len(marked) == 1, block.group(0)
-        yield int(block.group(1)), marked[0][len(" * "):-len(_MARKED)].rstrip()
-
-
-def test_shipped_c_file_matches_pyx():
-    # the tracked _kernel_cy.c must be generated from the current .pyx:
-    # each embedded block marks line N of the .pyx it was compiled from
-    pyx = (_SRC / "_kernel_cy.pyx").read_text().splitlines()
-    embedded = list(_embedded_source_lines((_SRC / "_kernel_cy.c").read_text()))
-    assert embedded
-    for number, line in embedded:
-        assert line == pyx[number - 1].rstrip(), (number, line)
