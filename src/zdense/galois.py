@@ -169,11 +169,6 @@ def has_long_prime_cycle(degrees: Iterable[int], n: int, upper_slack: int) -> bo
     )
 
 
-def _require_monic(f: IntPoly) -> None:
-    if f.degree < 1 or not f.is_monic():
-        raise ValueError("need a monic polynomial of positive degree")
-
-
 def _hunt(f, disc, rng, prime_range, witnesses, budget, certified) -> bool:
     """The one sampling loop behind every certifier stage.
 
@@ -188,6 +183,23 @@ def _hunt(f, disc, rng, prime_range, witnesses, budget, certified) -> bool:
         if certified(degrees):
             return True
     return False
+
+
+def _sampler(f: IntPoly, eps, rng: Random, prime_range: tuple[int, int]):
+    """The set-up every certifier shares: (eps, disc, witnesses, hunt), where
+    hunt(budget, certified) runs _hunt on f and appends to witnesses."""
+    eps = as_epsilon(eps)
+    if f.degree < 1 or not f.is_monic():
+        raise ValueError("need a monic polynomial of positive degree")
+    check_prime_range(*prime_range)
+    disc = discriminant(f)
+    witnesses = []
+    return eps, disc, witnesses, partial(_hunt, f, disc, rng, prime_range, witnesses)
+
+
+def _is_square(disc: int) -> bool:
+    # Zero counts: repeated roots admit no S_n action.
+    return math.isqrt(abs(disc)) ** 2 == disc
 
 
 def _verdict(found, yes, eps, witnesses, carried=0) -> GaloisVerdict:
@@ -241,14 +253,9 @@ def is_transitive(
     intersection means the sampled classes are invariably transitive, so the
     Galois group is transitive and f has no rational factor (certain).
     """
-    eps = as_epsilon(eps)
-    _require_monic(f)
-    check_prime_range(*prime_range)
-    disc = discriminant(f)
+    eps, disc, witnesses, hunt = _sampler(f, eps, rng, prime_range)
     if disc == 0:
         raise ValueError("discriminant is zero")
-    witnesses = []
-    hunt = partial(_hunt, f, disc, rng, prime_range, witnesses)
     found = _transitive(hunt, f.degree, eps)
     return _verdict(found, GaloisAnswer.IRREDUCIBLE, eps, witnesses)
 
@@ -266,17 +273,10 @@ def is_sn(
     window n/2 < l <= n - 3.  The error budget is split evenly across at
     most three sampling stages.
     """
-    eps = as_epsilon(eps)
-    _require_monic(f)
-    check_prime_range(*prime_range)
+    eps, disc, witnesses, hunt = _sampler(f, eps, rng, prime_range)
     n = f.degree
-    disc = discriminant(f)
-    # A zero discriminant counts as a square: repeated roots admit no S_n action.
-    square = math.isqrt(abs(disc)) ** 2 == disc
-    if n >= 2 and square or n >= 4 and n % 2 == 0 and is_reciprocal(f):
+    if n >= 2 and _is_square(disc) or n >= 4 and n % 2 == 0 and is_reciprocal(f):
         return _structural_no(eps)
-    witnesses = []
-    hunt = partial(_hunt, f, disc, rng, prime_range, witnesses)
     # S_1 is trivial and S_2 = C_2: irreducibility alone decides.
     stage_eps = eps if n <= 2 else eps / 3
     found = _transitive(hunt, n, stage_eps)
@@ -299,15 +299,12 @@ def is_hyperoctahedral(
     budget goes to each stage; the verdict records only the witnesses
     sampled against f and carries over the trace stage's trial count.
     """
-    eps = as_epsilon(eps)
-    _require_monic(f)
+    eps, disc, witnesses, hunt = _sampler(f, eps, rng, prime_range)
     if f.degree % 2 != 0:
         raise ValueError("need even degree >= 2")
     if not is_reciprocal(f):
         raise ValueError("need a reciprocal polynomial")
-    check_prime_range(*prime_range)
-    disc = discriminant(f)
-    if math.isqrt(abs(disc)) ** 2 == disc:
+    if _is_square(disc):
         return _structural_no(eps)
     # A squarefree reciprocal polynomial of even degree cannot vanish at +-1
     # (those roots would be double), so its roots honestly split into pairs
@@ -317,12 +314,9 @@ def is_hyperoctahedral(
     if projection.certainty is Certainty.CERTAIN and not projection.confirmed:
         # The group of f maps onto the trace polynomial's, proven not S_m.
         return _structural_no(eps)
-    witnesses = []
     m = f.degree // 2
     budget = trials_for_density(transposition_density(m - 1, Fraction(1, 4)), stage_eps)
-    found = projection.confirmed and _hunt(
-        f, disc, rng, prime_range, witnesses, budget, has_transposition_pattern
-    )
+    found = projection.confirmed and hunt(budget, has_transposition_pattern)
     return _verdict(
         found, GaloisAnswer.CONFIRMED_HYPEROCTAHEDRAL, eps, witnesses, projection.trials_used
     )

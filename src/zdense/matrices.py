@@ -90,8 +90,6 @@ def multiply(a: Matrix, b: Matrix) -> Matrix:
 
 
 def commutes(a: Matrix, b: Matrix) -> bool:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return multiply(a, b) == multiply(b, a)
 
 

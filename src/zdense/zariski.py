@@ -6,7 +6,9 @@ irreducibility gate in the symplectic case) and the general route (one
 random word of infinite order plus irreducibility of the adjoint action on
 the Lie algebra).  TRUE answers are certificate-backed and certain; FALSE
 answers are Monte Carlo with the requested bound unless the failure itself
-is structural (a reducible action can never be dense).
+is structural (a reducible action can never be dense).  In the Burnside
+irreducibility check, a full rank mod p proves YES, and only the exact
+rank proves NO.
 """
 
 from __future__ import annotations
@@ -118,14 +120,15 @@ def is_irreducible_algebra(
     Spins a basis of the algebra from I modulo a random 62-bit prime p:
     each round multiplies only the frontier (the elements added the round
     before) by every generator and ranks the basis followed by these new
-    products mod p.  Full rank mod p certifies full rank over Q: YES.
-    When the rank stops growing, the span of the basis is closed under the
-    generators mod p; an exact fraction-free rank of the basis and of
-    every product formed settles it.  Exact rank dim^2 is a YES.  Exact
-    rank equal to the basis size means span(basis) contains I and is
-    closed under every generator over Q, so it is the whole algebra and
-    too small: NO.  Anything else means p divided a minor, and the spin
-    restarts with a fresh prime.  Both answers are certain.
+    products mod p.  The spin alone proves YES: full rank mod p certifies
+    full rank over Q.  The exact step only refutes: once the frontier is
+    empty, the span of the basis is closed under the generators mod p, and
+    a fraction-free rank of I and of every distinct product formed (each
+    basis row but I is one of them) equal to the basis size means
+    span(basis) contains I and is closed under every generator over Q, so
+    it is the whole algebra and too small: NO.  Any other exact rank means
+    p divided a minor, and the spin restarts with a fresh prime.  Both
+    answers are certain.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -141,7 +144,7 @@ def is_irreducible_algebra(
         basis = [identity.flatten()]
         frontier = [identity]
         products: list[tuple[int, ...]] = []
-        while True:
+        while frontier:
             new = [multiply(g, b) for g in mats for b in frontier]
             new_rows = [m.flatten() for m in new]
             products += new_rows
@@ -149,16 +152,11 @@ def is_irreducible_algebra(
             rank, kept = kernels.rank_mod(basis + new_rows, p)
             if rank == target:
                 return IrreducibilityResult(True, target)
-            if rank == len(basis):
-                break
             fresh = [i - len(basis) for i in kept[len(basis):]]
             frontier = [new[i] for i in fresh]
             basis += [new_rows[i] for i in fresh]
-        rank = _bareiss_rank(basis + products)
-        if rank == target:
-            return IrreducibilityResult(True, target)
-        if rank == len(basis):
-            return IrreducibilityResult(False, rank)
+        if _bareiss_rank(list(dict.fromkeys(basis[:1] + products))) == len(basis):
+            return IrreducibilityResult(False, len(basis))
 
 
 def lie_algebra_dimension(kind: GroupKind, dim: int) -> int:

@@ -408,6 +408,42 @@ def test_main_malformed_input_exit_2(tmp_path, capsys, doc, mode):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "doc, flags, named",
+    [
+        ({"poly": [1.5, 0, 1]}, [], "poly[0]: expected an integer or string, got float"),
+        ([SL2_DOC], [], "top level must be an object"),
+        ({"poly": []}, [], '"poly" must be a nonempty list'),
+        ({"group": "SL", "generators": SL2_DOC["generators"]}, [], "missing field 'dim'"),
+        (dict(SL2_DOC, group="GL"), [], "group must be \"SL\" or \"Sp\", got 'GL'"),
+        (dict(SL2_DOC, generators=[]), [], '"generators" must be a nonempty list'),
+        (dict(SL2_DOC, generators=[[1, 0]]), [], "generator 0 must be a list of rows"),
+        (SL2_DOC, ["--trials", "0"], "--trials: must be positive"),
+        (SL2_DOC, ["--seed", str(1 << 64)], "--seed: must fit in 64 bits"),
+    ],
+    ids=["float-entry", "top-level-list", "empty-poly", "missing-dim", "group-GL",
+         "no-generators", "generator-not-rows", "trials-0", "seed-2^64"],
+)
+def test_main_names_the_bad_field_or_flag(tmp_path, capsys, doc, flags, named):
+    assert main([write(tmp_path, "in.json", doc), *flags]) == 2
+    assert named in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize(
+    "name, flags, expected",
+    [
+        ("sl2_st", ["--seed", "42"], 0),
+        ("sl3_heisenberg", [], 1),
+        ("sp4_standard", ["--mode", "adjoint"], 0),
+        ("quartic_hyperoctahedral", [], 0),
+        ("cubic_sn", [], 0),
+    ],
+)
+def test_readme_examples(name, flags, expected):
+    path = Path(__file__).resolve().parents[1] / "sample_inputs" / f"{name}.json"
+    assert main([str(path), *flags, "--quiet"]) == expected
+
+
 def test_main_internal_error_exit_3(tmp_path, capsys, monkeypatch):
     def crash(*args):
         raise RuntimeError("boom")

@@ -389,8 +389,8 @@ def test_hyperoctahedral_witness_prime_17_reproduces():
 
 
 def test_hyperoctahedral_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        is_hyperoctahedral(IntPoly([-1, -1, 0, 1]), EPS, Random(1))  # not reciprocal
+    with pytest.raises(ValueError, match="need a reciprocal polynomial"):
+        is_hyperoctahedral(IntPoly([-1, -1, 0, 0, 1]), EPS, Random(1))  # x^4 - x - 1
     with pytest.raises(ValueError):
         is_hyperoctahedral(IntPoly([1, 1]), EPS, Random(1))  # odd degree
     with pytest.raises(ValueError):

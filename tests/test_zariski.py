@@ -166,6 +166,24 @@ def test_spin_multiplies_each_basis_element_once(group, request, monkeypatch):
     assert len(calls) == len(mats) * res.algebra_dimension
 
 
+@pytest.mark.parametrize("group", ["sl3_parabolic", "sp4_siegel_parabolic"])
+def test_exact_rank_sees_each_distinct_row_once(group, request, monkeypatch):
+    # every basis row but I is itself a product, so the exact step ranks
+    # I and the distinct products, and nothing twice
+    gs = request.getfixturevalue(group)
+    seen = []
+
+    def recording_rank(rows):
+        seen.append(list(rows))
+        return _bareiss_rank(rows)
+
+    monkeypatch.setattr(zariski, "_bareiss_rank", recording_rank)
+    res = is_irreducible_algebra(adjoint_matrices(gs), lie_algebra_dimension(gs.kind, gs.dim))
+    assert not res.irreducible and seen
+    for rows in seen:
+        assert len(set(map(tuple, rows))) == len(rows)
+
+
 def test_irreducible_algebra_scalars_on_line():
     res = is_irreducible_algebra([Matrix([[5]])], 1)
     assert res.irreducible  # M_1 is the scalars
@@ -319,6 +337,39 @@ def test_zariski_block_sl2_pair_in_sp4_not_dense():
     assert not is_irreducible_algebra(gens, 4).irreducible
     for seed in range(8):
         assert not zariski_dense(gs, "1e-4", Random(seed)).dense
+
+
+def _restrict_sqrt2(m):
+    """A 2 x 2 matrix over Z[sqrt 2], entries (z0, z1) for z0 + z1 sqrt 2, as
+    an integer 4 x 4 matrix on Z[sqrt 2]^2 in the coordinates (x0, x1, y1, y0).
+    There Tr(det[u v] / (2 sqrt 2)) is the standard form J."""
+    def times(a0, a1):  # z -> a z on (z0, z1)
+        return [[a0, 2 * a1], [a1, a0]]
+
+    coords = [(0, 0), (0, 1), (1, 1), (1, 0)]  # (vector component, z-coordinate)
+    return Matrix([[times(*m[i][j])[k][l] for j, l in coords] for i, k in coords])
+
+
+def test_weyl_route_refutes_restriction_of_scalars_for_certain():
+    # SL2(Z[sqrt 2]) lies in Res SL2 over Q(sqrt 2), of dimension 6 < 10, so
+    # it is not dense in Sp(4) although its words carry the full signed
+    # permutation group; only the irreducibility gate can tell
+    one, zero = (1, 0), (0, 0)
+    gens = [_restrict_sqrt2([[one, b], [zero, one]]) for b in ((1, 0), (0, 1))] + [
+        _restrict_sqrt2([[one, zero], [b, one]]) for b in ((1, 0), (0, 1))
+    ]
+    gs = validate(GroupKind.SYMPLECTIC, 4, gens)
+    for seed in range(5):
+        v = zariski_dense(gs, "1e-6", Random(seed))
+        assert not v.dense and v.certainty is Certainty.CERTAIN
+        certs = [s["verdict"]["answer"] for s in v.trail if s["step"] == "galois_certificate"]
+        assert certs == ["confirmed_hyperoctahedral"] * 2
+        assert v.trail[-1] == {"step": "standard_rep_irreducibility", "irreducible": False,
+                               "algebra_dimension": 8}  # M_2(Q(sqrt 2))
+    v = general_zariski_dense(gs, "1e-6", Random(0))
+    assert not v.dense and v.certainty is Certainty.CERTAIN
+    assert v.trail[-1] == {"step": "adjoint_irreducibility", "irreducible": False,
+                           "algebra_dimension": 34}
 
 
 def test_zariski_block_sl2_in_sl3_not_dense():
