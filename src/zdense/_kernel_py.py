@@ -1,12 +1,14 @@
 """The hot kernels: distinct-degree factorization degrees mod q and row
 rank mod p, in pure Python with big-int packing.
 
-ddf_degrees computes the Frobenius power x^q mod f once, multiplies by
-Kronecker substitution (one big-int product per polynomial product), and
-walks the degrees through a table of its powers instead of raising to the
-q-th power at every step.  rank_mod packs rows the same way: each row is
-one int with a column per slot, so eliminating against a pivot row is one
-big-int multiply-add.
+ddf_degrees makes f monic, computes the Frobenius power x^q mod f once,
+multiplies by Kronecker substitution (one big-int product per polynomial
+product), and walks the degrees through a table of its powers instead of
+raising to the q-th power at every step.  The product of the degree-d
+factors is a gcd, found up to a unit by Euclid over _divmod, the one
+long division, which takes any nonzero divisor; only f is made monic.
+rank_mod packs rows the same way: each row is one int with a column per
+slot, so eliminating against a pivot row is one big-int multiply-add.
 
 Polynomials here are lists of ints in [0, q), constant term first.
 """
@@ -22,48 +24,26 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _rem(a: list[int], f: list[int], q: int) -> list[int]:
-    """Remainder of a by monic f, mod q."""
-    a = a[:]
-    df = len(f) - 1
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i]
+def _divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero b, mod q."""
+    r = a[:]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, q)
+    quo = [0] * max(len(a) - db, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = r[i + db] * inv % q
         if c:
-            a[i] = 0
-            for j in range(df):
-                a[i - df + j] = (a[i - df + j] - c * f[j]) % q
-    del a[df:]
-    return _trim(a)
-
-
-def _monic(a: list[int], q: int) -> list[int]:
-    lc = a[-1]
-    if lc == 1:
-        return a
-    inv = pow(lc, -1, q)
-    return [c * inv % q for c in a]
+            for j in range(db):
+                r[i + j] = (r[i + j] - c * b[j]) % q
+    del r[db:]
+    return quo, _trim(r)
 
 
 def _gcd(a: list[int], b: list[int], q: int) -> list[int]:
-    a, b = a[:], b[:]
+    """A gcd of a and b mod q, up to a unit."""
     while b:
-        b = _monic(b, q)
-        a, b = b, _rem(a, b, q)
-    return _monic(a, q) if a else a
-
-
-def _quo(a: list[int], b: list[int], q: int) -> list[int]:
-    """Exact quotient of a by monic b, mod q."""
-    a = a[:]
-    db = len(b) - 1
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            quo[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % q
-    return _trim(quo)
+        a, b = b, _divmod(a, b, q)[1]
+    return a
 
 
 class _PackedRing:
@@ -154,7 +134,8 @@ def ddf_degrees(coeffs: Sequence[int], q: int) -> list[int]:
     f = _trim([c % q for c in coeffs])
     if len(f) < 2:
         raise ValueError("polynomial is constant mod q")
-    f = _monic(f, q)
+    inv = pow(f[-1], -1, q)
+    f = [c * inv % q for c in f]
     deriv = _trim([i * c % q for i, c in enumerate(f)][1:])
     if len(_gcd(f, deriv, q)) != 1:
         raise ValueError("polynomial is not squarefree mod q")
@@ -177,7 +158,7 @@ def ddf_degrees(coeffs: Sequence[int], q: int) -> list[int]:
         part = _gcd(remaining, _trim(diff), q)
         if len(part) > 1:
             degrees.extend([d] * ((len(part) - 1) // d))
-            remaining = _quo(remaining, part, q)
+            remaining = _divmod(remaining, part, q)[0]
     if len(remaining) > 1:
         degrees.append(len(remaining) - 1)
     return sorted(degrees)

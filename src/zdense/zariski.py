@@ -132,9 +132,6 @@ def is_irreducible_algebra(
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    for m in mats:
-        if m.dim != dim:
-            raise ValueError(f"matrix of size {m.dim} in a dim-{dim} problem")
     if rng is None:
         rng = Random(0x5EED)
     target = dim * dim

@@ -25,6 +25,10 @@ def test_ddf_known_patterns(impl):
     assert impl.ddf_degrees([0, -1, 0, 1], 5) == [1, 1, 1]
     assert impl.ddf_degrees([12, 0, 1], 13) == [1, 1]
     assert impl.ddf_degrees([-1, -1, 0, 1], 5) == [1, 2]
+    # non-monic input: only the degrees of the reduction mod q count
+    assert impl.ddf_degrees([2, 0, 2], 5) == [1, 1]
+    assert impl.ddf_degrees([-3, -3, 0, 3], 7) == [1, 2]  # 3(x^3 - x - 1)
+    assert impl.ddf_degrees([1, 0, 1, 5], 5) == [1, 1]  # leading coefficient 0 mod q
     with pytest.raises(ValueError):
         impl.ddf_degrees([1, -2, 1], 5)  # (x-1)^2
     with pytest.raises(ValueError):

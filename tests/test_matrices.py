@@ -176,6 +176,8 @@ def test_validate_rejects():
         validate(GroupKind.SYMPLECTIC, 3, [Matrix.identity(3)])
     with pytest.raises(ValueError):
         validate(GroupKind.SPECIAL_LINEAR, 3, [S])  # wrong size
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        validate(GroupKind.SPECIAL_LINEAR, 0, [S])
 
 
 def test_validate_checks_sizes_before_building_the_form(monkeypatch):

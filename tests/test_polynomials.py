@@ -32,6 +32,7 @@ def test_divmod_monic():
     q, r = f.divmod_monic(IntPoly([-1, 1]))  # / (x - 1)
     assert r.is_zero()
     assert q == IntPoly([1, 1, 1, 1])
+    assert IntPoly([1, 2]).divmod_monic(IntPoly([0, 0, 1])) == (IntPoly(), IntPoly([1, 2]))
     with pytest.raises(ValueError):
         f.divmod_monic(IntPoly([1, 2]))
 
@@ -61,6 +62,15 @@ def test_resultant_small():
     # swap consistency: res(a,b) = (-1)^(deg a * deg b) res(b,a)
     a, b = IntPoly([1, 3, 1]), IntPoly([-2, 0, 0, 1])
     assert resultant(a, b) == resultant(b, a)  # 2*3 even
+    # both degrees odd: swapping the inputs flips the sign
+    assert resultant(X - IntPoly([1]), IntPoly([-2, 0, 0, 1])) == -1
+    assert resultant(IntPoly([-2, 0, 0, 1]), X - IntPoly([1])) == 1
+    # a constant input c gives c^(degree of the other)
+    assert resultant(IntPoly([1, 0, 1]), IntPoly([3])) == 9
+    assert resultant(IntPoly([3]), IntPoly([1, 0, 1])) == 9
+    for a, b in ((IntPoly(), X), (X, IntPoly())):
+        with pytest.raises(ValueError, match="resultant of the zero polynomial"):
+            resultant(a, b)
 
 
 def _root_product_discriminant(f: IntPoly) -> float:
@@ -92,6 +102,8 @@ def test_mahler_bound_examples():
     assert abs(discriminant(IntPoly([1, 0, 1]))) == 4
     assert mahler_bound(IntPoly([1, -3, 1])) == 100
     assert mahler_bound(IntPoly([0, 1])) == 1
+    with pytest.raises(ValueError, match="bound needs positive degree"):
+        mahler_bound(IntPoly([5]))
 
 
 def test_mahler_inequality_random():
@@ -112,12 +124,12 @@ def test_trace_polynomial_examples():
     assert trace_polynomial(IntPoly([1, 0, 1])) == X
     assert trace_polynomial(IntPoly([1, 0, 0, 0, 1])) == IntPoly([-2, 0, 1])
     assert trace_polynomial(IntPoly([1, 1, 1, 1, 1])) == IntPoly([-1, 1, 1])
-    with pytest.raises(ValueError):
-        trace_polynomial(IntPoly([1, 2, 1, 1]))  # odd degree
-    with pytest.raises(ValueError):
-        trace_polynomial(IntPoly([1, 2, 3, 2, 2]))  # not reciprocal
-    with pytest.raises(ValueError):
-        trace_polynomial(IntPoly([2, 2, 2, 2, 2]))  # not monic
+    with pytest.raises(ValueError, match="needs even degree"):
+        trace_polynomial(IntPoly([1, 2, 1, 1]))
+    with pytest.raises(ValueError, match="needs a reciprocal input"):
+        trace_polynomial(IntPoly([1, 2, 3, 4, 1]))
+    with pytest.raises(ValueError, match="needs a monic input"):
+        trace_polynomial(IntPoly([2, 2, 2, 2, 2]))
 
 
 def _expand_trace_identity(trace_poly: IntPoly, n: int) -> IntPoly:
@@ -147,6 +159,8 @@ def test_cyclotomic_examples():
     assert cyclotomic(1) == IntPoly([-1, 1])
     assert cyclotomic(4) == IntPoly([1, 0, 1])
     assert cyclotomic(6) == IntPoly([1, -1, 1])
+    with pytest.raises(ValueError, match="d must be positive"):
+        cyclotomic(0)
 
 
 def test_cyclotomic_divides_and_degree():

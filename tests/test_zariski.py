@@ -75,8 +75,10 @@ def test_irreducible_algebra_examples():
     assert not res.irreducible  # common invariant line e1
     res = is_irreducible_algebra([Matrix.identity(2)], 2)
     assert not res.irreducible and res.algebra_dimension == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension mismatch"):
         is_irreducible_algebra([S], 3)
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        is_irreducible_algebra([S], 0)
 
 
 def test_unlucky_rank_prime_restarts_the_spin(monkeypatch):
