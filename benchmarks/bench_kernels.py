@@ -5,8 +5,9 @@ Two workloads, both straight from the deciders' inner loops:
   * ddf: factorization degree patterns of random monic polynomials of
     degree 8, 17 and 30 modulo 21-bit primes (one call per sampling trial
     of every certifier);
-  * rank: row rank of dense integer matrices modulo a 61-bit prime (tier-1
-    of the Burnside irreducibility loop).
+  * rank: row rank of dense integer matrices modulo a 61-bit prime, one
+    pass of the rows through a RowEchelon (the Burnside irreducibility
+    loop feeds one such echelon per prime, reducing each product once).
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--json PATH [--label TEXT]]
 

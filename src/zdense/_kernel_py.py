@@ -7,8 +7,11 @@ product), and walks the degrees through a table of its powers instead of
 raising to the q-th power at every step.  The product of the degree-d
 factors is a gcd, found up to a unit by Euclid over _divmod, the one
 long division, which takes any nonzero divisor; only f is made monic.
-rank_mod packs rows the same way: each row is one int with a column per
-slot, so eliminating against a pivot row is one big-int multiply-add.
+RowEchelon packs rows the same way: each row is one int with a column per
+slot, so eliminating against a pivot row is one big-int multiply-add.  It
+reduces each added row once against the rows it has kept, so a caller
+that feeds rows round by round (the Burnside spin) never eliminates a kept
+row again; rank_mod is one pass of rows through a fresh RowEchelon.
 
 Polynomials here are lists of ints in [0, q), constant term first.
 """
@@ -164,32 +167,35 @@ def ddf_degrees(coeffs: Sequence[int], q: int) -> list[int]:
     return sorted(degrees)
 
 
-def rank_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[int, list[int]]:
-    """Rank of an integer matrix mod p, plus the indices of the rows kept
-    as pivots (greedy: a row is kept iff independent of the kept rows
-    before it).
+class RowEchelon:
+    """Rows mod p in echelon form, each packed into one int: column j sits
+    in the w-bit slot j, with w >= 2 bitlen(p) + bitlen(ncols) + 1.
 
-    Rows are packed into one int each, column j in the w-bit slot j, with
-    w >= 2 bitlen(p) + bitlen(ncols) + 1.  Eliminating against a
+    add(row) reduces the row once against the kept pivot rows and keeps
+    it, normalized, iff it is independent of them.  Eliminating against a
     normalized pivot row adds (p - c) times it, which clears the pivot
     column mod p and adds less than p^2 to every slot; a row meets fewer
     than ncols pivots, so no slot carries into the next.
     """
-    ncols = len(rows[0]) if rows else 0
-    w = 8 * ((2 * p.bit_length() + ncols.bit_length() + 8) // 8)
-    width = w // 8
-    mask = (1 << w) - 1
 
-    def pack(values) -> int:
-        return int.from_bytes(
-            b"".join([x.to_bytes(width, "little") for x in values]), "little"
-        )
+    def __init__(self, p: int, ncols: int):
+        self.p, self.ncols = p, ncols
+        self.w = 8 * ((2 * p.bit_length() + ncols.bit_length() + 8) // 8)
+        self.width = self.w // 8  # bytes per slot
+        self.pivots: list[tuple[int, int]] = []  # (pivot slot offset, packed normalized row)
 
-    pivots: list[tuple[int, int]] = []  # (pivot slot offset, packed normalized row)
-    kept: list[int] = []
-    for idx, row in enumerate(rows):
-        v = pack([x % p for x in row])
-        for shift, prow in pivots:
+    def _pack(self, values) -> int:
+        width = self.width
+        return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in values]), "little")
+
+    def add(self, row: Sequence[int]) -> bool:
+        """Keep row iff it is independent mod p of the rows kept so far."""
+        p, w, width, ncols = self.p, self.w, self.width, self.ncols
+        if len(self.pivots) == ncols:
+            return False
+        mask = (1 << w) - 1
+        v = self._pack([x % p for x in row])
+        for shift, prow in self.pivots:
             c = (v >> shift & mask) % p
             if c:
                 v += (p - c) * prow
@@ -200,10 +206,17 @@ def rank_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[int, list[int]]:
         ]
         lead = next((j for j in range(ncols) if vals[j]), None)
         if lead is None:
-            continue
+            return False
         inv = pow(vals[lead], -1, p)
-        pivots.append((lead * w, pack([x * inv % p for x in vals])))
-        kept.append(idx)
-        if len(pivots) == ncols:
-            break
-    return len(pivots), kept
+        self.pivots.append((lead * w, self._pack([x * inv % p for x in vals])))
+        return True
+
+
+def rank_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[int, list[int]]:
+    """Rank of an integer matrix mod p, plus the indices of the rows kept
+    as pivots (greedy: a row is kept iff independent of the kept rows
+    before it), by adding the rows in order to one RowEchelon.
+    """
+    echelon = RowEchelon(p, len(rows[0]) if rows else 0)
+    kept = [idx for idx, row in enumerate(rows) if echelon.add(row)]
+    return len(echelon.pivots), kept

@@ -1,8 +1,10 @@
-"""The hot kernels, ddf_degrees and rank_mod (see zdense._kernel_py).
+"""The hot kernels, ddf_degrees, RowEchelon and rank_mod (see
+zdense._kernel_py).  RowEchelon reduces each added row once against the
+rows it has kept; rank_mod is one pass of rows through it.
 
 Callers import them from here; BACKEND fills the reports' kernel_backend.
 """
 
-from ._kernel_py import ddf_degrees, rank_mod
+from ._kernel_py import RowEchelon, ddf_degrees, rank_mod
 
 BACKEND = "python"

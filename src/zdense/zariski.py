@@ -6,9 +6,9 @@ irreducibility gate in the symplectic case) and the general route (one
 random word of infinite order plus irreducibility of the adjoint action on
 the Lie algebra).  TRUE answers are certificate-backed and certain; FALSE
 answers are Monte Carlo with the requested bound unless the failure itself
-is structural (a reducible action can never be dense).  In the Burnside
-irreducibility check, a full rank mod p proves YES, and only the exact
-rank proves NO.
+is structural (a reducible action can never be dense).  The Burnside
+check reduces each product once mod p, answers YES as soon as the rank
+is full, and proves NO only by the exact rank.
 """
 
 from __future__ import annotations
@@ -119,16 +119,18 @@ def is_irreducible_algebra(
 
     Spins a basis of the algebra from I modulo a random 62-bit prime p:
     each round multiplies only the frontier (the elements added the round
-    before) by every generator and ranks the basis followed by these new
-    products mod p.  The spin alone proves YES: full rank mod p certifies
-    full rank over Q.  The exact step only refutes: once the frontier is
-    empty, the span of the basis is closed under the generators mod p, and
-    a fraction-free rank of I and of every distinct product formed (each
-    basis row but I is one of them) equal to the basis size means
-    span(basis) contains I and is closed under every generator over Q, so
-    it is the whole algebra and too small: NO.  Any other exact rank means
-    p divided a minor, and the spin restarts with a fresh prime.  Both
-    answers are certain.
+    before) by every generator.  One RowEchelon per prime, seeded with I,
+    reduces each product once against the rows kept so far and keeps it,
+    in the basis and the next frontier, iff it is independent of them.
+    The spin alone proves YES, as soon as the kept rows reach full rank
+    (I alone when dim = 1): full rank mod p certifies it over Q.  The
+    exact step only refutes: once the frontier is empty, the span of the
+    basis is closed under the generators mod p, and a fraction-free rank
+    of I and of every distinct product formed (each basis row but I is
+    one of them) equal to the basis size means span(basis) contains I and
+    is closed under every generator over Q, so it is the whole algebra
+    and too small: NO.  Any other exact rank means p divided a minor, and
+    the spin restarts with a fresh prime and echelon.  Both are certain.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -138,20 +140,23 @@ def is_irreducible_algebra(
     identity = Matrix.identity(dim)
     while True:
         p = random_prime_avoiding(1, _RANK_PRIME_RANGE[0], _RANK_PRIME_RANGE[1], rng)
+        echelon = kernels.RowEchelon(p, target)
         basis = [identity.flatten()]
+        echelon.add(basis[0])
         frontier = [identity]
         products: list[tuple[int, ...]] = []
         while frontier:
             new = [multiply(g, b) for g in mats for b in frontier]
-            new_rows = [m.flatten() for m in new]
-            products += new_rows
-            # the basis rows are independent mod p, so all of them are kept
-            rank, kept = kernels.rank_mod(basis + new_rows, p)
-            if rank == target:
+            frontier = []
+            for m in new:
+                if len(basis) == target:  # I alone when dim = 1
+                    break
+                products.append(m.flatten())
+                if echelon.add(products[-1]):
+                    frontier.append(m)
+                    basis.append(products[-1])
+            if len(basis) == target:
                 return IrreducibilityResult(True, target)
-            fresh = [i - len(basis) for i in kept[len(basis):]]
-            frontier = [new[i] for i in fresh]
-            basis += [new_rows[i] for i in fresh]
         if _bareiss_rank(list(dict.fromkeys(basis[:1] + products))) == len(basis):
             return IrreducibilityResult(False, len(basis))
 

@@ -266,8 +266,9 @@ def _greedy_independent(rows, p):
     return kept
 
 
-@pytest.mark.parametrize("p", [2, 3, (1 << 61) - 1, (1 << 63) + 29])
-def test_rank_mod_matches_greedy_oracle(p):
+def _seeded_matrices(p):
+    """24 seeded integer matrices, some rows planted as combinations of
+    earlier rows shifted by multiples of p."""
     rng = Random(p % 1000)
     for trial in range(24):
         ncols = 100 if trial < 3 else rng.randrange(1, 30)
@@ -283,7 +284,32 @@ def test_rank_mod_matches_greedy_oracle(p):
             else:
                 bound = rng.choice([p, 3 * p, 1 << 70])
                 rows.append([rng.randrange(-bound, bound) for _ in range(ncols)])
+        yield trial, rows
+
+
+_ORACLE_PRIMES = [2, 3, (1 << 61) - 1, (1 << 63) + 29]
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+def test_rank_mod_matches_greedy_oracle(p):
+    for trial, rows in _seeded_matrices(p):
         expected = _greedy_independent(rows, p)
         rank, kept = _kernel_py.rank_mod(rows, p)
         assert (rank, list(kept)) == (len(expected), expected), trial
     assert _kernel_py.rank_mod([], p) == (0, [])
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+def test_row_echelon_fed_in_chunks_matches_greedy_oracle(p):
+    # the Burnside spin feeds one echelon round by round; what it keeps
+    # must not depend on where the rounds break the row sequence
+    chunks = Random(p % 1000 + 1)
+    for trial, rows in _seeded_matrices(p):
+        echelon = kernels.RowEchelon(p, len(rows[0]))
+        kept, start = [], 0
+        while start < len(rows):
+            stop = min(start + chunks.randrange(1, 9), len(rows))
+            kept += [i for i in range(start, stop) if echelon.add(rows[i])]
+            start = stop
+        assert kept == _greedy_independent(rows, p), trial
+        assert len(echelon.pivots) == len(kept)

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from zdense import zariski
+from zdense import kernels, zariski
 from zdense.matrices import (
     GroupKind,
     Matrix,
@@ -75,8 +75,9 @@ def test_irreducible_algebra_examples():
     assert not res.irreducible  # common invariant line e1
     res = is_irreducible_algebra([Matrix.identity(2)], 2)
     assert not res.irreducible and res.algebra_dimension == 1
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        is_irreducible_algebra([S], 3)
+    for dim in (1, 3):  # the first round multiplies each matrix by I_dim
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            is_irreducible_algebra([S], dim)
     with pytest.raises(ValueError, match="dimension must be positive"):
         is_irreducible_algebra([S], 0)
 
@@ -152,6 +153,20 @@ def test_adjoint_irreducibility_pinned(group, expected, request):
     assert (res.irreducible, res.algebra_dimension) == expected
 
 
+def _record_echelon_adds(monkeypatch):
+    """(kept, pivots after the call) for every row the spin adds."""
+    adds = []
+
+    class RecordingEchelon(kernels.RowEchelon):
+        def add(self, row):
+            kept = super().add(row)
+            adds.append((kept, len(self.pivots)))
+            return kept
+
+    monkeypatch.setattr(kernels, "RowEchelon", RecordingEchelon)
+    return adds
+
+
 @pytest.mark.parametrize("group", ["sl3_parabolic", "sp4_siegel_parabolic"])
 def test_spin_multiplies_each_basis_element_once(group, request, monkeypatch):
     gs = request.getfixturevalue(group)
@@ -163,9 +178,13 @@ def test_spin_multiplies_each_basis_element_once(group, request, monkeypatch):
         return multiply(a, b)
 
     monkeypatch.setattr(zariski, "multiply", counting_multiply)
+    adds = _record_echelon_adds(monkeypatch)
     res = is_irreducible_algebra(mats, lie_algebra_dimension(gs.kind, gs.dim))
     assert not res.irreducible
     assert len(calls) == len(mats) * res.algebra_dimension
+    # I, then each product reduced once mod p: re-ranking the basis every
+    # round eliminated 220 and 194 rows here
+    assert len(adds) == 1 + len(calls) == 137
 
 
 @pytest.mark.parametrize("group", ["sl3_parabolic", "sp4_siegel_parabolic"])
@@ -186,9 +205,22 @@ def test_exact_rank_sees_each_distinct_row_once(group, request, monkeypatch):
         assert len(set(map(tuple, rows))) == len(rows)
 
 
-def test_irreducible_algebra_scalars_on_line():
+@pytest.mark.parametrize("group", ["sl3", "sp4"])
+def test_spin_stops_at_the_row_that_completes_the_rank(group, request, monkeypatch):
+    gs = request.getfixturevalue(group)
+    dim = lie_algebra_dimension(gs.kind, gs.dim)
+    target = dim * dim
+    adds = _record_echelon_adds(monkeypatch)
+    assert is_irreducible_algebra(adjoint_matrices(gs), dim).irreducible
+    assert adds[-1] == (True, target)
+    assert all(pivots < target for _, pivots in adds[:-1])
+
+
+def test_irreducible_algebra_scalars_on_line(monkeypatch):
+    adds = _record_echelon_adds(monkeypatch)
     res = is_irreducible_algebra([Matrix([[5]])], 1)
     assert res.irreducible  # M_1 is the scalars
+    assert adds == [(True, 1)]  # I alone fills it
 
 
 def test_lie_algebra_basis_shapes():
