@@ -5,9 +5,10 @@ Two workloads, both straight from the deciders' inner loops:
   * ddf: factorization degree patterns of random monic polynomials of
     degree 8, 17 and 30 modulo 21-bit primes (one call per sampling trial
     of every certifier);
-  * rank: row rank of dense integer matrices modulo a 61-bit prime, one
-    pass of the rows through a RowEchelon (the Burnside irreducibility
-    loop feeds one such echelon per prime, reducing each product once).
+  * rank: row rank of dense integer matrices modulo the 31-bit prime
+    2^31 - 1, one pass of the rows through a RowEchelon (the Burnside
+    irreducibility loop feeds one such echelon per prime, drawn from
+    [2^30, 2^31), reducing each product once).
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--json PATH [--label TEXT]]
 
@@ -48,7 +49,7 @@ def make_ddf_workload(rng, count, degree):
 
 
 def make_rank_workload(rng, count=30, size=100):
-    p = (1 << 61) - 1
+    p = (1 << 31) - 1
     jobs = []
     for _ in range(count):
         rows = [
@@ -96,7 +97,7 @@ def main():
     rows.append(
         measure(
             "rank_mod",
-            f"{len(rank_jobs)} matrices 100x100, 61-bit prime",
+            f"{len(rank_jobs)} matrices 100x100, 31-bit prime",
             rank_jobs,
             args.repeat,
         )

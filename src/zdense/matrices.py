@@ -1,6 +1,7 @@
 """Exact integer matrix arithmetic for finitely generated subgroups of
-SL(n,Z) and Sp(2n,Z): validation, characteristic polynomials, adjugate
-inverses, and seeded random words over a symmetric generating set.
+SL(n,Z) and Sp(2n,Z): validation, characteristic polynomials, exact
+inverses (adjugates, by fraction-free Gauss-Jordan elimination), and seeded
+random words over a symmetric generating set.
 """
 
 from __future__ import annotations
@@ -122,27 +123,34 @@ def characteristic_polynomial(a: Matrix) -> IntPoly:
 def adjugate_inverse(a: Matrix) -> Matrix:
     """The adjugate of a determinant-1 matrix, i.e. its exact integer inverse.
 
-    Cayley-Hamilton: A * (A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I) = -c_0 I,
-    so one Berkowitz pass yields both the determinant check and the inverse.
+    One fraction-free Gauss-Jordan pass (Bareiss) over [A | I], with row
+    swaps: step k replaces every row r but the pivot row by
+    (p_k r - r[k] pivot_row) / p_(k-1), an exact division, so every entry
+    stays a minor of the permuted [A | I]; a row with r[k] = 0 is left as
+    it is when p_k = p_(k-1).  The pass ends at [d I | d A^-1] with
+    d = p_n = sign * det A, so when det A = 1 the right block times the
+    sign is adj A.  O(dim^3) integer operations, no charpoly.
     """
     n = a.dim
-    p = characteristic_polynomial(a)
-    det = (-1) ** n * p[0]
-    if det != 1:
-        raise ValueError(f"adjugate inverse needs det = 1, got {det}")
-    acc = Matrix.identity(n)
-    for i in range(n - 1, 0, -1):
-        ci = p[i]
-        rows = multiply(a, acc).rows
-        acc = _trusted(
-            tuple(
-                tuple(v + ci if r == c else v for c, v in enumerate(row))
-                for r, row in enumerate(rows)
-            )
-        )
-    if n % 2 == 0:
-        acc = _trusted(tuple(tuple(-v for v in row) for row in acc.rows))
-    return acc
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        r = next((r for r in range(k, n) if m[r][k]), None)
+        if r is None:
+            raise ValueError("adjugate inverse needs det = 1, got 0")
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
+        top = m[k]
+        pivot = top[k]
+        for i, row in enumerate(m):
+            c = row[k]
+            if i != k and (c or pivot != prev):
+                m[i] = [(pivot * x - c * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+    if sign * prev != 1:
+        raise ValueError(f"adjugate inverse needs det = 1, got {sign * prev}")
+    return _trusted(tuple(tuple(sign * v for v in row[n:]) for row in m))
 
 
 class GroupKind(Enum):

@@ -19,7 +19,7 @@ _WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Beyond 2^64: fixed extra witnesses, a probable-prime test kept for direct
 # callers.  No certificate relies on it: check_prime_range caps every prime
-# sampler at 2^64, and rank primes lie below 2^62.
+# sampler at 2^64, and rank primes lie below 2^31.
 _WITNESSES_BIG = _WITNESSES_64 + (
     41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
 )

@@ -36,7 +36,7 @@ from .modular import random_prime_avoiding
 from .polynomials import is_cyclotomic_product
 
 DEFAULT_WORD_CONSTANT = Fraction(10)
-_RANK_PRIME_RANGE = (1 << 61, 1 << 62)
+_RANK_PRIME_RANGE = (1 << 30, 1 << 31)
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def is_irreducible_algebra(
     matrices?  By Burnside, that is equivalent to the group acting
     irreducibly over C.
 
-    Spins a basis of the algebra from I modulo a random 62-bit prime p:
+    Spins a basis of the algebra from I modulo a random 31-bit prime p:
     each round multiplies only the frontier (the elements added the round
     before) by every generator.  One RowEchelon per prime, seeded with I,
     reduces each product once against the rows kept so far and keeps it,

@@ -121,6 +121,98 @@ def test_adjugate_inverse_two_sided():
         assert multiply(inv, a) == ident
 
 
+def _cayley_hamilton_inverse(a: Matrix) -> Matrix:
+    # Cayley-Hamilton, an O(dim^4) reference that shares no code with the
+    # elimination: A (A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I) = -c_0 I,
+    # and -c_0 = (-1)^(n+1) det A
+    n = a.dim
+    p = characteristic_polynomial(a)
+    det = (-1) ** n * p[0]
+    if det != 1:
+        raise ValueError(f"adjugate inverse needs det = 1, got {det}")
+    acc = Matrix.identity(n)
+    for i in range(n - 1, 0, -1):
+        rows = [list(row) for row in multiply(a, acc).rows]
+        for r in range(n):
+            rows[r][r] += p[i]
+        acc = Matrix(rows)
+    return acc if n % 2 else Matrix([[-v for v in row] for row in acc.rows])
+
+
+def _leading_zero(a: Matrix) -> Matrix:
+    """a with a row whose first entry is 0 moved to the top, the other row
+    negated so that det is kept; a itself if no such row exists."""
+    rows = [list(row) for row in a.rows]
+    k = next((k for k, row in enumerate(rows) if row[0] == 0), None)
+    if k is None or k == 0:
+        return a
+    rows[0], rows[k] = rows[k], [-v for v in rows[0]]
+    return Matrix(rows)
+
+
+def _scaled_row(a: Matrix, factor: int, rng: Random) -> Matrix:
+    """a with one row times factor: det becomes factor * det a."""
+    rows = [list(row) for row in a.rows]
+    k = rng.randrange(a.dim)
+    rows[k] = [factor * v for v in rows[k]]
+    return Matrix(rows)
+
+
+def _error(fn, a):
+    with pytest.raises(ValueError) as exc:
+        fn(a)
+    return str(exc.value)
+
+
+def test_adjugate_inverse_matches_cayley_hamilton_oracle():
+    rng = Random(2026)
+    swapped = 0
+    for n in range(1, 13):
+        for _ in range(6):
+            a = random_unimodular(n, rng, steps=3 * n)
+            for b in (a, _leading_zero(a)):
+                swapped += b.rows[0][0] == 0
+                assert_canonical(adjugate_inverse(b), _cayley_hamilton_inverse(b).rows)
+            for factor in (0, -1, 2):
+                bad = _scaled_row(a, factor, rng)
+                message = _error(adjugate_inverse, bad)
+                assert message == _error(_cayley_hamilton_inverse, bad)
+                assert message == f"adjugate inverse needs det = 1, got {factor}"
+    assert swapped >= 30  # a zero first pivot forces a row swap
+    # the second pivot is 0 only after the first elimination step
+    a = Matrix([[1, 1, 0], [1, 1, 1], [0, 1, 0]])  # det -1
+    assert _error(adjugate_inverse, a) == _error(_cayley_hamilton_inverse, a)
+    b = Matrix([[1, 1, 0], [1, 1, -1], [0, 1, 0]])  # det 1
+    assert adjugate_inverse(b) == _cayley_hamilton_inverse(b)
+
+
+def test_validate_computes_no_charpoly(monkeypatch, sp4):
+    # exact inverses cost O(dim^3): validation never needs a charpoly
+    rng = Random(12)
+    g = random_unimodular(12, rng, steps=36)
+    g_inv = adjugate_inverse(g)
+    heisenberg = []
+    for i in range(11):  # g (I + E_(i,i+1)) g^-1
+        rows = [[int(r == c) for c in range(12)] for r in range(12)]
+        rows[i][i + 1] = 1
+        heisenberg.append(multiply(multiply(g, Matrix(rows)), g_inv))
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return characteristic_polynomial(a)
+
+    monkeypatch.setattr(matrices, "characteristic_polynomial", counted)
+    for kind, dim, gens in (
+        (GroupKind.SPECIAL_LINEAR, 12, heisenberg),
+        (GroupKind.SYMPLECTIC, 4, sp4.generators),
+    ):
+        gs = validate(kind, dim, gens)
+        assert all(multiply(x, y) == Matrix.identity(dim)
+                   for x, y in zip(gs.generators, gs.inverses))
+    assert calls == []
+
+
 def test_charpoly_examples():
     assert characteristic_polynomial(I2) == IntPoly([1, -2, 1])
     # companion matrix of x^3 - 2x + 5
