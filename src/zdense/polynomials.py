@@ -74,18 +74,7 @@ class IntPoly:
         """Long division by a monic divisor; exact over Z."""
         if not divisor.is_monic():
             raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        if len(rem) - 1 < dd:
-            return IntPoly(), IntPoly(rem)
-        quo = [0] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                quo[i - dd] = c
-                for j, b in enumerate(divisor.coeffs):
-                    rem[i - dd + j] -= c * b
-        return IntPoly(quo), IntPoly(rem)
+        return _divmod(self, divisor)
 
     def divides(self, other: "IntPoly") -> bool:
         """True iff self (monic) divides other exactly."""
@@ -98,6 +87,23 @@ class IntPoly:
 ONE = IntPoly([1])
 
 
+def _divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """The one long division over Z: quotient and remainder of a by a
+    nonzero b, where lc(b) must divide every leading term met (it does when
+    b is monic, or when a is a pseudo-remainder's scaled dividend)."""
+    rem = list(a.coeffs)
+    db, lc = b.degree, b.coeffs[-1]
+    quo = [0] * max(len(rem) - db, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + db]
+        if c:
+            assert c % lc == 0
+            c = quo[i] = c // lc
+            for j, bc in enumerate(b.coeffs):
+                rem[i + j] -= c * bc
+    return IntPoly(quo), IntPoly(rem)
+
+
 def l1_norm(f: IntPoly) -> int:
     """Sum of absolute values of the coefficients."""
     return sum(abs(c) for c in f.coeffs)
@@ -105,17 +111,7 @@ def l1_norm(f: IntPoly) -> int:
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Pseudo-remainder: rem(lc(b)^(deg a - deg b + 1) * a, b), all over Z."""
-    da, db = a.degree, b.degree
-    lc = b.coeffs[-1]
-    rem = list((a * lc ** (da - db + 1)).coeffs)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c:
-            assert c % lc == 0
-            q = c // lc
-            for j, bc in enumerate(b.coeffs):
-                rem[i - db + j] -= q * bc
-    return IntPoly(rem)
+    return _divmod(a * b.coeffs[-1] ** (a.degree - b.degree + 1), b)[1]
 
 
 def resultant(a: IntPoly, b: IntPoly) -> int:
@@ -253,8 +249,10 @@ def is_cyclotomic_product(f: IntPoly) -> bool:
         if euler_phi(d) > rem.degree:
             continue
         phi_d = cyclotomic(d)
-        while phi_d.degree <= rem.degree and phi_d.divides(rem):
-            rem = rem.divmod_monic(phi_d)[0]
-            if rem.degree == 0:
+        quo, r = rem.divmod_monic(phi_d)
+        while r.is_zero():  # one division per factor found, one to stop
+            if quo.degree == 0:
                 return True
+            rem = quo
+            quo, r = rem.divmod_monic(phi_d)
     return rem.degree == 0

@@ -117,23 +117,25 @@ def is_irreducible_algebra(
     matrices?  By Burnside, that is equivalent to the group acting
     irreducibly over C.
 
-    Spins a basis of the algebra from I modulo a random 31-bit prime p:
-    each round multiplies only the frontier (the elements added the round
-    before) by every generator.  One RowEchelon per prime, seeded with I,
-    reduces each product once against the rows kept so far and keeps it,
-    in the basis and the next frontier, iff it is independent of them.
-    The spin alone proves YES, as soon as the kept rows reach full rank
-    (I alone when dim = 1): full rank mod p certifies it over Q.  The
-    exact step only refutes: once the frontier is empty, the span of the
-    basis is closed under the generators mod p, and a fraction-free rank
-    of I and of every distinct product formed (each basis row but I is
-    one of them) equal to the basis size means span(basis) contains I and
-    is closed under every generator over Q, so it is the whole algebra
-    and too small: NO.  Any other exact rank means p divided a minor, and
-    the spin restarts with a fresh prime and echelon.  Both are certain.
+    Walks one growing list of kept elements modulo a random 31-bit prime
+    p, I first: each kept element is multiplied once by every generator,
+    and each product is formed only to be reduced at once by the prime's
+    one RowEchelon, seeded with I, and kept iff it is independent of the
+    rows kept before it.  The walk alone proves YES, at the row that makes
+    the rank full (I alone when dim = 1): full rank mod p certifies it
+    over Q.  The exact step only refutes: once the walk ends, the span of
+    the kept elements is closed under the generators mod p, and a
+    fraction-free rank of I and of every distinct product (each kept
+    element but I is one of them) equal to the number kept means that span
+    contains I and is closed under every generator over Q, so it is the
+    whole algebra and too small: NO.  Any other exact rank means p divided
+    a minor, and the walk restarts with a fresh prime and echelon.  Both
+    are certain.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
+    if any(g.dim != dim for g in mats):
+        raise ValueError(f"dimension mismatch: every generator must be {dim} x {dim}")
     if rng is None:
         rng = Random(0x5EED)
     target = dim * dim
@@ -141,24 +143,20 @@ def is_irreducible_algebra(
     while True:
         p = random_prime_avoiding(1, _RANK_PRIME_RANGE[0], _RANK_PRIME_RANGE[1], rng)
         echelon = kernels.RowEchelon(p, target)
-        basis = [identity.flatten()]
-        echelon.add(basis[0])
-        frontier = [identity]
-        products: list[tuple[int, ...]] = []
-        while frontier:
-            new = [multiply(g, b) for g in mats for b in frontier]
-            frontier = []
-            for m in new:
-                if len(basis) == target:  # I alone when dim = 1
-                    break
-                products.append(m.flatten())
-                if echelon.add(products[-1]):
-                    frontier.append(m)
-                    basis.append(products[-1])
-            if len(basis) == target:
-                return IrreducibilityResult(True, target)
-        if _bareiss_rank(list(dict.fromkeys(basis[:1] + products))) == len(basis):
-            return IrreducibilityResult(False, len(basis))
+        kept = [identity]
+        rows = [identity.flatten()]  # I, then every product formed
+        echelon.add(rows[0])
+        for b in kept:  # kept grows while the walk reads it
+            for g in mats:
+                if len(kept) == target:  # the last row kept filled the rank
+                    return IrreducibilityResult(True, target)
+                m = multiply(g, b)
+                rows.append(m.flatten())
+                if echelon.add(rows[-1]):
+                    kept.append(m)
+        if _bareiss_rank(list(dict.fromkeys(rows))) == len(kept):
+            # NO, but for dim = 1 and no generators, where I fills M_1
+            return IrreducibilityResult(len(kept) == target, len(kept))
 
 
 def lie_algebra_dimension(kind: GroupKind, dim: int) -> int:

@@ -301,8 +301,8 @@ def test_rank_mod_matches_greedy_oracle(p):
 
 @pytest.mark.parametrize("p", _ORACLE_PRIMES)
 def test_row_echelon_fed_in_chunks_matches_greedy_oracle(p):
-    # the Burnside spin feeds one echelon round by round; what it keeps
-    # must not depend on where the rounds break the row sequence
+    # the Burnside walk feeds one echelon as it forms rows; what it keeps
+    # must not depend on where the feeding breaks the row sequence
     chunks = Random(p % 1000 + 1)
     for trial, rows in _seeded_matrices(p):
         echelon = kernels.RowEchelon(p, len(rows[0]))

@@ -3,7 +3,9 @@ from random import Random
 import pytest
 
 from zdense.modular import (
+    _WITNESSES_64,
     PrimeSearchExhausted,
+    _strong_probable_prime,
     factor_degrees_mod,
     is_prime,
     random_prime_avoiding,
@@ -37,9 +39,16 @@ def test_is_prime_examples():
 
 
 def test_is_prime_beyond_word_size():
-    assert is_prime(2**89 - 1)  # Mersenne prime
-    assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
-    assert not is_prime(2**64)
+    # psi_12, the least strong pseudoprime to the first 12 prime bases
+    # (OEIS A014233): the witness set is a proof below it, and is_prime
+    # answers only below 2^64 < psi_12
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441 > 2**64
+    assert all(_strong_probable_prime(psi_12, a) for a in _WITNESSES_64)
+    for r in (2**64, 2**89 - 1, psi_12):
+        with pytest.raises(ValueError, match="2 <= r < 2\\^64"):
+            is_prime(r)
+    assert is_prime(2**64 - 59)  # the largest prime below 2^64
 
 
 def test_random_prime_avoiding_examples():

@@ -75,9 +75,9 @@ def test_irreducible_algebra_examples():
     assert not res.irreducible  # common invariant line e1
     res = is_irreducible_algebra([Matrix.identity(2)], 2)
     assert not res.irreducible and res.algebra_dimension == 1
-    for dim in (1, 3):  # the first round multiplies each matrix by I_dim
+    for dim, mats in ((1, [S]), (3, [S]), (1, [Matrix([[5]]), S])):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            is_irreducible_algebra([S], dim)
+            is_irreducible_algebra(mats, dim)
     with pytest.raises(ValueError, match="dimension must be positive"):
         is_irreducible_algebra([S], 0)
 
@@ -214,6 +214,29 @@ def test_spin_stops_at_the_row_that_completes_the_rank(group, request, monkeypat
     assert is_irreducible_algebra(adjoint_matrices(gs), dim).irreducible
     assert adds[-1] == (True, target)
     assert all(pivots < target for _, pivots in adds[:-1])
+
+
+@pytest.mark.parametrize(
+    "group, action", [("sl3", "adjoint"), ("sp4", "adjoint"), ("sp4", "standard")]
+)
+def test_spin_forms_no_product_after_the_completing_row(group, action, request, monkeypatch):
+    # every product formed is ranked, and the walk returns at the row that
+    # fills the rank
+    gs = request.getfixturevalue(group)
+    if action == "adjoint":
+        mats, dim = adjoint_matrices(gs), lie_algebra_dimension(gs.kind, gs.dim)
+    else:
+        mats, dim = gs.generators, gs.dim
+    products = []
+
+    def counting_multiply(a, b):
+        products.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(zariski, "multiply", counting_multiply)
+    adds = _record_echelon_adds(monkeypatch)
+    assert is_irreducible_algebra(mats, dim).irreducible
+    assert len(products) == len(adds) - 1
 
 
 def test_irreducible_algebra_scalars_on_line(monkeypatch):
