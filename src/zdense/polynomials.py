@@ -2,8 +2,8 @@
 
 Discriminants via a subresultant polynomial remainder sequence, the
 coefficient-sum norm and its discriminant bound, reciprocal structure and
-trace polynomials, and cyclotomic-product detection.  Everything is done
-over Z; coefficients may be arbitrarily large.
+trace polynomials, and cyclotomic-product detection by root squaring.
+Everything is done over Z; coefficients may be arbitrarily large.
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ class IntPoly:
         if not divisor.is_monic():
             raise ValueError("divisor must be monic")
         return _divmod(self, divisor)
-
-    def divides(self, other: "IntPoly") -> bool:
-        """True iff self (monic) divides other exactly."""
-        return other.divmod_monic(self)[1].is_zero()
 
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -212,47 +208,37 @@ def cyclotomic(d: int) -> IntPoly:
     return num
 
 
-def euler_phi(d: int) -> int:
-    phi, m = 1, d
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            phi *= p - 1
-            m //= p
-            while m % p == 0:
-                phi *= p
-                m //= p
-        p += 1
-    if m > 1:
-        phi *= m - 1
-    return phi
-
-
 def is_cyclotomic_product(f: IntPoly) -> bool:
     """True iff monic f is a product (with multiplicity) of cyclotomic
-    polynomials, decided by trial division.
+    polynomials, decided by Graeffe's root squaring (Bradford-Davenport).
 
-    Any cyclotomic factor Phi_d of f has phi(d) <= deg f, and phi(d) >
-    sqrt(d/2), so scanning d <= 2*deg(f)^2 is exhaustive.
+    Each pass forms the monic g with g(x^2) = (-1)^n f(x) f(-x), whose roots
+    are the squares of f's.  Squaring the roots sends Phi_d to Phi_d for odd
+    d, to Phi_(d/2) for d = 2 mod 4 and to Phi_(d/2)^2 for 4 | d, so a
+    cyclotomic product is fixed after max v_2(d) <= bit_length(n) passes
+    (phi(2^a) = 2^(a-1) <= phi(d) <= n), and the next pass sees g == f.
+    Conversely a fixed point with f(0) != 0 has its roots closed under
+    squaring, so they are roots of unity, and so are the original roots.
     """
     if not f.is_monic():
         raise ValueError("cyclotomic-product test needs a monic input")
     n = f.degree
     if n < 1:
         raise ValueError("cyclotomic-product test needs positive degree")
-    # All roots of a cyclotomic product lie on the unit circle, so the
-    # coefficients are bounded by binomials; rejects huge-word charpolys fast.
-    if any(abs(f[n - k]) > math.comb(n, k) for k in range(n + 1)):
-        return False
-    rem = f
-    for d in range(1, 2 * n * n + 1):
-        if euler_phi(d) > rem.degree:
-            continue
-        phi_d = cyclotomic(d)
-        quo, r = rem.divmod_monic(phi_d)
-        while r.is_zero():  # one division per factor found, one to stop
-            if quo.degree == 0:
-                return True
-            rem = quo
-            quo, r = rem.divmod_monic(phi_d)
-    return rem.degree == 0
+    c = list(f.coeffs)
+    for _ in range(n.bit_length() + 1):
+        # A zero root squares to itself; roots on the unit circle bound the
+        # coefficients by binomials, which rejects huge-word charpolys fast.
+        if c[0] == 0 or any(abs(c[n - k]) > math.comb(n, k) for k in range(n + 1)):
+            return False
+        # (-1)^n f(x) f(-x) adds (-1)^(n+j) c_i c_j to x^(i+j); odd powers
+        # cancel, and j = i mod 2 puts (-1)^(n+i) c_i c_j on g's x^((i+j)/2)
+        g = [0] * (n + 1)
+        for i, a in enumerate(c):
+            a *= (-1) ** (n + i)
+            for j in range(i % 2, n + 1, 2):
+                g[(i + j) // 2] += a * c[j]
+        if g == c:
+            return True
+        c = g
+    return False

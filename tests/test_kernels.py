@@ -287,7 +287,7 @@ def _seeded_matrices(p):
         yield trial, rows
 
 
-_ORACLE_PRIMES = [2, 3, (1 << 61) - 1, (1 << 63) + 29]
+_ORACLE_PRIMES = [2, 3, (1 << 31) - 1, (1 << 61) - 1, (1 << 63) + 29]
 
 
 @pytest.mark.parametrize("p", _ORACLE_PRIMES)

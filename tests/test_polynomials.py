@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, gcd
 from random import Random
 
 import mpmath
@@ -8,7 +8,6 @@ from zdense.polynomials import (
     IntPoly,
     cyclotomic,
     discriminant,
-    euler_phi,
     is_cyclotomic_product,
     is_reciprocal,
     l1_norm,
@@ -166,18 +165,77 @@ def test_cyclotomic_examples():
 def test_cyclotomic_divides_and_degree():
     for d in range(1, 51):
         phi_d = cyclotomic(d)
-        assert phi_d.degree == euler_phi(d)
-        assert phi_d.divides(IntPoly.monomial(d) - IntPoly([1]))
+        assert phi_d.degree == sum(gcd(k, d) == 1 for k in range(1, d + 1))
+        assert (IntPoly.monomial(d) - IntPoly([1])).divmod_monic(phi_d)[1].is_zero()
 
 
 def test_is_cyclotomic_product_examples():
     assert is_cyclotomic_product(IntPoly([-1, 0, 1]))  # x^2 - 1
     assert not is_cyclotomic_product(IntPoly([-1, -1, 1]))  # golden ratio
     assert is_cyclotomic_product(IntPoly([-1, 3, -3, 1]))  # (x-1)^3
-    with pytest.raises(ValueError):
+    # Phi_(2^a) has degree n = 2^(a-1) and needs all n.bit_length() + 1
+    # root squarings to reach its fixed point Phi_1
+    for a in range(1, 8):
+        assert is_cyclotomic_product(cyclotomic(2**a)), a
+        assert is_cyclotomic_product(cyclotomic(2**a) * cyclotomic(3)), a
+    # a zero root squares to itself: x^2 - x and x^3 are fixed, not cyclotomic
+    assert not is_cyclotomic_product(IntPoly([0, -1, 1]))
+    assert not is_cyclotomic_product(IntPoly([0, 0, 0, 1]))
+    # Lehmer's polynomial passes the binomial bound but has no fixed point
+    lehmer = IntPoly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+    assert all(abs(lehmer[10 - k]) <= comb(10, k) for k in range(11))
+    assert not is_cyclotomic_product(lehmer)
+    with pytest.raises(ValueError, match="needs a monic input"):
         is_cyclotomic_product(IntPoly([1, 2]))  # not monic
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs positive degree"):
         is_cyclotomic_product(IntPoly([1]))
+
+
+def _cyclotomic_product_by_trial_division(f, phi):
+    """Oracle: divide out every Phi_d with phi(d) <= the remaining degree,
+    d <= 2 deg(f)^2 (phi(d) > sqrt(d/2) makes the scan exhaustive)."""
+    rem = f
+    for d in range(1, 2 * f.degree**2 + 1):
+        if phi[d] > rem.degree:
+            continue
+        quo, r = rem.divmod_monic(cyclotomic(d))
+        while r.is_zero():
+            rem = quo
+            quo, r = rem.divmod_monic(cyclotomic(d))
+    return rem.degree == 0
+
+
+def test_cyclotomic_product_matches_trial_division():
+    max_degree = 40
+    phi = list(range(2 * max_degree**2 + 1))  # Euler phi by a sieve
+    for p in range(2, len(phi)):
+        if phi[p] == p:
+            for m in range(p, len(phi), p):
+                phi[m] -= phi[m] // p
+    small = [d for d in range(1, len(phi)) if phi[d] <= 12]
+    rng = Random(2024)
+    inputs = []
+    while len(inputs) < 360:
+        kind = len(inputs) % 3
+        if kind == 2:  # random monic, coefficients in [-3, 3]
+            n = rng.randrange(1, max_degree + 1)
+            f = IntPoly([rng.randrange(-3, 4) for _ in range(n)] + [1])
+        else:  # a product of Phi_d, perturbed by +-1 in one place for kind 1
+            f = IntPoly([1])
+            for _ in range(rng.randrange(1, 7)):
+                d = rng.choice(small)
+                if f.degree + phi[d] <= max_degree:
+                    f = f * cyclotomic(d)
+            if f.degree < 1:
+                continue
+            if kind == 1:
+                i = rng.randrange(f.degree)
+                f = f + IntPoly.monomial(i, rng.choice((-1, 1)))
+        inputs.append(f)
+    verdicts = [is_cyclotomic_product(f) for f in inputs]
+    for f, verdict in zip(inputs, verdicts):
+        assert verdict == _cyclotomic_product_by_trial_division(f, phi), f.coeffs
+    assert 100 <= sum(verdicts) < len(inputs)
 
 
 def test_cyclotomic_product_multiplicative():
