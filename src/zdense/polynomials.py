@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -195,17 +194,27 @@ def trace_polynomial(f: IntPoly) -> IntPoly:
     return result
 
 
-@lru_cache(maxsize=None)
 def cyclotomic(d: int) -> IntPoly:
-    """The d-th cyclotomic polynomial, by exact division of x^d - 1."""
+    """The d-th cyclotomic polynomial, by exact division of x^d - 1.
+
+    Phi_e is built for each divisor e of d in increasing order, from x^e - 1
+    and the Phi of e's proper divisors, which are divisors of d already
+    built; nothing is kept between calls.
+    """
     if d < 1:
         raise ValueError("d must be positive")
-    num = IntPoly.monomial(d) - ONE
-    for e in range(1, d):
-        if d % e == 0:
-            num, rem = num.divmod_monic(cyclotomic(e))
-            assert rem.is_zero()
-    return num
+    divisors = [e for e in range(1, d + 1) if d % e == 0]
+    phi = {}
+    for e in divisors:
+        num = IntPoly.monomial(e) - ONE
+        for f in divisors:
+            if f == e:
+                break
+            if e % f == 0:
+                num, rem = num.divmod_monic(phi[f])
+                assert rem.is_zero()
+        phi[e] = num
+    return phi[d]
 
 
 def is_cyclotomic_product(f: IntPoly) -> bool:

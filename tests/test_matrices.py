@@ -341,6 +341,105 @@ def test_symplectic_word_charpoly_reciprocal(sp4):
         assert is_reciprocal(characteristic_polynomial(w))
 
 
+def _left_fold(gs, letters):
+    """The word by one `multiply` per letter, from the identity."""
+    acc = Matrix.identity(gs.dim)
+    for letter in letters:
+        acc = multiply(acc, gs.alphabet[letter])
+    return acc
+
+
+def _unit(n, cells):
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, v in cells:
+        rows[i][j] += v
+    return rows
+
+
+def _sl_letter(n, rng, c):
+    """g (I + c e_ij) g^-1 for a random unimodular g: det 1, and entries
+    of either sign in every row once g mixes them."""
+    g = random_unimodular(n, rng, steps=8 * n)
+    i, j = rng.sample(range(n), 2)
+    return multiply(multiply(g, Matrix(_unit(n, [(i, j, c)]))), adjugate_inverse(g))
+
+
+def _sp_letter(m, rng, c):
+    """A product of symplectic root elements for J = [[0, I], [-I, 0]],
+    one of them with parameter c and the others in {-2, -1, 1, 2}."""
+    acc = Matrix.identity(2 * m)
+    for step in range(2 * m + 2):
+        x = c if step == m else rng.choice((-2, -1, 1, 2))
+        a, b = rng.randrange(m), rng.randrange(m)
+        kind = rng.randrange(3)
+        if kind == 0 and a != b:  # diag(I + x e_ab, (I + x e_ab)^-T)
+            cells = [(a, b, x), (m + b, m + a, -x)]
+        elif kind == 1:  # [[I, S], [0, I]], S symmetric
+            cells = [(a, m + b, x)] + ([(b, m + a, x)] if a != b else [])
+        else:  # [[I, 0], [S, I]], S symmetric
+            cells = [(m + a, b, x)] + ([(m + b, a, x)] if a != b else [])
+        acc = multiply(acc, Matrix(_unit(2 * m, cells)))
+    return acc
+
+
+def _word_alphabets(rng):
+    """(GeneratorSet, lengths): SL(1..12) and Sp(2..10) with small entries,
+    and a few with 200-bit entries, whose words widen their slots again and
+    again."""
+    big = lambda: rng.choice((-1, 1)) * rng.randrange(1 << 199, 1 << 200)
+    small = lambda: rng.choice((-2, -1, 1, 2))
+    out = [(validate(GroupKind.SPECIAL_LINEAR, 1, [Matrix([[1]])]), (0, 1, 300))]
+    for n in range(2, 13):
+        gens = [_sl_letter(n, rng, small()) for _ in range(2)]
+        out.append((validate(GroupKind.SPECIAL_LINEAR, n, gens), (0, 1, 2, 40, 300)))
+    for m in range(1, 6):
+        gens = [_sp_letter(m, rng, small()) for _ in range(3)]
+        out.append((validate(GroupKind.SYMPLECTIC, 2 * m, gens), (0, 1, 2, 40, 300)))
+    for n, lengths in ((2, (1, 2, 300)), (5, (1, 60)), (12, (1, 30))):
+        gens = [_sl_letter(n, rng, big()) for _ in range(2)]
+        out.append((validate(GroupKind.SPECIAL_LINEAR, n, gens), lengths))
+    gens = [_sp_letter(3, rng, big()) for _ in range(2)]
+    out.append((validate(GroupKind.SYMPLECTIC, 6, gens), (1, 60)))
+    return out
+
+
+def test_word_fold_matches_multiply_oracle(monkeypatch):
+    widths = []  # the slot width of every decode: each repack, then the last
+    unpack = matrices._unpack_columns
+    monkeypatch.setattr(matrices, "_unpack_columns", lambda p, w: widths.append(w) or unpack(p, w))
+    rng = Random("word-fold")
+    for gs, lengths in _word_alphabets(rng):
+        big = max(abs(v) for g in gs.generators for v in g.flatten()).bit_length() >= 199
+        negative_rows = set()  # the slots that held a negative entry
+        for length in lengths:  # the empty word included, which is I
+            letters = [rng.randrange(len(gs.alphabet)) for _ in range(length)]
+            expected = _left_fold(gs, letters)
+            widths.clear()
+            assert_canonical(word_from_letters(gs, letters), expected.rows)
+            negative_rows.update(i for i, row in enumerate(expected.rows) if min(row) < 0)
+            if big and length >= 30:  # 200-bit letters outgrow the first slots
+                assert widths[-1] > widths[0]
+        assert len(negative_rows) == gs.dim - (gs.dim == 1)
+
+
+def test_words_form_no_pairwise_products(monkeypatch, sl2, sp4):
+    # a word is one packed fold: none of its letters goes through `multiply`
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(matrices, "multiply", counted)
+    for gs in (sl2, sp4):
+        letters = random_word_letters(gs, 139, Random(gs.dim))
+        word_from_letters(gs, letters)
+        random_word(gs, 139, Random(gs.dim))
+    assert calls == []
+    Matrix.identity(2) * S  # the counter does see a product
+    assert calls == [1]
+
+
 def test_commutes():
     assert commutes(I2, S)
     assert commutes(T, Matrix([[1, 2], [0, 1]]))

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from math import comb, gcd
 from random import Random
 
@@ -169,6 +170,22 @@ def test_cyclotomic_divides_and_degree():
         assert (IntPoly.monomial(d) - IntPoly([1])).divmod_monic(phi_d)[1].is_zero()
 
 
+def test_cyclotomic_divisor_product_is_x_d_minus_1():
+    for d in range(1, 121):
+        product = IntPoly([1])
+        for e in range(1, d + 1):
+            if d % e == 0:
+                product = product * cyclotomic(e)
+        assert product == IntPoly.monomial(d) - IntPoly([1]), d
+
+
+def test_cyclotomic_keeps_no_cache():
+    # no library code calls it: a module-level cache would only grow
+    assert not hasattr(cyclotomic, "cache_info")
+    assert not hasattr(cyclotomic, "__wrapped__")
+    assert cyclotomic(12) == cyclotomic(12) and cyclotomic(12) is not cyclotomic(12)
+
+
 def test_is_cyclotomic_product_examples():
     assert is_cyclotomic_product(IntPoly([-1, 0, 1]))  # x^2 - 1
     assert not is_cyclotomic_product(IntPoly([-1, -1, 1]))  # golden ratio
@@ -191,6 +208,11 @@ def test_is_cyclotomic_product_examples():
         is_cyclotomic_product(IntPoly([1]))
 
 
+# the oracle below asks for the same Phi_d (d up to 3200) again and again;
+# `cyclotomic` itself keeps nothing between calls
+_cyclotomic_memo = lru_cache(maxsize=None)(cyclotomic)
+
+
 def _cyclotomic_product_by_trial_division(f, phi):
     """Oracle: divide out every Phi_d with phi(d) <= the remaining degree,
     d <= 2 deg(f)^2 (phi(d) > sqrt(d/2) makes the scan exhaustive)."""
@@ -198,10 +220,10 @@ def _cyclotomic_product_by_trial_division(f, phi):
     for d in range(1, 2 * f.degree**2 + 1):
         if phi[d] > rem.degree:
             continue
-        quo, r = rem.divmod_monic(cyclotomic(d))
+        quo, r = rem.divmod_monic(_cyclotomic_memo(d))
         while r.is_zero():
             rem = quo
-            quo, r = rem.divmod_monic(cyclotomic(d))
+            quo, r = rem.divmod_monic(_cyclotomic_memo(d))
     return rem.degree == 0
 
 
