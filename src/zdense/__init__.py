@@ -43,7 +43,6 @@ from .zariski import (
     adjoint_matrices,
     general_zariski_dense,
     is_irreducible_algebra,
-    lie_algebra_basis,
     zariski_dense,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "is_sn",
     "is_transitive",
     "l1_norm",
-    "lie_algebra_basis",
     "mahler_bound",
     "multiply",
     "random_prime_avoiding",

@@ -262,8 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Decide Zariski density of a finitely generated subgroup of "
             "SL(n,Z) or Sp(2n,Z), or certify a large Galois group of a "
-            "polynomial.  YES answers are certain; NO answers are wrong "
-            "with probability at most epsilon."
+            "polynomial.  YES answers are certain; NO answers are meant to "
+            "be wrong with probability at most epsilon, but weyl mode and "
+            "the Galois transitivity stage do not meet that bound today "
+            "(see the README)."
         ),
     )
     parser.add_argument("input", help="JSON input file (generator set or polynomial)")

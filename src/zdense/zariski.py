@@ -5,10 +5,10 @@ generic Galois group of the ambient group, plus a standard-representation
 irreducibility gate in the symplectic case) and the general route (one
 random word of infinite order plus irreducibility of the adjoint action on
 the Lie algebra).  TRUE answers are certificate-backed and certain; FALSE
-answers are Monte Carlo with the requested bound unless the failure itself
-is structural (a reducible action can never be dense).  The Burnside
-check reduces each product once mod p, answers YES as soon as the rank
-is full, and proves NO only by the exact rank.
+answers are Monte Carlo unless the failure itself is structural (a
+reducible action can never be dense); DensityVerdict states their bound.
+The Burnside check reduces each product once mod p, answers YES as soon
+as the rank is full, and proves NO only by the exact rank.
 """
 
 from __future__ import annotations
@@ -41,9 +41,11 @@ _RANK_PRIME_RANGE = (1 << 30, 1 << 31)
 
 @dataclass(frozen=True)
 class DensityVerdict:
-    """dense=True is always Certain; dense=False is wrong with probability
-    at most epsilon (and may itself be Certain when the obstruction is
-    structural).  The trail records every step for reproduction."""
+    """dense=True is always Certain; dense=False is meant to be wrong with
+    probability at most epsilon (and may itself be Certain when the
+    obstruction is structural), but the Weyl route and the Galois
+    transitivity stage do not meet that bound today (see the README).  The
+    trail records every step for reproduction."""
 
     dense: bool
     certainty: Certainty
@@ -159,18 +161,16 @@ def is_irreducible_algebra(
             return IrreducibilityResult(len(kept) == target, len(kept))
 
 
-def lie_algebra_dimension(kind: GroupKind, dim: int) -> int:
-    if kind is GroupKind.SPECIAL_LINEAR:
-        return dim * dim - 1
-    m = dim // 2
-    return m * (2 * m + 1)
-
-
 def _basis_cells(kind: GroupKind, dim: int) -> list[list[tuple[int, int, int]]]:
-    """The (row, col, value) cells of each Lie algebra basis element.
+    """The (row, col, value) cells of each element of the fixed integer
+    basis of the Lie algebra: the one place its layout is written.
 
-    Each element's first cell holds 1 and is touched by no other element,
-    so a member's coordinate on that element is its entry there.
+    SL(n): E_ij (i<j), then E_ii-E_nn (i<n), then E_ij (i>j); for n = 2
+    this is the classical (e, h, f).  Sp(2m): top-left units paired with
+    their negated transposes, then the symmetric upper-right units, then
+    the symmetric lower-left units.  Each element's first cell holds 1 and
+    is touched by no other element, so a member's coordinate on that
+    element is its entry there, and adjoint matrices stay integral.
     """
     if kind is GroupKind.SPECIAL_LINEAR:
         if dim == 1:
@@ -193,35 +193,28 @@ def _basis_cells(kind: GroupKind, dim: int) -> list[list[tuple[int, int, int]]]:
     return cells
 
 
-def lie_algebra_basis(kind: GroupKind, dim: int) -> tuple[Matrix, ...]:
-    """Fixed integer basis of the Lie algebra.
-
-    SL(n): E_ij (i<j), then E_ii-E_nn (i<n), then E_ij (i>j); for n = 2
-    this is the classical (e, h, f).  Sp(2m): top-left units paired with
-    their negated transposes, then the symmetric upper-right units, then
-    the symmetric lower-left units.  Coordinates of any member are read off
-    entrywise, so adjoint matrices stay integral.
-    """
-    basis = []
-    for cells in _basis_cells(kind, dim):
-        rows = [[0] * dim for _ in range(dim)]
-        for i, j, v in cells:
-            rows[i][j] = v
-        basis.append(Matrix(rows))
-    return tuple(basis)
-
-
 def adjoint_matrices(gs: GeneratorSet) -> list[Matrix]:
-    """For each generator g, the matrix of X -> g X g^-1 on the fixed Lie
-    algebra basis.  Entries are exact integers because the inverses are."""
-    firsts = [cells[0][:2] for cells in _basis_cells(gs.kind, gs.dim)]
-    basis = lie_algebra_basis(gs.kind, gs.dim)
+    """For each generator g, the matrix of X -> g X g^-1 on the basis of
+    `_basis_cells`, read off the cells without forming a product.
+
+    Element a's first cell (r_a, c_a) holds 1 and no other element touches
+    it, so entry (a, b) is the (r_a, c_a) entry of g B g^-1: the sum over
+    b's cells (i, j, v) of v * g[r_a][i] * g^-1[j][c_a], which reads g's
+    column i and g^-1's row j.  Entries are exact integers because the
+    inverses are.
+    """
+    cells = _basis_cells(gs.kind, gs.dim)
+    firsts = [c[0][:2] for c in cells]
     out = []
     for g, g_inv in zip(gs.generators, gs.inverses):
+        g_cols = list(zip(*g.rows))
         columns = []
-        for b in basis:
-            rows = multiply(multiply(g, b), g_inv).rows
-            columns.append([rows[i][j] for i, j in firsts])
+        for b in cells:
+            column = [0] * len(firsts)
+            for i, j, v in b:
+                g_i, g_inv_j = g_cols[i], g_inv.rows[j]
+                column = [x + v * g_i[r] * g_inv_j[c] for x, (r, c) in zip(column, firsts)]
+            columns.append(column)
         out.append(Matrix(list(zip(*columns))))
     return out
 
@@ -333,5 +326,5 @@ def general_zariski_dense(
     )
     if cyclotomic:
         return verdict(False, Certainty.MONTE_CARLO)
-    dim = lie_algebra_dimension(gs.kind, gs.dim)
-    return verdict(_irreducible(adjoint_matrices(gs), dim, rng, "adjoint_irreducibility", trail))
+    mats = adjoint_matrices(gs)  # validate gives at least one generator
+    return verdict(_irreducible(mats, mats[0].dim, rng, "adjoint_irreducibility", trail))

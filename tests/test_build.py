@@ -27,3 +27,9 @@ def test_setup_build_gives_an_importable_pure_python_package(tmp_path):
     where, backend = done.stdout.split()
     assert Path(where).parent == package
     assert backend == "python"
+
+
+def test_every_exported_name_is_an_attribute():
+    import zdense
+
+    assert [name for name in zdense.__all__ if not hasattr(zdense, name)] == []

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from zdense import kernels, zariski
+from zdense import kernels, matrices, zariski
 from zdense.matrices import (
     GroupKind,
     Matrix,
@@ -18,8 +18,6 @@ from zdense.zariski import (
     adjoint_matrices,
     general_zariski_dense,
     is_irreducible_algebra,
-    lie_algebra_basis,
-    lie_algebra_dimension,
     word_length,
     zariski_dense,
     _bareiss_rank,
@@ -147,9 +145,8 @@ def sp4_siegel_parabolic():
 def test_adjoint_irreducibility_pinned(group, expected, request):
     # recorded at commit f81fa9a, whose span loop re-multiplied and re-ranked
     # the whole basis every round
-    gs = request.getfixturevalue(group)
-    dim = lie_algebra_dimension(gs.kind, gs.dim)
-    res = is_irreducible_algebra(adjoint_matrices(gs), dim, Random(0))
+    mats = adjoint_matrices(request.getfixturevalue(group))
+    res = is_irreducible_algebra(mats, mats[0].dim, Random(0))
     assert (res.irreducible, res.algebra_dimension) == expected
 
 
@@ -179,7 +176,7 @@ def test_spin_multiplies_each_basis_element_once(group, request, monkeypatch):
 
     monkeypatch.setattr(zariski, "multiply", counting_multiply)
     adds = _record_echelon_adds(monkeypatch)
-    res = is_irreducible_algebra(mats, lie_algebra_dimension(gs.kind, gs.dim))
+    res = is_irreducible_algebra(mats, mats[0].dim)
     assert not res.irreducible
     assert len(calls) == len(mats) * res.algebra_dimension
     # I, then each product reduced once mod p: re-ranking the basis every
@@ -191,7 +188,7 @@ def test_spin_multiplies_each_basis_element_once(group, request, monkeypatch):
 def test_exact_rank_sees_each_distinct_row_once(group, request, monkeypatch):
     # every basis row but I is itself a product, so the exact step ranks
     # I and the distinct products, and nothing twice
-    gs = request.getfixturevalue(group)
+    mats = adjoint_matrices(request.getfixturevalue(group))
     seen = []
 
     def recording_rank(rows):
@@ -199,7 +196,7 @@ def test_exact_rank_sees_each_distinct_row_once(group, request, monkeypatch):
         return _bareiss_rank(rows)
 
     monkeypatch.setattr(zariski, "_bareiss_rank", recording_rank)
-    res = is_irreducible_algebra(adjoint_matrices(gs), lie_algebra_dimension(gs.kind, gs.dim))
+    res = is_irreducible_algebra(mats, mats[0].dim)
     assert not res.irreducible and seen
     for rows in seen:
         assert len(set(map(tuple, rows))) == len(rows)
@@ -207,11 +204,11 @@ def test_exact_rank_sees_each_distinct_row_once(group, request, monkeypatch):
 
 @pytest.mark.parametrize("group", ["sl3", "sp4"])
 def test_spin_stops_at_the_row_that_completes_the_rank(group, request, monkeypatch):
-    gs = request.getfixturevalue(group)
-    dim = lie_algebra_dimension(gs.kind, gs.dim)
+    mats = adjoint_matrices(request.getfixturevalue(group))
+    dim = mats[0].dim
     target = dim * dim
     adds = _record_echelon_adds(monkeypatch)
-    assert is_irreducible_algebra(adjoint_matrices(gs), dim).irreducible
+    assert is_irreducible_algebra(mats, dim).irreducible
     assert adds[-1] == (True, target)
     assert all(pivots < target for _, pivots in adds[:-1])
 
@@ -224,7 +221,8 @@ def test_spin_forms_no_product_after_the_completing_row(group, action, request, 
     # fills the rank
     gs = request.getfixturevalue(group)
     if action == "adjoint":
-        mats, dim = adjoint_matrices(gs), lie_algebra_dimension(gs.kind, gs.dim)
+        mats = adjoint_matrices(gs)
+        dim = mats[0].dim
     else:
         mats, dim = gs.generators, gs.dim
     products = []
@@ -246,12 +244,29 @@ def test_irreducible_algebra_scalars_on_line(monkeypatch):
     assert adds == [(True, 1)]  # I alone fills it
 
 
+def _lie_dim(kind, dim):
+    m = dim // 2
+    return dim * dim - 1 if kind is GroupKind.SPECIAL_LINEAR else m * (2 * m + 1)
+
+
+def _form_j(dim):
+    m = dim // 2
+    return Matrix([[(c == r + m) - (r == c + m) for c in range(dim)] for r in range(dim)])
+
+
+def _cells_matrix(cells, dim):
+    rows = [[0] * dim for _ in range(dim)]
+    for i, j, v in cells:
+        rows[i][j] = v
+    return Matrix(rows)
+
+
 def test_lie_algebra_basis_shapes():
     for kind, dim in ((GroupKind.SPECIAL_LINEAR, 2), (GroupKind.SPECIAL_LINEAR, 3),
                       (GroupKind.SYMPLECTIC, 2), (GroupKind.SYMPLECTIC, 4),
                       (GroupKind.SYMPLECTIC, 6)):
-        basis = lie_algebra_basis(kind, dim)
-        expected = lie_algebra_dimension(kind, dim)
+        basis = [_cells_matrix(cells, dim) for cells in zariski._basis_cells(kind, dim)]
+        expected = _lie_dim(kind, dim)
         assert len(basis) == expected
         vecs = [b.flatten() for b in basis]
         assert _bareiss_rank(vecs) == expected  # linearly independent
@@ -259,9 +274,7 @@ def test_lie_algebra_basis_shapes():
             for b in basis:
                 assert sum(b.rows[i][i] for i in range(dim)) == 0
         else:
-            from zdense.matrices import symplectic_form
-
-            j = symplectic_form(dim)
+            j = _form_j(dim)
             for b in basis:
                 lhs = multiply(b.transpose(), j)
                 rhs = multiply(j, b)
@@ -273,7 +286,7 @@ def test_lie_algebra_basis_shapes():
                 )
                 assert all(v == 0 for row in total.rows for v in row)
     with pytest.raises(ValueError):
-        lie_algebra_basis(GroupKind.SPECIAL_LINEAR, 1)
+        zariski._basis_cells(GroupKind.SPECIAL_LINEAR, 1)
 
 
 _LAYOUTS = [(GroupKind.SPECIAL_LINEAR, n) for n in range(2, 7)] + [
@@ -285,17 +298,86 @@ _LAYOUTS = [(GroupKind.SPECIAL_LINEAR, n) for n in range(2, 7)] + [
 def test_adjoint_of_identity_is_identity(kind, dim):
     # coordinates read back from the first cells invert the basis
     gs = validate(kind, dim, [Matrix.identity(dim)])
-    assert adjoint_matrices(gs) == [Matrix.identity(lie_algebra_dimension(kind, dim))]
+    assert adjoint_matrices(gs) == [Matrix.identity(_lie_dim(kind, dim))]
 
 
 @pytest.mark.parametrize("kind, dim", _LAYOUTS)
 def test_first_cell_of_each_basis_element_is_its_own(kind, dim):
     cells = zariski._basis_cells(kind, dim)
-    basis = lie_algebra_basis(kind, dim)
-    assert len(cells) == len(basis)
+    basis = [_cells_matrix(c, dim) for c in cells]
+    assert len(cells) == _lie_dim(kind, dim)
     for k, (i, j, v) in enumerate(c[0] for c in cells):
         assert v == 1 and basis[k].rows[i][j] == 1
         assert all(b.rows[i][j] == 0 for other, b in enumerate(basis) if other != k)
+        assert all((i, j) not in [cell[:2] for cell in c] for c in cells[:k] + cells[k + 1:])
+
+
+def _conjugation_oracle(gs):
+    """Ad(g) the long way: g B g^-1 for each basis matrix B, read at the
+    first cells."""
+    cells = zariski._basis_cells(gs.kind, gs.dim)
+    firsts = [c[0][:2] for c in cells]
+    out = []
+    for g, g_inv in zip(gs.generators, gs.inverses):
+        columns = []
+        for b in cells:
+            rows = multiply(multiply(g, _cells_matrix(b, gs.dim)), g_inv).rows
+            columns.append([rows[i][j] for i, j in firsts])
+        out.append(Matrix(list(zip(*columns))))
+    return out
+
+
+def _seeded_generators(kind, dim, rng, bits):
+    """Unipotent generators with entries below 2^bits (and J for Sp), each
+    conjugated by one word in them."""
+    unit = [[int(r == c) for c in range(dim)] for r in range(dim)]
+    entry = lambda: rng.choice((-1, 1)) * rng.randrange(1, 1 << bits)
+    gens = []
+    if kind is GroupKind.SPECIAL_LINEAR:
+        for _ in range(3):
+            i, j = rng.sample(range(dim), 2)
+            rows = [r[:] for r in unit]
+            rows[i][j] = entry()
+            gens.append(Matrix(rows))
+    else:
+        m = dim // 2
+        gens.append(_form_j(dim))
+        for top, left in ((0, m), (m, 0)):  # [[I, S], [0, I]], then [[I, 0], [S, I]]
+            rows = [r[:] for r in unit]
+            for a in range(m):
+                for b in range(a, m):
+                    rows[top + a][left + b] = rows[top + b][left + a] = entry()
+            gens.append(Matrix(rows))
+    c = random_word(validate(kind, dim, gens), 3, rng)
+    c_inv = adjugate_inverse(c)
+    return validate(kind, dim, [c * g * c_inv for g in gens])
+
+
+@pytest.mark.parametrize("kind, dim", _LAYOUTS)
+def test_adjoint_matrices_match_the_conjugation_oracle(kind, dim):
+    rng = Random(dim)
+    for bits in (2, 2, 100):
+        gs = _seeded_generators(kind, dim, rng, bits)
+        if bits == 100:
+            assert max(abs(v) for g in gs.generators for v in g.flatten()).bit_length() >= 100
+        assert adjoint_matrices(gs) == _conjugation_oracle(gs)
+
+
+def test_adjoint_matrices_form_no_product(monkeypatch, sl3, sp4):
+    sets = (sl3, sp4, _sp6())  # validate multiplies to check the form
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(zariski, "multiply", counted)
+    monkeypatch.setattr(matrices, "multiply", counted)
+    for gs in sets:
+        adjoint_matrices(gs)
+    assert calls == []
+    is_irreducible_algebra([T], 2)  # the counter does see the walk's products
+    assert calls
 
 
 def test_adjoint_of_shear_matches_hand_computation(sl2):
@@ -306,7 +388,7 @@ def test_adjoint_of_shear_matches_hand_computation(sl2):
 def test_adjoint_identity_and_inverse(sl3, sp4):
     for gs in (sl3, sp4):
         ads = adjoint_matrices(gs)
-        ident = Matrix.identity(lie_algebra_dimension(gs.kind, gs.dim))
+        ident = Matrix.identity(_lie_dim(gs.kind, gs.dim))
         for ad, g, g_inv in zip(ads, gs.generators, gs.inverses):
             inv_gs = validate(gs.kind, gs.dim, [g_inv])
             ad_inv = adjoint_matrices(inv_gs)[0]
