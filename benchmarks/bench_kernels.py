@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark the hot kernels (zdense._kernel_py) and the word product.
+"""Benchmark the hot kernels (zdense._kernel_py), the word product and the
+Burnside gate.
 
-Three workloads, all straight from the deciders' inner loops:
+Four workloads, all straight from the deciders' inner loops:
   * ddf: factorization degree patterns of random monic polynomials of
     degree 8, 17 and 30 modulo 21-bit primes (one call per sampling trial
     of every certifier);
@@ -11,7 +12,14 @@ Three workloads, all straight from the deciders' inner loops:
     [2^30, 2^31), reducing each product once);
   * word: 139-letter random words (the length at the default epsilon)
     over conjugated dense generators of SL(4), SL(12) and SL(24), formed
-    by zdense.matrices.word_from_letters as the Weyl route forms its two.
+    by zdense.matrices.word_from_letters as the Weyl route forms its two;
+  * irreducibility: zdense.zariski.is_irreducible_algebra, the Burnside
+    gate, on the adjoint matrices of SL(3), SL(4), SL(5), Sp(4) and Sp(6)
+    (the adjoint route) and on the standard matrices of Sp(4), Sp(10),
+    Sp(16) and Sp(24) (the Weyl route's symplectic gate), each for dense
+    generators and for block-triangular (parabolic) ones, conjugated by a
+    word in the dense group; the dense rows time a YES, the parabolic rows
+    a NO.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--json PATH [--label TEXT]]
 
@@ -33,15 +41,25 @@ from zdense.matrices import (
     Matrix,
     adjugate_inverse,
     multiply,
+    random_word,
     random_word_letters,
     validate,
     word_from_letters,
 )
 from zdense.modular import is_prime
+from zdense.zariski import adjoint_matrices, is_irreducible_algebra
 
 DDF_SIZES = ((8, 400), (17, 100), (30, 40))  # (degree, polynomials)
 WORD_SIZES = ((4, 40), (12, 12), (24, 6))  # (dimension, words)
 WORD_LENGTH = 139
+# (group, dimension, action); each is timed on dense and parabolic generators
+IRREDUCIBILITY_SIZES = (
+    ("SL", 3, "adjoint"), ("SL", 4, "adjoint"), ("SL", 5, "adjoint"),
+    ("Sp", 4, "adjoint"), ("Sp", 6, "adjoint"),
+    ("Sp", 4, "standard"), ("Sp", 10, "standard"), ("Sp", 16, "standard"),
+    ("Sp", 24, "standard"),
+)
+IRREDUCIBILITY_COPIES = 2
 
 
 def make_ddf_workload(rng, count, degree):
@@ -81,21 +99,71 @@ def _unit(n, cells):
     return Matrix(rows)
 
 
+def _signed_cycle(n):
+    cycle = [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
+    if n % 2 == 0:
+        cycle[0][n - 1] = -1
+    return Matrix(cycle)
+
+
+def _block_diag(a, b):
+    n, k = a.dim, b.dim
+    return Matrix([list(r) + [0] * k for r in a.rows] + [[0] * n + list(r) for r in b.rows])
+
+
+def _sl_gens(n, dense):
+    """I + e_12 and a signed n-cycle (dense), or both blocks' dense pairs
+    and I + e_(k,k+1), which keep span(e_1..e_k) for k = n // 2."""
+    if dense:
+        return [_unit(n, [(0, 1, 1)]), _signed_cycle(n)]
+    k = n // 2
+    gens = [_block_diag(x, Matrix.identity(n - k)) for x in _sl_gens(k, True)] if k > 1 else []
+    gens += [_block_diag(Matrix.identity(k), y) for y in _sl_gens(n - k, True)]
+    return gens + [_unit(n, [(k - 1, k, 1)])]
+
+
+def _sp_gens(m, dense):
+    """A long-root and a short-root element and a signed cycle on the Levi,
+    plus J when dense; without J they keep the Lagrangian span(e_1..e_m)."""
+    n = 2 * m
+    gens = [_unit(n, [(0, m, 1)])]
+    if m > 1:
+        gens.append(_block_diag(_unit(m, [(0, 1, 1)]), _unit(m, [(1, 0, -1)])))
+        cycle = _signed_cycle(m)
+        gens.append(_block_diag(cycle, cycle))
+    if dense:
+        gens.append(Matrix([[(c == r + m) - (r == c + m) for c in range(n)] for r in range(n)]))
+    return gens
+
+
 def make_word_workload(rng, count, n):
     """SL(n) generated by I + e_12 and a signed n-cycle (a dense pair),
     conjugated by a product of n random transvections, and `count` seeded
     letter sequences over its symmetric alphabet."""
-    cycle = [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
-    if n % 2 == 0:
-        cycle[0][n - 1] = -1
     g = Matrix.identity(n)
     for _ in range(n):
         i, j = rng.sample(range(n), 2)
         g = multiply(g, _unit(n, [(i, j, rng.choice((-2, -1, 1, 2)))]))
     g_inv = adjugate_inverse(g)
-    gens = [multiply(multiply(g, x), g_inv) for x in (_unit(n, [(0, 1, 1)]), Matrix(cycle))]
+    gens = [multiply(multiply(g, x), g_inv) for x in _sl_gens(n, True)]
     gs = validate(GroupKind.SPECIAL_LINEAR, n, gens)
     return [(gs, random_word_letters(gs, WORD_LENGTH, rng)) for _ in range(count)]
+
+
+def make_irreducibility_job(rng, group, n, action, dense):
+    """The gate's input for `group`(n) under `action`, conjugated by a word
+    of length n in the dense group, and a decider seed."""
+    kind = GroupKind.SPECIAL_LINEAR if group == "SL" else GroupKind.SYMPLECTIC
+    make = _sl_gens if group == "SL" else (lambda n, dense: _sp_gens(n // 2, dense))
+    g = random_word(validate(kind, n, make(n, True)), n, rng)
+    g_inv = adjugate_inverse(g)
+    gs = validate(kind, n, [multiply(multiply(g, x), g_inv) for x in make(n, dense)])
+    mats = adjoint_matrices(gs) if action == "adjoint" else list(gs.generators)
+    return mats, mats[0].dim, rng.randrange(1 << 63)
+
+
+def irreducibility(mats, dim, seed):
+    return is_irreducible_algebra(mats, dim, Random(seed))
 
 
 def measure(kernel, workload, jobs, repeat, fn=None):
@@ -123,6 +191,13 @@ def main():
     ]
     rank_jobs = make_rank_workload(rng)
     word_jobs = [(n, make_word_workload(rng, count, n)) for n, count in WORD_SIZES]
+    irreducibility_jobs = [
+        (group, n, action, dense,
+         [make_irreducibility_job(rng, group, n, action, dense)
+          for _ in range(IRREDUCIBILITY_COPIES)])
+        for group, n, action in IRREDUCIBILITY_SIZES
+        for dense in (True, False)
+    ]
 
     rows = [
         measure(
@@ -150,6 +225,17 @@ def main():
             word_from_letters,
         )
         for n, jobs in word_jobs
+    )
+    rows.extend(
+        measure(
+            "is_irreducible_algebra",
+            f"{len(jobs)} {'dense' if dense else 'parabolic'} {group}({n}), {action}"
+            f" (dim {jobs[0][1]})",
+            jobs,
+            args.repeat,
+            irreducibility,
+        )
+        for group, n, action, dense, jobs in irreducibility_jobs
     )
 
     if args.json is not None:

@@ -7,13 +7,16 @@ random word of infinite order plus irreducibility of the adjoint action on
 the Lie algebra).  TRUE answers are certificate-backed and certain; FALSE
 answers are Monte Carlo unless the failure itself is structural (a
 reducible action can never be dense); DensityVerdict states their bound.
-The Burnside check reduces each product once mod p, answers YES as soon
+The Burnside check draws one prime p per round.  Norton's test mod p
+proves YES with O(d^3) work and no exact product; when it cannot, the
+walk at the same p reduces each product once mod p, answers YES as soon
 as the rank is full, and proves NO only by the exact rank.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -37,6 +40,7 @@ from .polynomials import is_cyclotomic_product
 
 DEFAULT_WORD_CONSTANT = Fraction(10)
 _RANK_PRIME_RANGE = (1 << 30, 1 << 31)
+_NORTON_ATTEMPTS = 6
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ class DensityVerdict:
 
 @dataclass(frozen=True)
 class IrreducibilityResult:
-    """Outcome of the matrix-algebra span loop; both answers are exact."""
+    """Outcome of is_irreducible_algebra; both answers are exact."""
 
     irreducible: bool
     algebra_dimension: int
@@ -112,6 +116,162 @@ def _bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial mod p of a square matrix with entries in
+    [0, p), constant term first, in O(d^3): a similarity to upper
+    Hessenberg form H, then the recurrence over H's leading minors."""
+    h = [row[:] for row in a]
+    n = len(h)
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        k = j + 1
+        if piv != k:  # conjugate by the transposition (piv k)
+            h[piv], h[k] = h[k], h[piv]
+            for row in h:
+                row[piv], row[k] = row[k], row[piv]
+        inv = pow(h[k][j], -1, p)
+        us = [h[i][j] * inv % p for i in range(k + 1, n)]
+        for i, u in enumerate(us, k + 1):  # row i -= u_i row k
+            if u:
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], h[k])]
+        if any(us):  # then column k += the sum of u_i column i
+            for row in h:
+                row[k] = (row[k] + sum(map(operator.mul, us, row[k + 1 :]))) % p
+    # chi_k = (x - H[k-1][k-1]) chi_(k-1)
+    #         - sum_i H[k-1-i][k-1] H[k-i][k-i-1] ... H[k-1][k-2] chi_(k-1-i)
+    chis = [[1]]
+    for k in range(1, n + 1):
+        new = [0] + chis[-1]
+        diag = h[k - 1][k - 1]
+        for j, c in enumerate(chis[-1]):
+            new[j] -= diag * c
+        sub = 1
+        for i in range(1, k):
+            sub = sub * h[k - i][k - i - 1] % p
+            if not sub:
+                break
+            c = h[k - 1 - i][k - 1] * sub % p
+            for j, v in enumerate(chis[k - 1 - i]):
+                new[j] -= c * v
+        chis.append([v % p for v in new])
+    return chis[-1]
+
+
+def _kernel_mod(a: Sequence[Sequence[int]], p: int) -> list[list[int]]:
+    """A basis of {v : a v = 0} mod p, by Gauss-Jordan elimination."""
+    rows = [list(r) for r in a]
+    n = len(rows[0])
+    pivots: list[int] = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        prow = rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            c = row[col]
+            if c and i != r:
+                rows[i] = [(x - c * y) % p for x, y in zip(row, prow)]
+        pivots.append(col)
+    basis = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[free] = 1
+        for row, col in zip(rows, pivots):
+            v[col] = -row[free] % p
+        basis.append(v)
+    return basis
+
+
+def _spins_to_everything(v: list[int], gens: list[list[list[int]]], p: int) -> bool:
+    """Is the smallest subspace that holds v and is closed under gens all
+    of F_p^d?  The images of the kept vectors go through one RowEchelon."""
+    d = len(v)
+    echelon = kernels.RowEchelon(p, d)
+    echelon.add(v)
+    kept = [v]
+    for u in kept:  # kept grows while the spin reads it
+        for g in gens:
+            gu = [sum(map(operator.mul, row, u)) % p for row in g]
+            if echelon.add(gu):
+                kept.append(gu)
+                if len(kept) == d:
+                    return True
+    return len(kept) == d  # d = 1
+
+
+def _norton(mats: Sequence[Matrix], dim: int, p: int, rng: Random) -> bool:
+    """Norton's irreducibility test mod p, at most _NORTON_ATTEMPTS times:
+    True proves that the unital algebra generated by `mats` is all of the
+    dim x dim matrices over Q; False proves nothing.
+
+    Each attempt takes theta = a random combination of the generators mod
+    p plus one product of two of them, finds a root lambda of its
+    characteristic polynomial in F_p, and goes on only if ker(theta -
+    lambda) is a line, spanned by v; w spans ker((theta - lambda)^T).
+    Norton's criterion: F_p^d is an irreducible module for the algebra
+    A_p generated mod p iff v spins to all of it under the generators and
+    w spins to all of it under their transposes.  (A proper submodule U
+    either meets the line, so holds v, or theta - lambda maps U onto U,
+    so the annihilator of U, a proper submodule for the transposes, holds
+    w.)  Every endomorphism of the module commutes with theta, so it keeps
+    the line and is a scalar on v, hence everywhere: End = F_p, and the
+    module is absolutely irreducible.  By Burnside A_p is then all of
+    M_d(F_p), so d^2 words in the generators are independent mod p, hence
+    over Q: the YES is certain.  A failed spin proves the module reducible
+    mod p, so the test stops there.
+    """
+    gens = [[[x % p for x in row] for row in g.rows] for g in mats]
+    gens_t = [[list(col) for col in zip(*g)] for g in gens]
+    for _ in range(_NORTON_ATTEMPTS):
+        left, right = gens[rng.randrange(len(gens))], gens_t[rng.randrange(len(gens))]
+        theta = [[sum(map(operator.mul, row, col)) for col in right] for row in left]
+        for g in gens:
+            c = rng.randrange(p)
+            theta = [[x + c * y for x, y in zip(t, r)] for t, r in zip(theta, g)]
+        theta = [[x % p for x in row] for row in theta]
+        root = kernels.find_root(_charpoly_mod(theta, p), p, rng)
+        if root is None:
+            continue
+        for i, row in enumerate(theta):
+            row[i] = (row[i] - root) % p
+        line = _kernel_mod(theta, p)
+        if len(line) != 1:
+            continue
+        if not _spins_to_everything(line[0], gens, p):
+            return False
+        (w,) = _kernel_mod(list(zip(*theta)), p)
+        return _spins_to_everything(w, gens_t, p)
+    return False
+
+
+def _walk(mats: Sequence[Matrix], dim: int, p: int) -> IrreducibilityResult | None:
+    """The Burnside walk at the prime p: the exact algebra dimension, or
+    None when p divided a minor (see is_irreducible_algebra)."""
+    target = dim * dim
+    identity = Matrix.identity(dim)
+    echelon = kernels.RowEchelon(p, target)
+    kept = [identity]
+    rows = [identity.flatten()]  # I, then every product formed
+    echelon.add(rows[0])
+    for b in kept:  # kept grows while the walk reads it
+        for g in mats:
+            if len(kept) == target:  # the last row kept filled the rank
+                return IrreducibilityResult(True, target)
+            m = multiply(g, b)
+            rows.append(m.flatten())
+            if echelon.add(rows[-1]):
+                kept.append(m)
+    if _bareiss_rank(list(dict.fromkeys(rows))) == len(kept):
+        # NO, but for dim = 1 and no generators, where I fills M_1
+        return IrreducibilityResult(len(kept) == target, len(kept))
+    return None
+
+
 def is_irreducible_algebra(
     mats: Sequence[Matrix], dim: int, rng: Random | None = None
 ) -> IrreducibilityResult:
@@ -119,20 +279,23 @@ def is_irreducible_algebra(
     matrices?  By Burnside, that is equivalent to the group acting
     irreducibly over C.
 
-    Walks one growing list of kept elements modulo a random 31-bit prime
-    p, I first: each kept element is multiplied once by every generator,
-    and each product is formed only to be reduced at once by the prime's
-    one RowEchelon, seeded with I, and kept iff it is independent of the
-    rows kept before it.  The walk alone proves YES, at the row that makes
-    the rank full (I alone when dim = 1): full rank mod p certifies it
+    Each round draws one random 31-bit prime p.  Norton's test mod p
+    (_norton) proves YES when it succeeds; it is skipped for dim = 1, for
+    no generators and for p = 2, where the walk answers alone.  Otherwise
+    the walk runs at the same p.  It walks one growing list of kept
+    elements, I first: each kept element is multiplied once by every
+    generator, and each product is formed only to be reduced at once by
+    the prime's one RowEchelon, seeded with I, and kept iff it is
+    independent of the rows kept before it.  The row that makes the rank
+    full proves YES (I alone when dim = 1): full rank mod p certifies it
     over Q.  The exact step only refutes: once the walk ends, the span of
     the kept elements is closed under the generators mod p, and a
     fraction-free rank of I and of every distinct product (each kept
     element but I is one of them) equal to the number kept means that span
     contains I and is closed under every generator over Q, so it is the
     whole algebra and too small: NO.  Any other exact rank means p divided
-    a minor, and the walk restarts with a fresh prime and echelon.  Both
-    are certain.
+    a minor, and the next round draws a fresh prime.  Both answers are
+    certain.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -140,25 +303,13 @@ def is_irreducible_algebra(
         raise ValueError(f"dimension mismatch: every generator must be {dim} x {dim}")
     if rng is None:
         rng = Random(0x5EED)
-    target = dim * dim
-    identity = Matrix.identity(dim)
     while True:
         p = random_prime_avoiding(1, _RANK_PRIME_RANGE[0], _RANK_PRIME_RANGE[1], rng)
-        echelon = kernels.RowEchelon(p, target)
-        kept = [identity]
-        rows = [identity.flatten()]  # I, then every product formed
-        echelon.add(rows[0])
-        for b in kept:  # kept grows while the walk reads it
-            for g in mats:
-                if len(kept) == target:  # the last row kept filled the rank
-                    return IrreducibilityResult(True, target)
-                m = multiply(g, b)
-                rows.append(m.flatten())
-                if echelon.add(rows[-1]):
-                    kept.append(m)
-        if _bareiss_rank(list(dict.fromkeys(rows))) == len(kept):
-            # NO, but for dim = 1 and no generators, where I fills M_1
-            return IrreducibilityResult(len(kept) == target, len(kept))
+        if dim > 1 and mats and p > 2 and _norton(mats, dim, p, rng):
+            return IrreducibilityResult(True, dim * dim)
+        result = _walk(mats, dim, p)
+        if result is not None:
+            return result
 
 
 def _basis_cells(kind: GroupKind, dim: int) -> list[list[tuple[int, int, int]]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import time
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from zdense import cli
-from zdense.cli import InputError, RunConfig, main, parse_input, run
+from zdense.cli import InputError, RunConfig, build_parser, main, parse_input, run
 from zdense.matrices import GeneratorSet, GroupKind
 from zdense.modular import check_prime_range, factor_degrees_mod
 from zdense.polynomials import IntPoly
@@ -442,6 +443,40 @@ def test_main_names_the_bad_field_or_flag(tmp_path, capsys, doc, flags, named):
 def test_readme_examples(name, flags, expected):
     path = Path(__file__).resolve().parents[1] / "sample_inputs" / f"{name}.json"
     assert main([str(path), *flags, "--quiet"]) == expected
+
+
+# sha256 of each report without its `timings`, first 16 hex digits,
+# recorded at commit 68e0333, where the Burnside walk alone proved YES
+_PINNED_REPORTS = {
+    ("sl2_st", "weyl", 0): "e8f200d5c9d726f2",
+    ("sl2_st", "weyl", 1): "e456595680461ffa",
+    ("sl2_st", "weyl", 2): "db74eea7c0e58944",
+    ("sl2_st", "adjoint", 0): "a9e6fee34fc9caaa",
+    ("sl2_st", "adjoint", 1): "9ac79dbfd2283644",
+    ("sl2_st", "adjoint", 2): "d96d7bed33561300",
+    ("sp4_standard", "weyl", 0): "14cfbe58fa91206a",
+    ("sp4_standard", "weyl", 1): "53200b8881ddd12f",
+    ("sp4_standard", "weyl", 2): "9cb87bc517d62379",
+    ("sp4_standard", "adjoint", 0): "cfb9f4f1c7213375",
+    ("sp4_standard", "adjoint", 1): "d3ad1d9e415e6b27",
+    ("sp4_standard", "adjoint", 2): "7d27bdc80ea2b497",
+    ("sl3_heisenberg", "adjoint", 0): "e0dc8ff783850841",
+    ("sl3_heisenberg", "adjoint", 1): "a6c7ec209f0e09b4",
+    ("sl3_heisenberg", "adjoint", 2): "51565b37ac0fb755",
+}
+
+
+@pytest.mark.parametrize("name, mode, seed", list(_PINNED_REPORTS))
+def test_report_bytes_pinned(name, mode, seed, monkeypatch):
+    # the report names its input path, so run from the root with a relative one
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    args = build_parser().parse_args(
+        [f"sample_inputs/{name}.json", "--mode", mode, "--seed", str(seed), "--quiet"]
+    )
+    _, report = run(cli._config_from_args(args))
+    report.pop("timings")
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == _PINNED_REPORTS[name, mode, seed]
 
 
 def test_main_internal_error_exit_3(tmp_path, capsys, monkeypatch):

@@ -313,3 +313,59 @@ def test_row_echelon_fed_in_chunks_matches_greedy_oracle(p):
             start = stop
         assert kept == _greedy_independent(rows, p), trial
         assert len(echelon.pivots) == len(kept)
+
+
+@pytest.mark.parametrize("q", [3, 101, 2147483647])
+def test_power_matches_square_and_multiply_oracle(q):
+    # x, x + c and a general element, the three products power forms
+    rng = Random(q)
+    for _ in range(40):
+        n = rng.randrange(2, 13)
+        f = [rng.randrange(q) for _ in range(n)] + [1]
+        ring = _kernel_py._PackedRing(f, q)
+        general = [rng.randrange(q) for _ in range(n)]
+        for a in (ring.x, [rng.randrange(1, q), 1] + [0] * (n - 2), general):
+            e = rng.randrange(1, 1 << 40)
+            want = _strip(_powmod(a, e, f, q))
+            assert _strip(ring.power(a, e)) == want, (f, a, e)
+
+
+def _roots(f, q):
+    return {r for r in range(q) if sum(c * pow(r, i, q) for i, c in enumerate(f)) % q == 0}
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13, 31])
+def test_find_root_matches_brute_force(q):
+    rng = Random(q)
+    misses = 0
+    for _ in range(150):
+        f = [rng.randrange(q) for _ in range(rng.randrange(1, 9))] + [rng.randrange(1, q)]
+        roots = _roots(f, q)
+        # hide f behind multiples of q, and a leading term that vanishes mod q
+        coeffs = [c + q * rng.randrange(-9, 10) for c in f] + [q]
+        got = _kernel_py.find_root(coeffs, q, rng)
+        if roots:
+            assert got in roots, (f, q)
+        else:
+            misses += 1
+            assert got is None, (f, q)
+    assert misses > 5
+    with pytest.raises(ValueError, match="constant"):
+        _kernel_py.find_root([4, q], q, rng)
+
+
+def test_find_root_on_planted_roots():
+    # distinct and repeated roots next to a quadratic without one, mod a
+    # 31-bit prime where a root cannot be found by search
+    q = 2147483647
+    rng = Random(17)
+    nonsquare = next(n for n in range(2, 100) if pow(n, (q - 1) // 2, q) == q - 1)
+    for trial in range(30):
+        planted = [rng.randrange(q) for _ in range(trial % 5)]
+        if trial % 3 == 0 and planted:
+            planted.append(planted[0])
+        f = [-nonsquare, 0, 1]
+        for r in planted:
+            f = _poly_mul(f, [-r, 1])
+        got = _kernel_py.find_root(f, q, rng)
+        assert got in set(planted) if planted else got is None, trial

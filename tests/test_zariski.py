@@ -13,6 +13,7 @@ from zdense.matrices import (
     random_word,
     validate,
 )
+from zdense.modular import is_prime, random_prime_avoiding
 from zdense.zariski import (
     Certainty,
     adjoint_matrices,
@@ -21,6 +22,7 @@ from zdense.zariski import (
     word_length,
     zariski_dense,
     _bareiss_rank,
+    _walk,
 )
 
 S = Matrix([[0, -1], [1, 0]])
@@ -150,6 +152,11 @@ def test_adjoint_irreducibility_pinned(group, expected, request):
     assert (res.irreducible, res.algebra_dimension) == expected
 
 
+# a prime from the walk's range [2^30, 2^31); Norton's test answers YES
+# before the walk runs, so the walk's own behaviour is tested through _walk
+WALK_PRIME = (1 << 31) - 1
+
+
 def _record_echelon_adds(monkeypatch):
     """(kept, pivots after the call) for every row the spin adds."""
     adds = []
@@ -176,7 +183,7 @@ def test_spin_multiplies_each_basis_element_once(group, request, monkeypatch):
 
     monkeypatch.setattr(zariski, "multiply", counting_multiply)
     adds = _record_echelon_adds(monkeypatch)
-    res = is_irreducible_algebra(mats, mats[0].dim)
+    res = _walk(mats, mats[0].dim, WALK_PRIME)
     assert not res.irreducible
     assert len(calls) == len(mats) * res.algebra_dimension
     # I, then each product reduced once mod p: re-ranking the basis every
@@ -208,7 +215,7 @@ def test_spin_stops_at_the_row_that_completes_the_rank(group, request, monkeypat
     dim = mats[0].dim
     target = dim * dim
     adds = _record_echelon_adds(monkeypatch)
-    assert is_irreducible_algebra(mats, dim).irreducible
+    assert _walk(mats, dim, WALK_PRIME).irreducible
     assert adds[-1] == (True, target)
     assert all(pivots < target for _, pivots in adds[:-1])
 
@@ -233,13 +240,13 @@ def test_spin_forms_no_product_after_the_completing_row(group, action, request, 
 
     monkeypatch.setattr(zariski, "multiply", counting_multiply)
     adds = _record_echelon_adds(monkeypatch)
-    assert is_irreducible_algebra(mats, dim).irreducible
+    assert _walk(mats, dim, WALK_PRIME).irreducible
     assert len(products) == len(adds) - 1
 
 
 def test_irreducible_algebra_scalars_on_line(monkeypatch):
     adds = _record_echelon_adds(monkeypatch)
-    res = is_irreducible_algebra([Matrix([[5]])], 1)
+    res = _walk([Matrix([[5]])], 1, WALK_PRIME)
     assert res.irreducible  # M_1 is the scalars
     assert adds == [(True, 1)]  # I alone fills it
 
@@ -489,15 +496,18 @@ def _restrict_sqrt2(m):
     return Matrix([[times(*m[i][j])[k][l] for j, l in coords] for i, k in coords])
 
 
+def _sqrt2_gens():
+    one, zero = (1, 0), (0, 0)
+    return [_restrict_sqrt2([[one, b], [zero, one]]) for b in ((1, 0), (0, 1))] + [
+        _restrict_sqrt2([[one, zero], [b, one]]) for b in ((1, 0), (0, 1))
+    ]
+
+
 def test_weyl_route_refutes_restriction_of_scalars_for_certain():
     # SL2(Z[sqrt 2]) lies in Res SL2 over Q(sqrt 2), of dimension 6 < 10, so
     # it is not dense in Sp(4) although its words carry the full signed
     # permutation group; only the irreducibility gate can tell
-    one, zero = (1, 0), (0, 0)
-    gens = [_restrict_sqrt2([[one, b], [zero, one]]) for b in ((1, 0), (0, 1))] + [
-        _restrict_sqrt2([[one, zero], [b, one]]) for b in ((1, 0), (0, 1))
-    ]
-    gs = validate(GroupKind.SYMPLECTIC, 4, gens)
+    gs = validate(GroupKind.SYMPLECTIC, 4, _sqrt2_gens())
     for seed in range(5):
         v = zariski_dense(gs, "1e-6", Random(seed))
         assert not v.dense and v.certainty is Certainty.CERTAIN
@@ -509,6 +519,137 @@ def test_weyl_route_refutes_restriction_of_scalars_for_certain():
     assert not v.dense and v.certainty is Certainty.CERTAIN
     assert v.trail[-1] == {"step": "adjoint_irreducibility", "irreducible": False,
                            "algebra_dimension": 34}
+
+
+def _norton_runs(mats, dim, trials):
+    """Norton's answer on `trials` seeded (prime, rng) pairs."""
+    answers = []
+    for seed in range(trials):
+        rng = Random(seed)
+        p = random_prime_avoiding(1, 1 << 30, 1 << 31, rng)
+        answers.append(zariski._norton(mats, dim, p, rng))
+    return answers
+
+
+def test_charpoly_mod_matches_berkowitz():
+    rng = Random(41)
+    for p in (2, 3, 7, WALK_PRIME):
+        for dim in range(1, 9):
+            for _ in range(12):
+                rows = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(dim)]
+                        for _ in range(dim)]
+                want = [c % p for c in characteristic_polynomial(Matrix(rows)).coeffs]
+                assert zariski._charpoly_mod(rows, p) == want, (p, rows)
+
+
+def _rank_mod(rows, ncols, p):
+    echelon = kernels.RowEchelon(p, ncols)
+    return sum(echelon.add(row) for row in rows)
+
+
+def test_kernel_mod_spans_the_kernel():
+    rng = Random(43)
+    for p in (2, 5, WALK_PRIME):
+        for _ in range(60):
+            m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+            rank = rng.randrange(0, min(m, n) + 1)
+            left = [[rng.randrange(p) for _ in range(rank)] for _ in range(m)]
+            right = [[rng.randrange(p) for _ in range(n)] for _ in range(rank)]
+            rows = [[sum(r[t] * right[t][j] for t in range(rank)) % p for j in range(n)]
+                    for r in left]
+            basis = zariski._kernel_mod(rows, p)
+            for v in basis:
+                assert not any(sum(a * b for a, b in zip(r, v)) % p for r in rows)
+            # independent, and as many as n minus the rank
+            assert _rank_mod(basis, n, p) == len(basis)
+            assert len(basis) == n - _rank_mod(rows, n, p)
+
+
+def test_norton_yes_agrees_with_the_walk_on_random_matrices():
+    # seeded small sets, singular ones included: a YES from Norton's test
+    # must be a YES of the walk, and most walk YESes above dim 1 get one
+    rng = Random(2024)
+    walk_yes = norton_yes = 0
+    for trial in range(120):
+        dim = 1 + trial % 6
+        mats = [
+            Matrix([[rng.randrange(-2, 3) for _ in range(dim)] for _ in range(dim)])
+            for _ in range(rng.randrange(1, 4))
+        ]
+        walk = _walk(mats, dim, WALK_PRIME)
+        answers = _norton_runs(mats, dim, 3)
+        assert walk.irreducible or not any(answers), mats
+        if walk.irreducible and dim > 1:
+            walk_yes += 1
+            norton_yes += any(answers)
+    assert walk_yes >= 20 and norton_yes >= walk_yes - 2, (walk_yes, norton_yes)
+
+
+@pytest.mark.parametrize("action", ["standard", "adjoint"])
+@pytest.mark.parametrize(
+    "group, dense",
+    [("sl3", True), ("sp4", True), ("sl3_parabolic", False), ("sp4_siegel_parabolic", False)],
+)
+def test_norton_yes_agrees_with_the_walk(group, dense, action, request):
+    gs = request.getfixturevalue(group)
+    mats = adjoint_matrices(gs) if action == "adjoint" else list(gs.generators)
+    dim = mats[0].dim
+    assert _walk(mats, dim, WALK_PRIME).irreducible is dense
+    answers = _norton_runs(mats, dim, 40)
+    # never YES on a reducible set; almost always YES on a dense one
+    assert sum(answers) >= 36 if dense else not any(answers), answers
+
+
+@pytest.mark.parametrize("action", ["standard", "adjoint"])
+def test_norton_never_says_yes_without_absolute_irreducibility(action):
+    # SL2(Z[sqrt 2]) acts irreducibly over Q on Q^4 but not absolutely: mod
+    # p its module is irreducible with End = F_p^2 when 2 is not a square,
+    # so every eigenspace of theta in F_p has even dimension
+    gens = _sqrt2_gens()
+    mats = adjoint_matrices(validate(GroupKind.SYMPLECTIC, 4, gens)) if action == "adjoint" else gens
+    dim = mats[0].dim
+    assert not _walk(mats, dim, WALK_PRIME).irreducible
+    assert not any(_norton_runs(mats, dim, 40))
+
+
+class _ZeroRng:
+    """randrange always 0: every coefficient of theta is 0, and theta is the
+    square of the first generator."""
+
+    def randrange(self, n):
+        return 0
+
+
+def test_norton_rejects_an_eigenspace_wider_than_a_line():
+    # Random coefficients reach an F_p-eigenvalue of the sqrt 2 set only
+    # with probability about 1/p, so theta is pinned to u^2 for the unipotent
+    # u = [[1, 1], [0, 1]] over Z[sqrt 2]: eigenvalue 1 on an F_(p^2)-line,
+    # an F_p-plane.  With 2 not a square mod p the module is irreducible, so
+    # both spins from that plane succeed, and only the nullity rules YES out.
+    p = next(q for q in range(WALK_PRIME, 0, -2) if q % 8 in (3, 5) and is_prime(q))
+    gens = _sqrt2_gens()
+    assert not _walk(gens, 4, p).irreducible
+    theta = [[x % p for x in row] for row in multiply(gens[0], gens[0]).rows]
+    for i in range(4):
+        theta[i][i] -= 1
+    assert len(zariski._kernel_mod(theta, p)) == 2
+    assert not zariski._norton(gens, 4, p, _ZeroRng())
+
+
+def test_norton_answers_yes_before_the_walk(sl3, monkeypatch):
+    # a dense set needs no product from the walk, and the round draws one prime
+    mats = adjoint_matrices(sl3)
+    walks, draws = [], []
+
+    def counting_draw(*args):
+        draws.append(args)
+        return random_prime_avoiding(*args)
+
+    monkeypatch.setattr(zariski, "_walk", lambda *args: walks.append(args))
+    monkeypatch.setattr(zariski, "random_prime_avoiding", counting_draw)
+    res = is_irreducible_algebra(mats, mats[0].dim, Random(3))
+    assert (res.irreducible, res.algebra_dimension) == (True, 64)
+    assert walks == [] and len(draws) == 1
 
 
 def test_zariski_block_sl2_in_sl3_not_dense():
