@@ -19,7 +19,10 @@ Four workloads, all straight from the deciders' inner loops:
     Sp(16) and Sp(24) (the Weyl route's symplectic gate), each for dense
     generators and for block-triangular (parabolic) ones, conjugated by a
     word in the dense group; the dense rows time a YES, the parabolic rows
-    a NO.
+    a NO.  A NO is the walk plus its lifted check: each product the walk
+    did not keep is rebuilt from the kept ones by rational reconstruction
+    of its coefficients mod p and one exact packed check (the rows before
+    that timed a fraction-free rank of every product instead).
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--json PATH [--label TEXT]]
 

@@ -1,5 +1,6 @@
 """The hot kernels: distinct-degree factorization degrees mod q, one root
-mod q, and row rank mod p, in pure Python with big-int packing.
+mod q, row rank mod p with the dependencies it finds, and their lift to
+Q, in pure Python with big-int packing.
 
 ddf_degrees makes f monic, computes the Frobenius power x^q mod f once,
 multiplies by Kronecker substitution (one big-int product per polynomial
@@ -17,13 +18,20 @@ through bytes where _PackedRing shifts: each packer is the faster one at
 its own sizes (see their pack methods).  It reduces each added row once
 against the rows it has kept, so a caller that feeds rows as it forms
 them (the Burnside walk) never eliminates a kept row again; rank_mod is
-one pass of rows through a fresh RowEchelon.
+one pass of rows through a fresh RowEchelon.  With record=True a row
+also carries its combination of the kept rows in slots past its columns,
+so the same multiply-adds leave each dependent row's coefficients on the
+kept rows mod p; Norton's spins and rank_mod leave it off and pay
+one flag test per row.  crt and rational_reconstruction (Wang's, over a common
+denominator) lift such coefficients from residues to fractions; the
+caller checks the fractions exactly.
 
 Polynomials here are lists of ints in [0, q), constant term first.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 
@@ -242,15 +250,24 @@ class RowEchelon:
     add(row) reduces the row once against the kept pivot rows and keeps
     it, normalized, iff it is independent of them.  Eliminating against a
     normalized pivot row adds (p - c) times it, which clears the pivot
-    column mod p and adds less than p^2 to every slot; a row meets fewer
-    than ncols pivots, so no slot carries into the next.
+    column mod p and adds less than p^2 to every slot; a row meets at most
+    ncols pivots, so no slot carries into the next.
+
+    With record=True each row also carries its combination of the kept
+    rows, in the slots after its ncols columns: slot ncols + i holds the
+    coefficient of the i-th row kept, and a new row starts with 1 in the
+    slot of the index it would be kept at.  Elimination then updates the
+    combination by the same multiply-add, at no extra big-int operation.
+    When add returns False, `relation` holds the coefficients, in [0, p),
+    of the row on the rows kept so far, in the order they were kept.
     """
 
-    def __init__(self, p: int, ncols: int):
-        self.p, self.ncols = p, ncols
+    def __init__(self, p: int, ncols: int, record: bool = False):
+        self.p, self.ncols, self.record = p, ncols, record
         self.w = 8 * ((2 * p.bit_length() + ncols.bit_length() + 8) // 8)
         self.width = self.w // 8  # bytes per slot
         self.pivots: list[tuple[int, int]] = []  # (pivot slot offset, packed normalized row)
+        self.relation: list[int] = []
 
     def _pack(self, values) -> int:
         # Bytes, not shifts: at the echelon sizes (64-225 slots of 72 bits)
@@ -263,10 +280,15 @@ class RowEchelon:
     def add(self, row: Sequence[int]) -> bool:
         """Keep row iff it is independent mod p of the rows kept so far."""
         p, w, width, ncols = self.p, self.w, self.width, self.ncols
-        if len(self.pivots) == ncols:
+        rank = len(self.pivots)
+        if rank == ncols and not self.record:
             return False
         mask = (1 << w) - 1
         v = self._pack([x % p for x in row])
+        nslots = ncols
+        if self.record:
+            v |= 1 << (w * (ncols + rank))
+            nslots += rank + 1
         for shift, prow in self.pivots:
             c = (v >> shift & mask) % p
             if c:
@@ -275,13 +297,15 @@ class RowEchelon:
         # with the square of the slot count.  Shifts won 1.1-1.6x at 64-100
         # slots of 72 bits (adjoint SL(3), Sp(4)); bytes won 1.2-1.8x at
         # 225-441 and 4-6x at 1225 slots (SL(4), Sp(6), SL(6); Python 3.11).
-        raw = v.to_bytes(width * ncols, "little")
+        raw = v.to_bytes(width * nslots, "little")
         vals = [
             int.from_bytes(raw[i : i + width], "little") % p
             for i in range(0, len(raw), width)
         ]
         lead = next((j for j in range(ncols) if vals[j]), None)
         if lead is None:
+            if self.record:  # 0 = row - sum of relation[i] times kept row i
+                self.relation = [-x % p for x in vals[ncols:-1]]
             return False
         inv = pow(vals[lead], -1, p)
         self.pivots.append((lead * w, self._pack([x * inv % p for x in vals])))
@@ -296,3 +320,55 @@ def rank_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[int, list[int]]:
     echelon = RowEchelon(p, len(rows[0]) if rows else 0)
     kept = [idx for idx, row in enumerate(rows) if echelon.add(row)]
     return len(echelon.pivots), kept
+
+
+def crt(a: int, m: int, b: int, q: int) -> int:
+    """The x in [0, m q) with x = a mod m and x = b mod q, for coprime m, q."""
+    return (a + m * ((b - a) * pow(m, -1, q) % q)) % (m * q)
+
+
+def _wang(u: int, m: int, bound: int) -> tuple[int, int] | None:
+    """The fraction n/d = u mod m with |n|, d <= bound, 2 bound^2 < m, as
+    (n, d) in lowest terms with d > 0, or None if there is none.
+
+    Wang's half-extended Euclid (von zur Gathen and Gerhard, Modern
+    Computer Algebra, 5.10): at most one such fraction exists, and the
+    remainder sequence of (m, u) meets it at its first remainder <= bound.
+    """
+    r0, s0, r1, s1 = m, 0, u % m, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, s0, r1, s1 = r1, s1, r0 - q * r1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def rational_reconstruction(residues: Sequence[int], m: int) -> tuple[int, list[int]] | None:
+    """A common denominator d > 0 and numerators n_i with n_i = d u_i mod m
+    for the residues u_i, or None.
+
+    With B = isqrt((m - 1) // 2), so that 2 B^2 < m: whenever some D <= B
+    and numerators of absolute value at most B give fractions n_i / D that
+    are the residues mod m, the answer is those fractions, over the least
+    common denominator.  Each d u_i is reconstructed in turn by Wang's
+    method, d growing by the new denominator, which divides D / d; an
+    entry that d already clears costs one product and one reduction.
+    """
+    bound = math.isqrt((m - 1) // 2)
+    if not bound:  # m <= 2: no denominator is within the bound
+        return None
+    den, nums = 1, []
+    for u in residues:
+        v = u * den % m
+        if v > bound:
+            v -= m
+        if v < -bound:
+            frac = _wang(v, m, bound)
+            if frac is None:
+                return None
+            v, d = frac
+            den *= d
+            nums = [n * d for n in nums]
+        nums.append(v)
+    return den, nums

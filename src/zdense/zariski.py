@@ -9,8 +9,11 @@ answers are Monte Carlo unless the failure itself is structural (a
 reducible action can never be dense); DensityVerdict states their bound.
 The Burnside check draws one prime p per round.  Norton's test mod p
 proves YES with O(d^3) work and no exact product; when it cannot, the
-walk at the same p reduces each product once mod p, answers YES as soon
-as the rank is full, and proves NO only by the exact rank.
+walk at the same p reduces each product once mod p and answers YES as
+soon as the rank is full.  A walk that ends short of it proves NO by
+lifting its own mod-p dependencies: each product it did not keep is
+rebuilt exactly from the kept ones, by rational reconstruction (and CRT
+over further primes when one is not enough) and one exact check.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .matrices import (
     random_word_letters,
     word_from_letters,
 )
-from .modular import random_prime_avoiding
+from .modular import is_prime, random_prime_avoiding
 from .polynomials import is_cyclotomic_product
 
 DEFAULT_WORD_CONSTANT = Fraction(10)
@@ -86,34 +89,6 @@ def word_length(eps, word_constant=DEFAULT_WORD_CONSTANT) -> int:
         return max(16, math.ceil(float(c) * _log_inv(as_epsilon(eps))))
     except OverflowError:  # c * ln(1/eps) is not a finite float
         raise ValueError("word constant too large: c * ln(1/eps) overflows a float") from None
-
-
-def _bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Exact rank over Q by fraction-free elimination."""
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    prev = 1
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        prow = a[rank]
-        pval = prow[col]
-        for i in range(rank + 1, m):
-            ri = a[i]
-            ric = ri[col]
-            # rows with a zero in the pivot column still rescale by pval/prev
-            for j in range(col + 1, n):
-                ri[j] = (pval * ri[j] - ric * prow[j]) // prev
-            ri[col] = 0
-        prev = pval
-        rank += 1
-        if rank == m:
-            break
-    return rank
 
 
 def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
@@ -249,24 +224,122 @@ def _norton(mats: Sequence[Matrix], dim: int, p: int, rng: Random) -> bool:
     return False
 
 
+def _lift_primes(avoid: int):
+    """The primes below 2^31, downward from 2^31 - 1, except `avoid`."""
+    q = (1 << 31) - 1
+    while True:
+        if q != avoid and is_prime(q):
+            yield q
+        q -= 2
+
+
+def _pack_signed(values: Sequence[int], width: int) -> int:
+    """The sum of values[j] 2^(8 width j), for |values[j]| < 2^(8 width - 1):
+    the slots' bytes are joined with each value offset by that half."""
+    half = 1 << (8 * width - 1)
+    offsets = int.from_bytes(half.to_bytes(width, "little") * len(values), "little")
+    raw = b"".join([(x + half).to_bytes(width, "little") for x in values])
+    return int.from_bytes(raw, "little") - offsets
+
+
+def _lies_in_span(row: Sequence[int], den: int, nums: Sequence[int],
+                  packed: Sequence[int], width: int) -> bool:
+    """Is den * row the sum of nums[i] times kept row i, exactly?  packed[i]
+    is kept row i by _pack_signed at a width whose slots hold every entry
+    of the difference, so the packed difference is 0 iff every entry is;
+    one big-int multiply-add per nonzero coefficient."""
+    acc = -den * _pack_signed(row, width)
+    for n, k in zip(nums, packed):
+        if n:
+            acc += n * k
+    return acc == 0
+
+
+def _closed_over_q(kept: Sequence[Sequence[int]], dependent: list, p: int) -> bool:
+    """Does every row of `dependent` lie in span_Q(kept)?  Each comes as
+    (row, its coefficients on `kept` mod p), and `kept` is independent
+    mod p, hence over Q.
+
+    Each coefficient is rationally reconstructed from its residue mod M
+    (M = p at first), and each row is checked exactly: den * row = sum of
+    num_i kept_i.  Rows that fail are solved again mod the next prime of
+    _lift_primes at which `kept` is independent, and CRT folds the new
+    residues into M.  A failing row independent of `kept` mod such a prime
+    q lies outside span_Q(kept), since the Cramer denominators of a row in
+    it, over a minor of `kept` that is nonzero mod q, are prime to q: the
+    answer is False.
+
+    The loop ends.  Let A = |row| prod |kept_i| (Euclidean norms).  A row
+    dependent on `kept` mod every prime of M has all the minors of kept +
+    [row] of full size divisible by M, and by Hadamard they are at most A,
+    so once M > A they vanish and the row lies in the span.  Its Cramer
+    numerators and denominators are at most A too, so once M > 2 A^2 they
+    are within the reconstruction bound isqrt((M - 1) / 2), and the check
+    passes.
+    """
+    modulus = p
+    primes = _lift_primes(p)
+    pending = [(row, rel + [0] * (len(kept) - len(rel))) for row, rel in dependent]
+    top = max(max(map(abs, k)) for k in kept)
+    while True:
+        claims, failed = [], []
+        for row, residues in pending:
+            lifted = kernels.rational_reconstruction(residues, modulus)
+            if lifted is None:
+                failed.append((row, residues))
+            else:
+                claims.append((row, residues, *lifted))
+        if claims:
+            bound = max(den * max(map(abs, row)) + top * sum(map(abs, nums))
+                        for row, _, den, nums in claims)
+            width = (bound.bit_length() + 8) // 8  # bound < 2^(8 width - 1)
+            packed = [_pack_signed(k, width) for k in kept]
+            failed += [(row, residues) for row, residues, den, nums in claims
+                       if not _lies_in_span(row, den, nums, packed, width)]
+        if not failed:
+            return True
+        for q in primes:
+            echelon = kernels.RowEchelon(q, len(kept[0]), record=True)
+            if all(echelon.add(k) for k in kept):
+                break
+        pending = []
+        for row, residues in failed:
+            if echelon.add(row):
+                return False
+            pending.append((row, [kernels.crt(u, modulus, v, q)
+                                  for u, v in zip(residues, echelon.relation)]))
+        modulus *= q
+
+
 def _walk(mats: Sequence[Matrix], dim: int, p: int) -> IrreducibilityResult | None:
     """The Burnside walk at the prime p: the exact algebra dimension, or
-    None when p divided a minor (see is_irreducible_algebra)."""
+    None when p divided a minor (see is_irreducible_algebra).
+
+    The RowEchelon records, for each product it does not keep, the
+    product's coefficients on the kept elements mod p.  A walk that ends
+    short of full rank answers NO, with the number kept as the dimension,
+    iff _closed_over_q finds every such product in the span over Q of the
+    kept elements: that span, closed under every generator and holding I,
+    is then the algebra.  No kept element is checked, and each product
+    not kept is checked once (again only if a further prime is needed)."""
     target = dim * dim
-    identity = Matrix.identity(dim)
-    echelon = kernels.RowEchelon(p, target)
-    kept = [identity]
-    rows = [identity.flatten()]  # I, then every product formed
+    echelon = kernels.RowEchelon(p, target, record=True)
+    kept = [Matrix.identity(dim)]
+    rows = [kept[0].flatten()]  # the kept elements, flattened
+    dependent = []  # (product, its coefficients on rows mod p)
     echelon.add(rows[0])
     for b in kept:  # kept grows while the walk reads it
         for g in mats:
             if len(kept) == target:  # the last row kept filled the rank
                 return IrreducibilityResult(True, target)
             m = multiply(g, b)
-            rows.append(m.flatten())
-            if echelon.add(rows[-1]):
+            row = m.flatten()
+            if echelon.add(row):
                 kept.append(m)
-    if _bareiss_rank(list(dict.fromkeys(rows))) == len(kept):
+                rows.append(row)
+            else:
+                dependent.append((row, echelon.relation))
+    if _closed_over_q(rows, dependent, p):
         # NO, but for dim = 1 and no generators, where I fills M_1
         return IrreducibilityResult(len(kept) == target, len(kept))
     return None
@@ -282,20 +355,22 @@ def is_irreducible_algebra(
     Each round draws one random 31-bit prime p.  Norton's test mod p
     (_norton) proves YES when it succeeds; it is skipped for dim = 1, for
     no generators and for p = 2, where the walk answers alone.  Otherwise
-    the walk runs at the same p.  It walks one growing list of kept
-    elements, I first: each kept element is multiplied once by every
+    the walk (_walk) runs at the same p.  It walks one growing list K of
+    kept elements, I first: each kept element is multiplied once by every
     generator, and each product is formed only to be reduced at once by
     the prime's one RowEchelon, seeded with I, and kept iff it is
-    independent of the rows kept before it.  The row that makes the rank
-    full proves YES (I alone when dim = 1): full rank mod p certifies it
-    over Q.  The exact step only refutes: once the walk ends, the span of
-    the kept elements is closed under the generators mod p, and a
-    fraction-free rank of I and of every distinct product (each kept
-    element but I is one of them) equal to the number kept means that span
-    contains I and is closed under every generator over Q, so it is the
-    whole algebra and too small: NO.  Any other exact rank means p divided
-    a minor, and the next round draws a fresh prime.  Both answers are
-    certain.
+    independent of K mod p.  The row that makes the rank full proves YES
+    (I alone when dim = 1): full rank mod p certifies it over Q.
+
+    Otherwise the walk ends with span(K) closed under the generators mod
+    p, and the echelon has recorded each product it did not keep as a
+    combination of K mod p.  _closed_over_q lifts those combinations and
+    checks each product exactly.  If every one lies in span_Q(K), the NO is
+    certain: K is independent mod p, so over Q; every product is in K or
+    in span_Q(K), so span_Q(K) holds I and is closed under every
+    generator; it is the algebra, of dimension len(K) < dim^2.  Otherwise
+    some product lies outside span_Q(K), so p divided a minor, and the
+    next round draws a fresh prime.  Both answers are certain.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")

@@ -1,7 +1,10 @@
 """The hot kernels against oracles that do not share their code."""
 
+import hashlib
 import importlib
 import itertools
+import math
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -313,6 +316,104 @@ def test_row_echelon_fed_in_chunks_matches_greedy_oracle(p):
             start = stop
         assert kept == _greedy_independent(rows, p), trial
         assert len(echelon.pivots) == len(kept)
+
+
+# sha256 of repr((add's bools, pivots)) over _seeded_matrices(p), first 16
+# hex digits, as the echelon made them before it could record relations
+_PIVOT_DIGESTS = {
+    2: "32a2d5f9ea21feb7",
+    3: "cadc398335f2e5c6",
+    (1 << 31) - 1: "90abfd964743c039",
+    (1 << 61) - 1: "00ed983fb9116ecd",
+    (1 << 63) + 29: "ca4e386b6f024f65",
+}
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+def test_row_echelon_without_recording_is_unchanged(p):
+    # recording is off by default: the same bools and the same packed pivots
+    digest = hashlib.sha256()
+    for trial, rows in _seeded_matrices(p):
+        plain = kernels.RowEchelon(p, len(rows[0]))
+        recording = kernels.RowEchelon(p, len(rows[0]), record=True)
+        bools = [plain.add(row) for row in rows]
+        assert [recording.add(row) for row in rows] == bools, trial
+        # the recorded combination sits above the ncols slots of each row
+        low = (1 << (plain.w * plain.ncols)) - 1
+        assert [(shift, v & low) for shift, v in recording.pivots] == plain.pivots, trial
+        digest.update(repr((bools, plain.pivots)).encode())
+    assert digest.hexdigest()[:16] == _PIVOT_DIGESTS[p]
+
+
+@pytest.mark.parametrize("p", [3, (1 << 31) - 1])
+def test_row_echelon_relation_reproduces_each_dependent_row(p):
+    # rank-deficient seeded matrices, zero rows and rows past full rank
+    rng = Random(p % 1000 + 2)
+    dependent = 0
+    for trial, rows in _seeded_matrices(p):
+        ncols = len(rows[0])
+        rows = rows + [[0] * ncols] + [[rng.randrange(-p, p) for _ in range(ncols)]
+                                       for _ in range(3)]
+        rng.shuffle(rows)
+        echelon = kernels.RowEchelon(p, ncols, record=True)
+        kept = []
+        for row in rows:
+            if echelon.add(row):
+                kept.append(row)
+                continue
+            dependent += 1
+            relation = echelon.relation
+            assert len(relation) == len(kept) and all(0 <= c < p for c in relation)
+            combination = [sum(c * k[j] for c, k in zip(relation, kept)) for j in range(ncols)]
+            assert [(a - b) % p for a, b in zip(row, combination)] == [0] * ncols, trial
+    assert dependent >= 100
+
+
+def _brute_reconstruction(u, m):
+    bound = math.isqrt((m - 1) // 2)
+    found = {  # every d, and the n = d u mod m of each, in [-bound, bound]
+        (n // math.gcd(n, d), d // math.gcd(n, d))
+        for d in range(1, bound + 1)
+        for n in (d * u % m, d * u % m - m)
+        if math.gcd(d, m) == 1 and abs(n) <= bound
+    }
+    assert len(found) <= 1  # 2 bound^2 < m
+    return found.pop() if found else None
+
+
+def test_rational_reconstruction_matches_brute_force():
+    outcomes = set()
+    for m in list(range(1, 80)) + [97 * 89, 2 * 3 * 5 * 7 * 11]:
+        for u in range(-m, 2 * m):
+            want = _brute_reconstruction(u, m)
+            got = kernels.rational_reconstruction([u], m)
+            assert got == (None if want is None else (want[1], [want[0]])), (u, m)
+            outcomes.add("none" if want is None else "negative" if want[0] < 0 else "other")
+    assert outcomes == {"none", "negative", "other"}
+
+
+def test_rational_reconstruction_finds_a_common_denominator():
+    # fractions n_i / D with D and |n_i| within the bound come back over
+    # their least common denominator; residues of no such fractions may not
+    rng = Random(47)
+    for m in (10007, (1 << 31) - 1, ((1 << 31) - 1) * ((1 << 31) - 19)):
+        bound = math.isqrt((m - 1) // 2)
+        for _ in range(200):
+            den = rng.randrange(1, bound + 1)
+            fracs = [Fraction(rng.randrange(-bound, bound + 1), den)
+                     for _ in range(rng.randrange(1, 8))]
+            residues = [f.numerator * pow(f.denominator, -1, m) % m for f in fracs]
+            lcm = math.lcm(*(f.denominator for f in fracs))
+            assert kernels.rational_reconstruction(residues, m) == (
+                lcm, [int(f * lcm) for f in fracs]), (m, fracs)
+
+
+def test_crt_matches_brute_force():
+    for m, q in ((1, 7), (4, 9), (10, 21), (2, (1 << 31) - 1)):
+        for a in range(0, m, max(1, m // 5)):
+            for b in range(0, q, max(1, q // 7)):
+                x = kernels.crt(a, m, b, q)
+                assert 0 <= x < m * q and x % m == a and x % q == b
 
 
 @pytest.mark.parametrize("q", [3, 101, 2147483647])

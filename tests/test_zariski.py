@@ -21,12 +21,15 @@ from zdense.zariski import (
     is_irreducible_algebra,
     word_length,
     zariski_dense,
-    _bareiss_rank,
     _walk,
 )
 
 S = Matrix([[0, -1], [1, 0]])
 T = Matrix([[1, 1], [0, 1]])
+
+# a prime from the walk's range [2^30, 2^31); Norton's test answers YES
+# before the walk runs, so the walk's own behaviour is tested through _walk
+WALK_PRIME = (1 << 31) - 1
 
 
 def test_word_length_formula():
@@ -40,32 +43,145 @@ def test_word_length_formula():
             word_length("1e-6", huge)
 
 
-def test_bareiss_rank_matches_fraction_elimination():
-    from fractions import Fraction as F
+def _fraction_rank(rows):
+    """Rank over Q by Gauss-Jordan elimination on Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = m[rank][col]
+        m[rank] = [x / inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                c = m[i][col]
+                m[i] = [a - c * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
-    def fraction_rank(rows):
-        m = [[F(x) for x in r] for r in rows]
-        rank = 0
-        for col in range(len(m[0])):
-            piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            inv = m[rank][col]
-            m[rank] = [x / inv for x in m[rank]]
-            for i in range(len(m)):
-                if i != rank and m[i][col]:
-                    c = m[i][col]
-                    m[i] = [a - c * b for a, b in zip(m[i], m[rank])]
-            rank += 1
-        return rank
 
+def _planted_system(rng, ncols, nkept, ndependent, coeff_bits):
+    """kept rows d_i u_i, for small random u_i and d_i in 1..3, and rows
+    sum of n_i u_i in their span, with coefficients n_i / d_i and n_i of
+    up to coeff_bits bits."""
+    units = [[rng.randrange(-4, 5) for _ in range(ncols)] for _ in range(nkept)]
+    kept = [[d * x for x in u] for u, d in zip(units, [rng.randrange(1, 4) for _ in units])]
+    top = 1 << coeff_bits
+    extra = []
+    for _ in range(ndependent):
+        row = [0] * ncols
+        for u in units:
+            c = rng.randrange(-top, top + 1)
+            row = [a + c * b for a, b in zip(row, u)]
+        extra.append(row)
+    return kept, extra
+
+
+def _walk_relations(kept, extra, p):
+    """Each row of extra with its coefficients on kept mod p, from one
+    recording RowEchelon as the walk makes them, or None if kept is
+    dependent mod p or a row of extra is independent of it."""
+    echelon = kernels.RowEchelon(p, len(kept[0]), record=True)
+    if not all(echelon.add(k) for k in kept):
+        return None
+    dependent = []
+    for row in extra:
+        if echelon.add(row):
+            return None
+        dependent.append((row, echelon.relation))
+    return dependent
+
+
+def test_lift_matches_fraction_elimination():
+    # seeded systems with 0-3 rows dependent mod p, some pushed out of the
+    # span by a multiple of p; small p makes the lift fold in more primes
     rng = Random(31)
-    for _ in range(80):
-        nrows = rng.randrange(1, 8)
-        ncols = rng.randrange(1, 8)
-        rows = [[rng.randrange(-6, 7) for _ in range(ncols)] for _ in range(nrows)]
-        assert _bareiss_rank(rows) == fraction_rank(rows)
+    answers = []
+    for p in (3, 101, WALK_PRIME):
+        for _ in range(80):
+            ncols = rng.randrange(1, 8)
+            kept, extra = _planted_system(rng, ncols, rng.randrange(1, ncols + 1),
+                                          rng.randrange(0, 4), 3)
+            extra = [[a + p * rng.randrange(-2, 3) for a in row] if rng.random() < 0.3 else row
+                     for row in extra]
+            dependent = _walk_relations(kept, extra, p)
+            if dependent is None:
+                continue
+            inside = all(_fraction_rank(kept + [row]) == len(kept) for row in extra)
+            assert zariski._closed_over_q(kept, dependent, p) is inside, (p, kept, extra)
+            answers.append(inside)
+    assert answers.count(True) >= 100 and answers.count(False) >= 10, answers
+
+
+def _recording_lift_primes(monkeypatch):
+    used = []
+    real = zariski._lift_primes
+
+    def recording(avoid):
+        for q in real(avoid):
+            used.append(q)
+            yield q
+
+    monkeypatch.setattr(zariski, "_lift_primes", recording)
+    return used
+
+
+def test_lift_folds_in_primes_for_tall_coefficients(monkeypatch):
+    # coefficients of about 40 bits over denominators up to 3 are beyond
+    # one 31-bit prime's reconstruction bound of about 2^15
+    used = _recording_lift_primes(monkeypatch)
+    kept, extra = _planted_system(Random(5), 7, 4, 3, 40)
+    dependent = _walk_relations(kept, extra, WALK_PRIME)
+    assert all(_fraction_rank(kept + [row]) == len(kept) for row in extra)
+    assert zariski._closed_over_q(kept, dependent, WALK_PRIME)
+    assert len(used) >= 2 and WALK_PRIME not in used, used
+
+
+def test_lift_refutes_a_row_dependent_only_mod_p(monkeypatch):
+    # the third row reduces to a member of the span mod p, but is not one
+    used = _recording_lift_primes(monkeypatch)
+    rng = Random(7)
+    kept, extra = _planted_system(rng, 6, 3, 3, 3)
+    extra[2] = [a + WALK_PRIME * rng.randrange(1, 3) for a in extra[2]]
+    dependent = _walk_relations(kept, extra, WALK_PRIME)
+    assert [_fraction_rank(kept + [row]) == len(kept) for row in extra] == [True, True, False]
+    assert zariski._closed_over_q(kept, dependent, WALK_PRIME) is False
+    assert len(used) == 1  # the row is independent mod the first lift prime
+
+
+def _algebra_dimension_over_q(mats, dim):
+    """The dimension of the unital algebra the mats generate, by closing
+    span{I} under them with Fraction ranks."""
+    kept = [Matrix.identity(dim)]
+    rows = [kept[0].flatten()]
+    for b in kept:
+        for g in mats:
+            m = multiply(g, b)
+            if _fraction_rank(rows + [m.flatten()]) > len(rows):
+                kept.append(m)
+                rows.append(m.flatten())
+    return len(kept)
+
+
+def test_walk_at_small_primes_is_exact_or_restarts():
+    # small primes divide minors often: the walk must then return None,
+    # and otherwise the exact dimension, never a wrong one
+    rng = Random(99)
+    restarts = 0
+    for trial in range(150):
+        dim = 1 + trial % 3
+        mats = [Matrix([[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(dim)])
+                for _ in range(rng.randrange(0, 3))]
+        want = _algebra_dimension_over_q(mats, dim)
+        for p in (2, 3, 5, 7):
+            res = _walk(mats, dim, p)
+            if res is None:
+                restarts += 1
+            else:
+                assert (res.irreducible, res.algebra_dimension) == (want == dim * dim, want), (mats, p)
+    assert restarts >= 20, restarts
 
 
 def test_irreducible_algebra_examples():
@@ -152,11 +268,6 @@ def test_adjoint_irreducibility_pinned(group, expected, request):
     assert (res.irreducible, res.algebra_dimension) == expected
 
 
-# a prime from the walk's range [2^30, 2^31); Norton's test answers YES
-# before the walk runs, so the walk's own behaviour is tested through _walk
-WALK_PRIME = (1 << 31) - 1
-
-
 def _record_echelon_adds(monkeypatch):
     """(kept, pivots after the call) for every row the spin adds."""
     adds = []
@@ -192,21 +303,33 @@ def test_spin_multiplies_each_basis_element_once(group, request, monkeypatch):
 
 
 @pytest.mark.parametrize("group", ["sl3_parabolic", "sp4_siegel_parabolic"])
-def test_exact_rank_sees_each_distinct_row_once(group, request, monkeypatch):
-    # every basis row but I is itself a product, so the exact step ranks
-    # I and the distinct products, and nothing twice
+def test_exact_step_checks_each_dependent_product_once(group, request, monkeypatch):
+    # the exact step checks every product the echelon did not keep, once,
+    # and never a kept row: they are the basis it checks against
     mats = adjoint_matrices(request.getfixturevalue(group))
-    seen = []
+    adds = []
 
-    def recording_rank(rows):
-        seen.append(list(rows))
-        return _bareiss_rank(rows)
+    class RecordingEchelon(kernels.RowEchelon):
+        def add(self, row):
+            kept = super().add(row)
+            adds.append((row, kept))
+            return kept
 
-    monkeypatch.setattr(zariski, "_bareiss_rank", recording_rank)
-    res = is_irreducible_algebra(mats, mats[0].dim)
-    assert not res.irreducible and seen
-    for rows in seen:
-        assert len(set(map(tuple, rows))) == len(rows)
+    checked = []
+    real = zariski._lies_in_span
+
+    def recording_check(row, *args):
+        checked.append(row)
+        return real(row, *args)
+
+    monkeypatch.setattr(kernels, "RowEchelon", RecordingEchelon)
+    monkeypatch.setattr(zariski, "_lies_in_span", recording_check)
+    res = _walk(mats, mats[0].dim, WALK_PRIME)
+    assert not res.irreducible
+    dependent = [row for row, kept in adds if not kept]
+    assert len(dependent) == len(adds) - res.algebra_dimension > 0
+    assert checked == dependent
+    assert all(any(c is row for c in checked) is not kept for row, kept in adds)
 
 
 @pytest.mark.parametrize("group", ["sl3", "sp4"])
@@ -276,7 +399,7 @@ def test_lie_algebra_basis_shapes():
         expected = _lie_dim(kind, dim)
         assert len(basis) == expected
         vecs = [b.flatten() for b in basis]
-        assert _bareiss_rank(vecs) == expected  # linearly independent
+        assert _fraction_rank(vecs) == expected  # linearly independent
         if kind is GroupKind.SPECIAL_LINEAR:
             for b in basis:
                 assert sum(b.rows[i][i] for i in range(dim)) == 0
