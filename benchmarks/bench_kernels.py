@@ -14,15 +14,19 @@ Four workloads, all straight from the deciders' inner loops:
     over conjugated dense generators of SL(4), SL(12) and SL(24), formed
     by zdense.matrices.word_from_letters as the Weyl route forms its two;
   * irreducibility: zdense.zariski.is_irreducible_algebra, the Burnside
-    gate, on the adjoint matrices of SL(3), SL(4), SL(5), Sp(4) and Sp(6)
-    (the adjoint route) and on the standard matrices of Sp(4), Sp(10),
-    Sp(16) and Sp(24) (the Weyl route's symplectic gate), each for dense
-    generators and for block-triangular (parabolic) ones, conjugated by a
-    word in the dense group; the dense rows time a YES, the parabolic rows
-    a NO.  A NO is the walk plus its lifted check: each product the walk
-    did not keep is rebuilt from the kept ones by rational reconstruction
-    of its coefficients mod p and one exact packed check (the rows before
-    that timed a fraction-free rank of every product instead).
+    algebra dimension, on the adjoint matrices of SL(3), SL(4), SL(5),
+    Sp(4) and Sp(6) (the adjoint route) and on the standard matrices of
+    Sp(4), Sp(10), Sp(16) and Sp(24) (the Weyl route's symplectic gate),
+    each for dense generators and for block-triangular (parabolic) ones,
+    conjugated by a word in the dense group; the dense rows time a YES, the
+    parabolic rows a NO.  Its NO is the walk plus its lifted check: each
+    product the walk did not keep is rebuilt from the kept ones by rational
+    reconstruction of its coefficients mod p and one exact packed check
+    (the rows before that timed a fraction-free rank of every product
+    instead).  Each parabolic row is followed by a `gate` row: the routes'
+    gate, zdense.zariski._irreducible, on the same inputs and seeds, whose
+    NO is Norton's short spin, its subspace lifted and checked exactly,
+    and the walk only when no attempt answers.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--json PATH [--label TEXT]]
 
@@ -38,7 +42,7 @@ import time
 from pathlib import Path
 from random import Random
 
-from zdense import _kernel_py
+from zdense import _kernel_py, zariski
 from zdense.matrices import (
     GroupKind,
     Matrix,
@@ -169,6 +173,10 @@ def irreducibility(mats, dim, seed):
     return is_irreducible_algebra(mats, dim, Random(seed))
 
 
+def gate(mats, dim, seed):
+    return zariski._irreducible(mats, dim, Random(seed), "gate", [])
+
+
 def measure(kernel, workload, jobs, repeat, fn=None):
     fn = fn or getattr(_kernel_py, kernel)
     best = float("inf")
@@ -229,17 +237,12 @@ def main():
         )
         for n, jobs in word_jobs
     )
-    rows.extend(
-        measure(
-            "is_irreducible_algebra",
-            f"{len(jobs)} {'dense' if dense else 'parabolic'} {group}({n}), {action}"
-            f" (dim {jobs[0][1]})",
-            jobs,
-            args.repeat,
-            irreducibility,
-        )
-        for group, n, action, dense, jobs in irreducibility_jobs
-    )
+    for group, n, action, dense, jobs in irreducibility_jobs:
+        workload = (f"{len(jobs)} {'dense' if dense else 'parabolic'} {group}({n}), {action}"
+                    f" (dim {jobs[0][1]})")
+        rows.append(measure("is_irreducible_algebra", workload, jobs, args.repeat, irreducibility))
+        if not dense:
+            rows.append(measure("gate", workload, jobs, args.repeat, gate))
 
     if args.json is not None:
         entries = json.loads(args.json.read_text()) if args.json.exists() else []

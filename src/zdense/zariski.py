@@ -8,12 +8,17 @@ the Lie algebra).  TRUE answers are certificate-backed and certain; FALSE
 answers are Monte Carlo unless the failure itself is structural (a
 reducible action can never be dense); DensityVerdict states their bound.
 The Burnside check draws one prime p per round.  Norton's test mod p
-proves YES with O(d^3) work and no exact product; when it cannot, the
-walk at the same p reduces each product once mod p and answers YES as
-soon as the rank is full.  A walk that ends short of it proves NO by
-lifting its own mod-p dependencies: each product it did not keep is
-rebuilt exactly from the kept ones, by rational reconstruction (and CRT
-over further primes when one is not enough) and one exact check.
+proves YES with O(d^3) work and no exact product.  In the routes' gate a
+Norton spin that stops short proves NO as well: its subspace mod p is
+lifted to Q by rational reconstruction and checked exactly, one mat-vec
+per generator and basis vector, and the report records its integer
+basis.  When no attempt answers, the walk at the same p reduces each
+product once mod p and answers YES as soon as the rank is full.  A walk
+that ends short of it proves NO by lifting its own mod-p dependencies:
+each product it did not keep is rebuilt exactly from the kept ones, by
+rational reconstruction (and CRT over further primes when one is not
+enough) and one exact check.  is_irreducible_algebra, which promises the
+algebra dimension, takes no NO from Norton's test.
 """
 
 from __future__ import annotations
@@ -52,7 +57,11 @@ class DensityVerdict:
     probability at most epsilon (and may itself be Certain when the
     obstruction is structural), but the Weyl route and the Galois
     transitivity stage do not meet that bound today (see the README).  The
-    trail records every step for reproduction."""
+    trail records every step for reproduction.  A certain NO from the
+    irreducibility gate records either the algebra dimension or, when
+    Norton's test answered, `invariant_subspace`: integer rows spanning a
+    proper nonzero subspace of Q^d that every generator keeps, which the
+    report alone lets anyone re-check."""
 
     dense: bool
     certainty: Certainty
@@ -134,12 +143,13 @@ def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
     return chis[-1]
 
 
-def _kernel_mod(a: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """A basis of {v : a v = 0} mod p, by Gauss-Jordan elimination."""
-    rows = [list(r) for r in a]
-    n = len(rows[0])
+def _rref_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows of the reduced row echelon form mod p of `rows`
+    (entries in [0, p)), by Gauss-Jordan elimination, and their pivot
+    columns."""
+    rows = [list(r) for r in rows]
     pivots: list[int] = []
-    for col in range(n):
+    for col in range(len(rows[0])):
         r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
@@ -152,6 +162,13 @@ def _kernel_mod(a: Sequence[Sequence[int]], p: int) -> list[list[int]]:
             if c and i != r:
                 rows[i] = [(x - c * y) % p for x, y in zip(row, prow)]
         pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def _kernel_mod(a: Sequence[Sequence[int]], p: int) -> list[list[int]]:
+    """A basis of {v : a v = 0} mod p, read off the reduced echelon form."""
+    rows, pivots = _rref_mod(a, p)
+    n = len(a[0])
     basis = []
     for free in sorted(set(range(n)) - set(pivots)):
         v = [0] * n
@@ -162,27 +179,31 @@ def _kernel_mod(a: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def _spins_to_everything(v: list[int], gens: list[list[list[int]]], p: int) -> bool:
-    """Is the smallest subspace that holds v and is closed under gens all
-    of F_p^d?  The images of the kept vectors go through one RowEchelon."""
+def _spin(v: list[int], gens: list[list[list[int]]], p: int) -> list[list[int]]:
+    """A basis mod p of the smallest subspace that holds v and is closed
+    under gens, or d independent vectors as soon as the spin has them: the
+    vectors it kept, whose images go through one RowEchelon."""
     d = len(v)
     echelon = kernels.RowEchelon(p, d)
     echelon.add(v)
     kept = [v]
     for u in kept:  # kept grows while the spin reads it
         for g in gens:
+            if len(kept) == d:
+                return kept
             gu = [sum(map(operator.mul, row, u)) % p for row in g]
             if echelon.add(gu):
                 kept.append(gu)
-                if len(kept) == d:
-                    return True
-    return len(kept) == d  # d = 1
+    return kept
 
 
-def _norton(mats: Sequence[Matrix], dim: int, p: int, rng: Random) -> bool:
-    """Norton's irreducibility test mod p, at most _NORTON_ATTEMPTS times:
+def _norton(mats: Sequence[Matrix], dim: int, p: int, rng: Random,
+            lift: bool = False) -> bool | list[list[int]] | None:
+    """Norton's irreducibility test mod p, at most _NORTON_ATTEMPTS times.
     True proves that the unital algebra generated by `mats` is all of the
-    dim x dim matrices over Q; False proves nothing.
+    dim x dim matrices over Q.  With lift=True, integer rows prove NO: they
+    span a proper nonzero subspace of Q^dim that every matrix keeps.  None
+    proves nothing.
 
     Each attempt takes theta = a random combination of the generators mod
     p plus one product of two of them, finds a root lambda of its
@@ -197,8 +218,13 @@ def _norton(mats: Sequence[Matrix], dim: int, p: int, rng: Random) -> bool:
     the line and is a scalar on v, hence everywhere: End = F_p, and the
     module is absolutely irreducible.  By Burnside A_p is then all of
     M_d(F_p), so d^2 words in the generators are independent mod p, hence
-    over Q: the YES is certain.  A failed spin proves the module reducible
-    mod p, so the test stops there.
+    over Q: the YES is certain.
+
+    A spin that stops short yields a proper submodule mod p: the span of
+    v's spin, or else the annihilator of w's, which the generators keep
+    because the transposes keep w's span.  Without lift the test stops
+    there.  With it, _lift_invariant lifts that subspace to Q and checks
+    it exactly; if the lift or the check fails, the next attempt runs.
     """
     gens = [[[x % p for x in row] for row in g.rows] for g in mats]
     gens_t = [[list(col) for col in zip(*g)] for g in gens]
@@ -217,11 +243,19 @@ def _norton(mats: Sequence[Matrix], dim: int, p: int, rng: Random) -> bool:
         line = _kernel_mod(theta, p)
         if len(line) != 1:
             continue
-        if not _spins_to_everything(line[0], gens, p):
-            return False
-        (w,) = _kernel_mod(list(zip(*theta)), p)
-        return _spins_to_everything(w, gens_t, p)
-    return False
+        submodule = _spin(line[0], gens, p)
+        if len(submodule) == dim:
+            (w,) = _kernel_mod(list(zip(*theta)), p)
+            spun = _spin(w, gens_t, p)
+            if len(spun) == dim:
+                return True
+            submodule = _kernel_mod(spun, p)
+        if not lift:
+            return None
+        subspace = _lift_invariant(submodule, mats, p)
+        if subspace is not None:
+            return subspace
+    return None
 
 
 def _lift_primes(avoid: int):
@@ -253,6 +287,44 @@ def _lies_in_span(row: Sequence[int], den: int, nums: Sequence[int],
         if n:
             acc += n * k
     return acc == 0
+
+
+def _lift_invariant(basis: Sequence[Sequence[int]], mats: Sequence[Matrix],
+                    p: int) -> list[list[int]] | None:
+    """Integer rows spanning a subspace of Q^d that every matrix of `mats`
+    keeps, lifted from `basis`, which spans mod p a subspace they keep mod
+    p; None when the lift or its exact check fails.
+
+    Each row of the reduced echelon form of span(basis) mod p is rationally
+    reconstructed mod p over its least common denominator den_i.  Row i
+    then holds den_i at its pivot column and 0 at every other pivot
+    column, so y lies in the rows' span over Q iff y = sum_i (y[pivot_i] /
+    den_i) row_i; with L the lcm of the den_i, one packed check (as in
+    _lies_in_span) of L y = sum_i y[pivot_i] (L / den_i) row_i for each
+    image y = g row, one exact mat-vec per generator g and row.  Distinct
+    pivots make the rows independent over Q.
+    """
+    echelon, pivots = _rref_mod(basis, p)
+    dens, rows = [], []
+    for row in echelon:
+        lifted = kernels.rational_reconstruction(row, p)
+        if lifted is None:
+            return None
+        dens.append(lifted[0])
+        rows.append(lifted[1])
+    lcm = math.lcm(*dens)
+    claims = []
+    for g in mats:
+        for row in rows:
+            y = [sum(map(operator.mul, r, row)) for r in g.rows]
+            claims.append((y, [y[c] * (lcm // den) for c, den in zip(pivots, dens)]))
+    top = max(max(map(abs, row)) for row in rows)
+    bound = max(lcm * max(map(abs, y)) + top * sum(map(abs, nums)) for y, nums in claims)
+    width = (bound.bit_length() + 8) // 8  # bound < 2^(8 width - 1)
+    packed = [_pack_signed(row, width) for row in rows]
+    if all(_lies_in_span(y, lcm, nums, packed, width) for y, nums in claims):
+        return rows
+    return None
 
 
 def _closed_over_q(kept: Sequence[Sequence[int]], dependent: list, p: int) -> bool:
@@ -371,17 +443,31 @@ def is_irreducible_algebra(
     generator; it is the algebra, of dimension len(K) < dim^2.  Otherwise
     some product lies outside span_Q(K), so p divided a minor, and the
     next round draws a fresh prime.  Both answers are certain.
+
+    The routes' gate (_irreducible) runs the same rounds, but there
+    Norton's test also answers NO, by a lifted invariant subspace, and the
+    walk runs only when no attempt answers.
     """
+    return _rounds(mats, dim, Random(0x5EED) if rng is None else rng, lift=False)
+
+
+def _rounds(mats: Sequence[Matrix], dim: int, rng: Random,
+            lift: bool) -> IrreducibilityResult | list[list[int]]:
+    """The rounds of is_irreducible_algebra.  With lift=True Norton's test
+    may also answer NO, by the integer rows of an invariant subspace (see
+    _norton), and then the walk does not run."""
     if dim < 1:
         raise ValueError("dimension must be positive")
     if any(g.dim != dim for g in mats):
         raise ValueError(f"dimension mismatch: every generator must be {dim} x {dim}")
-    if rng is None:
-        rng = Random(0x5EED)
     while True:
         p = random_prime_avoiding(1, _RANK_PRIME_RANGE[0], _RANK_PRIME_RANGE[1], rng)
-        if dim > 1 and mats and p > 2 and _norton(mats, dim, p, rng):
-            return IrreducibilityResult(True, dim * dim)
+        if dim > 1 and mats and p > 2:
+            answer = _norton(mats, dim, p, rng, lift)
+            if answer is True:
+                return IrreducibilityResult(True, dim * dim)
+            if answer is not None:
+                return answer
         result = _walk(mats, dim, p)
         if result is not None:
             return result
@@ -453,10 +539,16 @@ def _sample_word(gs: GeneratorSet, index: int, length: int, rng: Random, trail) 
 
 
 def _irreducible(mats: Sequence[Matrix], dim: int, rng: Random, step: str, trail) -> bool:
-    result = is_irreducible_algebra(mats, dim, rng)
-    trail.append({"step": step, "irreducible": result.irreducible,
-                  "algebra_dimension": result.algebra_dimension})
-    return result.irreducible
+    """The routes' Burnside gate: the rounds of is_irreducible_algebra,
+    where a NO from Norton's test records its lifted invariant subspace in
+    place of the algebra dimension.  Either NO is certain."""
+    result = _rounds(mats, dim, rng, lift=True)
+    if isinstance(result, IrreducibilityResult):
+        trail.append({"step": step, "irreducible": result.irreducible,
+                      "algebra_dimension": result.algebra_dimension})
+        return result.irreducible
+    trail.append({"step": step, "irreducible": False, "invariant_subspace": result})
+    return False
 
 
 def zariski_dense(

@@ -24,11 +24,14 @@ from zdense.zariski import (
     _walk,
 )
 
+from conftest import random_unimodular
+
 S = Matrix([[0, -1], [1, 0]])
 T = Matrix([[1, 1], [0, 1]])
 
 # a prime from the walk's range [2^30, 2^31); Norton's test answers YES
-# before the walk runs, so the walk's own behaviour is tested through _walk
+# (and, in the routes' gate, NO) before the walk runs, so the walk's own
+# behaviour is tested through _walk
 WALK_PRIME = (1 << 31) - 1
 
 
@@ -640,18 +643,37 @@ def test_weyl_route_refutes_restriction_of_scalars_for_certain():
                                "algebra_dimension": 8}  # M_2(Q(sqrt 2))
     v = general_zariski_dense(gs, "1e-6", Random(0))
     assert not v.dense and v.certainty is Certainty.CERTAIN
+    # Norton's spin stops short on a 4-dimensional subspace of the
+    # 10-dimensional adjoint module, lifted and checked exactly
+    subspace = [[1, 0, 0, -1, 0, 0, 0, 0, 0, 0],
+                [0, 2, -1, 0, 0, 0, 0, 0, 0, 0],
+                [0, 0, 0, 0, 2, 0, -1, 0, 0, 0],
+                [0, 0, 0, 0, 0, 0, 0, 1, 0, -2]]
     assert v.trail[-1] == {"step": "adjoint_irreducibility", "irreducible": False,
-                           "algebra_dimension": 34}
+                           "invariant_subspace": subspace}
+    _recheck_invariant_subspace(adjoint_matrices(gs), subspace)
 
 
-def _norton_runs(mats, dim, trials):
+def _norton_runs(mats, dim, trials, lift=False):
     """Norton's answer on `trials` seeded (prime, rng) pairs."""
     answers = []
     for seed in range(trials):
         rng = Random(seed)
         p = random_prime_avoiding(1, 1 << 30, 1 << 31, rng)
-        answers.append(zariski._norton(mats, dim, p, rng))
+        answers.append(zariski._norton(mats, dim, p, rng, lift))
     return answers
+
+
+def _recheck_invariant_subspace(mats, rows):
+    """A recorded invariant subspace, re-checked from its rows alone with
+    Fractions: they are independent, span a proper nonzero subspace, and
+    every matrix maps each of them into their span."""
+    dim, k = mats[0].dim, len(rows)
+    assert 0 < k < dim and _fraction_rank(rows) == k, rows
+    for g in mats:
+        for row in rows:
+            image = [sum(a * b for a, b in zip(r, row)) for r in g.rows]
+            assert _fraction_rank(rows + [image]) == k, (g, rows)
 
 
 def test_charpoly_mod_matches_berkowitz():
@@ -692,7 +714,7 @@ def test_norton_yes_agrees_with_the_walk_on_random_matrices():
     # seeded small sets, singular ones included: a YES from Norton's test
     # must be a YES of the walk, and most walk YESes above dim 1 get one
     rng = Random(2024)
-    walk_yes = norton_yes = 0
+    walk_yes = norton_yes = lifted_no = 0
     for trial in range(120):
         dim = 1 + trial % 6
         mats = [
@@ -701,11 +723,42 @@ def test_norton_yes_agrees_with_the_walk_on_random_matrices():
         ]
         walk = _walk(mats, dim, WALK_PRIME)
         answers = _norton_runs(mats, dim, 3)
-        assert walk.irreducible or not any(answers), mats
+        assert set(answers) <= {True, None}, answers
+        assert walk.irreducible or True not in answers, mats
         if walk.irreducible and dim > 1:
             walk_yes += 1
-            norton_yes += any(answers)
+            norton_yes += True in answers
+        for answer in _norton_runs(mats, dim, 3, lift=True):
+            if isinstance(answer, list):
+                assert not walk.irreducible, mats
+                _recheck_invariant_subspace(mats, answer)
+                lifted_no += 1
+            else:
+                assert answer is None or walk.irreducible, mats
     assert walk_yes >= 20 and norton_yes >= walk_yes - 2, (walk_yes, norton_yes)
+    assert lifted_no >= 20, lifted_no
+
+
+# how many of the 40 seeded runs of Norton's test with the lift answered on
+# each reducible fixture by an invariant subspace of each dimension, and by
+# None (no attempt found a line, or none lifted)
+_LIFTED_DIMENSIONS = {
+    ("sl3_parabolic", "standard"): {2: 40},
+    ("sl3_parabolic", "adjoint"): {2: 8, 3: 17, 5: 15},
+    ("sp4_siegel_parabolic", "standard"): {2: 38, None: 2},
+    ("sp4_siegel_parabolic", "adjoint"): {3: 14, 4: 26},
+}
+
+
+def _lifted_dimensions(mats, answers):
+    """{dimension of each subspace answer, re-checked, or None: count}."""
+    counts = {}
+    for rows in answers:
+        if rows is not None:
+            _recheck_invariant_subspace(mats, rows)
+        key = None if rows is None else len(rows)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 @pytest.mark.parametrize("action", ["standard", "adjoint"])
@@ -720,7 +773,15 @@ def test_norton_yes_agrees_with_the_walk(group, dense, action, request):
     assert _walk(mats, dim, WALK_PRIME).irreducible is dense
     answers = _norton_runs(mats, dim, 40)
     # never YES on a reducible set; almost always YES on a dense one
-    assert sum(answers) >= 36 if dense else not any(answers), answers
+    assert set(answers) <= {True, None}, answers
+    assert answers.count(True) >= 36 if dense else True not in answers, answers
+    # with the lift, a reducible set's answers are subspaces that re-check,
+    # of the dimensions pinned for it
+    lifted = _norton_runs(mats, dim, 40, lift=True)
+    if dense:
+        assert lifted == answers
+    else:
+        assert _lifted_dimensions(mats, lifted) == _LIFTED_DIMENSIONS[group, action]
 
 
 @pytest.mark.parametrize("action", ["standard", "adjoint"])
@@ -732,7 +793,12 @@ def test_norton_never_says_yes_without_absolute_irreducibility(action):
     mats = adjoint_matrices(validate(GroupKind.SYMPLECTIC, 4, gens)) if action == "adjoint" else gens
     dim = mats[0].dim
     assert not _walk(mats, dim, WALK_PRIME).irreducible
-    assert not any(_norton_runs(mats, dim, 40))
+    assert _norton_runs(mats, dim, 40) == [None] * 40
+    # Q^4 has no invariant subspace over Q, so the lift never answers there
+    # (though the module splits mod half the primes); the adjoint module
+    # keeps a 4-dimensional subspace, found at every prime
+    lifted = _norton_runs(mats, dim, 40, lift=True)
+    assert _lifted_dimensions(mats, lifted) == ({None: 40} if action == "standard" else {4: 40})
 
 
 class _ZeroRng:
@@ -756,7 +822,8 @@ def test_norton_rejects_an_eigenspace_wider_than_a_line():
     for i in range(4):
         theta[i][i] -= 1
     assert len(zariski._kernel_mod(theta, p)) == 2
-    assert not zariski._norton(gens, 4, p, _ZeroRng())
+    assert zariski._norton(gens, 4, p, _ZeroRng()) is None
+    assert zariski._norton(gens, 4, p, _ZeroRng(), lift=True) is None
 
 
 def test_norton_answers_yes_before_the_walk(sl3, monkeypatch):
@@ -773,6 +840,125 @@ def test_norton_answers_yes_before_the_walk(sl3, monkeypatch):
     res = is_irreducible_algebra(mats, mats[0].dim, Random(3))
     assert (res.irreducible, res.algebra_dimension) == (True, 64)
     assert walks == [] and len(draws) == 1
+
+
+def _block_triangular(rng, dim):
+    """1-2 random matrices with entries in {-1, 0, 1} that keep span(e_1..e_k)
+    for a random 0 < k < dim, conjugated by one random unimodular matrix: a
+    set that is reducible over Q, with its invariant subspace hidden.  (With
+    larger entries or more matrices the walk, the reference, takes seconds
+    at dims 8-10.)"""
+    k = rng.randrange(1, dim)
+    c = random_unimodular(dim, rng, steps=dim)
+    c_inv = adjugate_inverse(c)
+    return [
+        multiply(multiply(c, Matrix([[rng.randrange(-1, 2) if i < k or j >= k else 0
+                                      for j in range(dim)] for i in range(dim)])), c_inv)
+        for _ in range(rng.randrange(1, 3))
+    ]
+
+
+def _record_spins(monkeypatch):
+    """For each of Norton's spins, whether it reached everything."""
+    spins = []
+    real = zariski._spin
+
+    def recording(v, gens, p):
+        kept = real(v, gens, p)
+        spins.append(len(kept) == len(v))
+        return kept
+
+    monkeypatch.setattr(zariski, "_spin", recording)
+    return spins
+
+
+def test_gate_no_carries_an_invariant_subspace_that_rechecks(
+        sl3_parabolic, sp4_siegel_parabolic, monkeypatch):
+    # seeded sets reducible over Q, standard at dims 2-10 and adjoint at
+    # dims 3, 8 and 10: the gate answers NO as the walk does, and records a
+    # subspace that re-checks from the trail alone.  An attempt whose v spins
+    # to everything lifts the annihilator of w's spin; both kinds answer.
+    spins = _record_spins(monkeypatch)
+    rng = Random(23)
+    cases = [_block_triangular(rng, 2 + trial % 9) for trial in range(36)]
+    borel = validate(GroupKind.SPECIAL_LINEAR, 2, [T, Matrix([[-1, 3], [0, -1]])])
+    for gs in (borel, sl3_parabolic, sp4_siegel_parabolic):
+        for _ in range(4):
+            g = random_word(gs, 4, rng)
+            g_inv = adjugate_inverse(g)
+            conjugated = [multiply(multiply(g_inv, x), g) for x in gs.generators]
+            cases.append(adjoint_matrices(validate(gs.kind, gs.dim, conjugated)))
+    by_spin = {"v": 0, "w": 0, "walk": 0}
+    for seed, mats in enumerate(cases):
+        dim = mats[0].dim
+        walk = _walk(mats, dim, WALK_PRIME)
+        assert not walk.irreducible, mats
+        spins.clear()
+        trail = []
+        assert zariski._irreducible(mats, dim, Random(seed), "gate", trail) is False
+        (step,) = trail
+        if "algebra_dimension" in step:  # no attempt answered: the walk's NO
+            assert step == {"step": "gate", "irreducible": False,
+                            "algebra_dimension": walk.algebra_dimension}
+            by_spin["walk"] += 1
+            continue
+        assert step.keys() == {"step", "irreducible", "invariant_subspace"}, step
+        _recheck_invariant_subspace(mats, step["invariant_subspace"])
+        by_spin["w" if spins[-2:] == [True, False] else "v"] += 1
+    assert by_spin == {"v": 38, "w": 7, "walk": 3}, by_spin
+
+
+def _reducible_only_mod(p, rng, dim):
+    """Two matrices B + p R, for random B that keep span(e_1..e_k), 0 < k <
+    dim, and random R: reducible mod p, and mostly irreducible over Q."""
+    k = rng.randrange(1, dim)
+    return [Matrix([[(rng.randrange(-2, 3) if i < k or j >= k else 0) + p * rng.randrange(-1, 2)
+                     for j in range(dim)] for i in range(dim)])
+            for _ in range(2)]
+
+
+def test_lift_at_a_prime_that_splits_an_irreducible_set_never_answers(monkeypatch):
+    # sets irreducible over Q but reducible mod 7: Norton's spins at 7 stop
+    # short, and many of their subspaces reconstruct (entries in {-1, 0, 1}
+    # mod 7), but none may pass the exact check; the gate answers YES
+    p = 7
+    checks = []
+    real_check = zariski._lies_in_span
+    monkeypatch.setattr(zariski, "_lies_in_span",
+                        lambda *args: checks.append(args) or real_check(*args))
+    lifts = []  # (answer, whether the exact check ran)
+    real_lift = zariski._lift_invariant
+
+    def recording(basis, mats, q):
+        ran = len(checks)
+        lifts.append((real_lift(basis, mats, q), len(checks) > ran))
+        return lifts[-1][0]
+
+    monkeypatch.setattr(zariski, "_lift_invariant", recording)
+    draws = []
+
+    def seven_first(*args):
+        draws.append(args)
+        return p if len(draws) == 1 else random_prime_avoiding(*args)
+
+    monkeypatch.setattr(zariski, "random_prime_avoiding", seven_first)
+    rng = Random(17)
+    irreducible = 0
+    for trial in range(40):
+        dim = 2 + trial % 5
+        mats = _reducible_only_mod(p, rng, dim)
+        if not _walk(mats, dim, WALK_PRIME).irreducible:
+            continue
+        irreducible += 1
+        assert zariski._norton(mats, dim, p, Random(trial), lift=True) is None
+        draws.clear()
+        trail = []
+        assert zariski._irreducible(mats, dim, Random(trial), "gate", trail)
+        assert trail == [{"step": "gate", "irreducible": True, "algebra_dimension": dim * dim}]
+        assert len(draws) >= 2  # 7 answered nothing
+    answers = {answer for answer, _ in lifts}
+    checked = sum(ran for _, ran in lifts)
+    assert (irreducible, answers, checked) == (38, {None}, 432), (irreducible, answers, checked)
 
 
 def test_zariski_block_sl2_in_sl3_not_dense():
