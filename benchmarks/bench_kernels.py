@@ -26,7 +26,14 @@ Four workloads, all straight from the deciders' inner loops:
     instead).  Each parabolic row is followed by a `gate` row: the routes'
     gate, zdense.zariski._irreducible, on the same inputs and seeds, whose
     NO is Norton's short spin, its subspace lifted and checked exactly,
-    and the walk only when no attempt answers.
+    and the walk only when no attempt answers;
+  * factor: the Galois transitivity stage's factor attempt,
+    zdense.galois._lifted_factor, at 20 seeded 21-bit primes each, on the
+    galois band polynomial (x^8 - 2)(x^9 - 3) and on x^22 - x - 1, both
+    Taylor-shifted by a 32-bit a.  Every degree counts as a survivor, so
+    every union of degree classes with 2 deg <= n is tried: on the band
+    the lift finds x^8 - 2 or x^9 - 3 wherever the classes separate them,
+    and on x^22 - x - 1 (Galois group S_22) every lift fails.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--json PATH [--label TEXT]]
 
@@ -42,7 +49,7 @@ import time
 from pathlib import Path
 from random import Random
 
-from zdense import _kernel_py, zariski
+from zdense import _kernel_py, galois, zariski
 from zdense.matrices import (
     GroupKind,
     Matrix,
@@ -53,7 +60,8 @@ from zdense.matrices import (
     validate,
     word_from_letters,
 )
-from zdense.modular import is_prime
+from zdense.modular import factor_degrees_mod, is_prime, random_prime_avoiding
+from zdense.polynomials import IntPoly, discriminant
 from zdense.zariski import adjoint_matrices, is_irreducible_algebra
 
 DDF_SIZES = ((8, 400), (17, 100), (30, 40))  # (degree, polynomials)
@@ -67,6 +75,7 @@ IRREDUCIBILITY_SIZES = (
     ("Sp", 24, "standard"),
 )
 IRREDUCIBILITY_COPIES = 2
+FACTOR_PRIMES = 20
 
 
 def make_ddf_workload(rng, count, degree):
@@ -177,6 +186,25 @@ def gate(mats, dim, seed):
     return zariski._irreducible(mats, dim, Random(seed), "gate", [])
 
 
+def _taylor_shift(coeffs, a):
+    out = IntPoly()
+    for c in reversed(coeffs):
+        out = out * IntPoly([a, 1]) + IntPoly([c])
+    return out
+
+
+def make_factor_workload(rng, coeffs):
+    """_lifted_factor's arguments at FACTOR_PRIMES primes for coeffs shifted
+    by a seeded 32-bit a, with every degree 1..n-1 a survivor."""
+    f = _taylor_shift(coeffs, rng.randrange(1 << 31, 1 << 32))
+    disc = discriminant(f)
+    jobs = []
+    for _ in range(FACTOR_PRIMES):
+        q = random_prime_avoiding(disc, 1 << 20, 1 << 21, rng)
+        jobs.append((f, q, factor_degrees_mod(f, q), set(range(1, f.degree))))
+    return jobs
+
+
 def measure(kernel, workload, jobs, repeat, fn=None):
     fn = fn or getattr(_kernel_py, kernel)
     best = float("inf")
@@ -208,6 +236,11 @@ def main():
           for _ in range(IRREDUCIBILITY_COPIES)])
         for group, n, action in IRREDUCIBILITY_SIZES
         for dense in (True, False)
+    ]
+    band = IntPoly([-2] + [0] * 7 + [1]) * IntPoly([-3] + [0] * 8 + [1])
+    factor_jobs = [
+        ("(x^8 - 2)(x^9 - 3)", make_factor_workload(rng, band.coeffs)),
+        ("x^22 - x - 1", make_factor_workload(rng, [-1, -1] + [0] * 20 + [1])),
     ]
 
     rows = [
@@ -243,6 +276,11 @@ def main():
         rows.append(measure("is_irreducible_algebra", workload, jobs, args.repeat, irreducibility))
         if not dense:
             rows.append(measure("gate", workload, jobs, args.repeat, gate))
+    rows.extend(
+        measure("factor", f"{len(jobs)} primes, {name} shifted by a 32-bit a", jobs,
+                args.repeat, galois._lifted_factor)
+        for name, jobs in factor_jobs
+    )
 
     if args.json is not None:
         entries = json.loads(args.json.read_text()) if args.json.exists() else []

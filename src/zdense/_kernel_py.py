@@ -1,17 +1,21 @@
-"""The hot kernels: distinct-degree factorization degrees mod q, one root
-mod q, row rank mod p with the dependencies it finds, and their lift to
-Q, in pure Python with big-int packing.
+"""The hot kernels: distinct-degree factorization mod q, one root mod q,
+the Hensel lift of a factor mod q, row rank mod p with the dependencies
+it finds, and their lift to Q, in pure Python with big-int packing.
 
-ddf_degrees makes f monic, computes the Frobenius power x^q mod f once,
+ddf_parts makes f monic, computes the Frobenius power x^q mod f once,
 multiplies by Kronecker substitution (one big-int product per polynomial
 product), and walks the degrees through a table of its powers instead of
 raising to the q-th power at every step.  The product of the degree-d
 factors is a gcd, found up to a unit by Euclid over _divmod, the one
-long division, which takes any nonzero divisor; only f and the gcds that
-find_root splits are made monic.  find_root takes the same x^q, keeps
-gcd(f, x^q - x), the product of the distinct linear factors, and splits
-it by equal degree with (x + a)^((q-1)/2) until one factor is left; both
-powers are _PackedRing.power.
+long division, which takes any nonzero divisor; ddf_parts yields it
+monic, and ddf_degrees reads its degrees off that one loop.  Only f, the
+parts and the gcds that find_root splits are made monic.  find_root
+takes the same x^q, keeps gcd(f, x^q - x), the product of the distinct
+linear factors, and splits it by equal degree with (x + a)^((q-1)/2)
+until one factor is left; both powers are _PackedRing.power.
+hensel_lift lifts a monic factor mod q of an integer polynomial
+quadratically, every product one _kmul (Kronecker substitution over
+Z/m), and gives up as soon as a coefficient leaves the caller's bound.
 RowEchelon also packs each row into one int with a column per slot, so
 eliminating against a pivot row is one big-int multiply-add, but it packs
 through bytes where _PackedRing shifts: each packer is the faster one at
@@ -24,15 +28,16 @@ so the same multiply-adds leave each dependent row's coefficients on the
 kept rows mod p; Norton's spins and rank_mod leave it off and pay
 one flag test per row.  crt and rational_reconstruction (Wang's, over a common
 denominator) lift such coefficients from residues to fractions; the
-caller checks the fractions exactly.
+caller checks the fractions exactly, as it checks hensel_lift's lift.
 
-Polynomials here are lists of ints in [0, q), constant term first.
+Polynomials here are lists of ints in [0, q), constant term first;
+hensel_lift takes f over Z and returns its lift in the symmetric range.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -175,11 +180,13 @@ class _PackedRing:
         return self.unpack(acc, self.n)
 
 
-def ddf_degrees(coeffs: Sequence[int], q: int) -> list[int]:
-    """Sorted degrees of the irreducible factors of a squarefree polynomial
-    mod q, by distinct-degree factorization (no equal-degree splitting).
+def ddf_parts(coeffs: Sequence[int], q: int) -> Iterator[tuple[int, list[int]]]:
+    """Distinct-degree factorization of a squarefree polynomial mod q: yields
+    (d, part) in increasing d, part the monic product of its degree-d
+    irreducible factors, for each d that has one.
 
-    Raises ValueError if the reduction is constant or not squarefree.
+    Raises ValueError, at the first step, if the reduction is constant or
+    not squarefree.
     """
     f = _trim([c % q for c in coeffs])
     if len(f) < 2:
@@ -188,7 +195,6 @@ def ddf_degrees(coeffs: Sequence[int], q: int) -> list[int]:
     deriv = _trim([i * c % q for i, c in enumerate(f)][1:])
     if len(_gcd(f, deriv, q)) != 1:
         raise ValueError("polynomial is not squarefree mod q")
-    degrees: list[int] = []
     remaining = f
     d = 0
     # h = x^(q^d) stays reduced mod f, not mod remaining: remaining divides
@@ -206,11 +212,24 @@ def ddf_degrees(coeffs: Sequence[int], q: int) -> list[int]:
         diff[1] = (diff[1] - 1) % q
         part = _gcd(remaining, _trim(diff), q)
         if len(part) > 1:
-            degrees.extend([d] * ((len(part) - 1) // d))
+            part = _monic(part, q)
+            yield d, part
             remaining = _divmod(remaining, part, q)[0]
+    # what is left has no factor of degree <= d, and degree below 2(d + 1)
     if len(remaining) > 1:
-        degrees.append(len(remaining) - 1)
-    return sorted(degrees)
+        yield len(remaining) - 1, remaining
+
+
+def ddf_degrees(coeffs: Sequence[int], q: int) -> list[int]:
+    """Sorted degrees of the irreducible factors of a squarefree polynomial
+    mod q, read off ddf_parts (no equal-degree splitting).
+
+    Raises ValueError if the reduction is constant or not squarefree.
+    """
+    degrees: list[int] = []
+    for d, part in ddf_parts(coeffs, q):
+        degrees.extend([d] * ((len(part) - 1) // d))
+    return degrees
 
 
 def find_root(coeffs: Sequence[int], q: int, rng) -> int | None:
@@ -241,6 +260,113 @@ def find_root(coeffs: Sequence[int], q: int, rng) -> int | None:
             part = _monic(part, q)
             g = min(part, _divmod(g, part, q)[0], key=len)
     return -g[0] % q if len(g) == 2 else None
+
+
+def _kmul(a: list[int], b: list[int], m: int) -> list[int]:
+    """The product mod m of two polynomials with coefficients in [0, m), by
+    one big-int multiply (Kronecker substitution).  Each coefficient of the
+    integer product sums at most min(len a, len b) products below m^2, so
+    slots of 2 bitlen(m - 1) + bitlen(min(len a, len b)) bits never carry.
+    Shifts pack, as in _PackedRing: at the lift's sizes (2-31 slots, 21-
+    to 700-bit m) they packed and unpacked up to 2x faster than bytes
+    (Python 3.11)."""
+    if not a or not b:
+        return []
+    w = 2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length()
+    va = vb = 0
+    for c in reversed(a):
+        va = (va << w) | c
+    for c in reversed(b):
+        vb = (vb << w) | c
+    v = va * vb
+    mask = (1 << w) - 1
+    out = []
+    for _ in range(len(a) + len(b) - 1):
+        out.append((v & mask) % m)
+        v >>= w
+    return _trim(out)
+
+
+def _add(a: list[int], b: list[int], m: int) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % m
+    return _trim(out)
+
+
+def _sub(a: list[int], b: list[int], m: int) -> list[int]:
+    return _add(a, [-c % m for c in b], m)
+
+
+def _inverse_mod(a: list[int], b: list[int], q: int) -> list[int]:
+    """The s with deg s < deg b and s a = 1 mod (b, q), for a coprime to b
+    mod the prime q, by extended Euclid on (a, b) that tracks s alone."""
+    r0, r1, s0, s1 = a, b, [1], []
+    while r1:
+        quo, rem = _divmod(r0, r1, q)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _sub(s0, _kmul(quo, s1, q), q)
+    if len(r0) != 1:
+        raise ValueError("factors are not coprime mod q")
+    inv = pow(r0[0], -1, q)
+    return _divmod([c * inv % q for c in s0], b, q)[1]
+
+
+def hensel_lift(
+    f: Sequence[int], g: Sequence[int], q: int, bounds: Sequence[int]
+) -> list[int] | None:
+    """The lift of a monic factor g of f mod the prime q to a modulus
+    M = q^(2^k) > 2 max(bounds), in the symmetric range (-M/2, M/2], or
+    None once a coefficient is out of its bound.
+
+    f is an integer polynomial whose leading coefficient q does not divide,
+    and g must be coprime mod q to its cofactor h = f / g mod q.  The lift
+    is the one monic G = g mod q with f = G H mod M for some H = h mod q, so
+    a monic factor of f over Z that is g mod q and whose coefficient j is
+    at most bounds[j] in absolute value is the lift.  Such a factor is
+    fixed mod m already where 2 bounds[j] < m, so a coefficient that is out
+    of its bound there, at m = q or after any step, ends the lift with
+    None: a wrong g mostly stops after a step or two.  Nothing else is
+    promised: the caller checks the lift, by dividing f by it exactly.
+
+    Quadratic Hensel lifting (von zur Gathen and Gerhard, Modern Computer
+    Algebra, Algorithm 15.10), every product one _kmul.  From r to m = r^2
+    the error f - h u and the Bezout defect s h + t u - 1 are multiples of
+    r, so each is divided by r and all that meets it is done mod r: only
+    the products h u, s h and t u are formed mod m.  A step lifts g first
+    and checks it; the cofactor h and the Bezout pair s h + t g = 1 follow
+    only when another step needs them, so a wrong g that fails after its
+    first step costs one inverse mod q and one step.
+    """
+    u = _trim([c % q for c in g])
+    h = _divmod(_trim([c % q for c in f]), u, q)[0]
+    top = 2 * max(bounds)
+    m, step = q, None
+    while True:
+        half = m // 2
+        lift = [c - m if c > half else c for c in u]
+        if any(abs(c) > b for c, b in zip(lift, bounds) if 2 * b < m):
+            return None
+        if m > top:
+            return lift
+        if step is None:
+            s = _inverse_mod(h, u, q)
+            t = _divmod(_sub([1], _kmul(s, h, q), q), u, q)[0]
+        else:  # finish the last step: h, s and t mod m = r^2, from r on
+            r, e, quo, u_r = step
+            h_r = h
+            h = _add(h_r, [r * c for c in _add(_kmul(t, e, r), _kmul(quo, h_r, r), r)], m)
+            b = [c // r for c in _sub(_add(_kmul(s, h, m), _kmul(t, u, m), m), [1], m)]
+            c, d = _divmod(_kmul(s, b, r), u_r, r)
+            s = _sub(s, [r * x for x in d], m)
+            t = _sub(t, [r * x for x in _add(_kmul(t, b, r), _kmul(c, h_r, r), r)], m)
+        r, m = m, m * m
+        e = [c // r for c in _sub(_trim([c % m for c in f]), _kmul(h, u, m), m)]
+        quo, rem = _divmod(_kmul(s, e, r), u, r)
+        step = r, e, quo, u
+        u = _add(u, [r * c for c in rem], m)
 
 
 class RowEchelon:

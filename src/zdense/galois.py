@@ -17,18 +17,24 @@ and therefore certain:
 
 NOs that the shape of f proves (a square or zero discriminant, a
 palindromic f where S_n is asked for) come first, with 0 trials, and are
-certain.  Every sampling stage is one call of the same loop, which draws
-primes until a certificate predicate accepts a cycle type or the stage's
-trial budget runs out; cycle types sampled at different primes all lie in
-the one Galois group of f, so certificates compose freely.  Each budget
-but transitivity's is trials_for_density of the exact density of its
-certificate class in the group a YES would certify, so a sampled NO is
-wrong with probability at most eps.
+certain.  So is a NO that carries a factor: from the fourth trial of the
+transitivity stage on, while sumset survivors remain, unions of whole
+distinct-degree classes of f mod that trial's prime are Hensel-lifted and
+divided into f exactly, and the first that divides it stops the stage
+with a certain NO (a reducible f is never generic).  Every sampling stage
+is one call of the same loop, which draws primes until a certificate
+predicate accepts a cycle type or the stage's trial budget runs out;
+cycle types sampled at different primes all lie in the one Galois group
+of f, so certificates compose freely.  Each budget but transitivity's is
+trials_for_density of the exact density of its certificate class in the
+group a YES would certify, so a sampled NO is wrong with probability at
+most eps.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,8 +42,10 @@ from functools import partial
 from random import Random
 from typing import Iterable
 
+from . import kernels
 from .modular import check_prime_range, factor_degrees_mod, is_prime, random_prime_avoiding
-from .polynomials import IntPoly, discriminant, is_reciprocal, trace_polynomial
+from .polynomials import ONE, IntPoly, discriminant, is_reciprocal, reciprocal_from_trace
+from .polynomials import trace_polynomial
 
 DEFAULT_PRIME_RANGE = (1 << 20, 1 << 21)
 
@@ -57,16 +65,23 @@ class GaloisAnswer(Enum):
 @dataclass(frozen=True)
 class GaloisVerdict:
     """Decision record: YES answers are certain, and so are the structural
-    NOs that take 0 trials; a sampled NO carries the error bound honored by
-    the trial budget.  Every witness (q, degrees) reproduces under
-    factor_degrees_mod of the polynomial the verdict is about.  certainty
-    stays out of to_json, which the Weyl route's trail embeds."""
+    NOs that take 0 trials and the NOs that carry a factor; a sampled NO
+    carries the error bound honored by the trial budget.  Every witness
+    (q, degrees) reproduces under factor_degrees_mod of the polynomial the
+    verdict is about.  factor, constant term first, is a monic proper
+    factor of that polynomial over Z, which divides it exactly;
+    trace_factor is one of its trace polynomial, when the hyperoctahedral
+    certifier's trace stage found one (factor is then the reciprocal
+    polynomial it gives).  certainty stays out of to_json, which the Weyl
+    route's trail embeds; factor and trace_factor go in only when present."""
 
     answer: GaloisAnswer
     epsilon: Fraction
     witnesses: tuple[tuple[int, tuple[int, ...]], ...]
     trials_used: int
     certainty: Certainty
+    factor: tuple[int, ...] | None = None
+    trace_factor: tuple[int, ...] | None = None
 
     @property
     def confirmed(self) -> bool:
@@ -77,7 +92,7 @@ class GaloisVerdict:
         )
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "answer": self.answer.value,
             "epsilon": str(self.epsilon),
             "trials_used": self.trials_used,
@@ -85,6 +100,10 @@ class GaloisVerdict:
                 {"prime": q, "degrees": list(d)} for q, d in self.witnesses
             ],
         }
+        for key in ("factor", "trace_factor"):
+            if getattr(self, key) is not None:
+                out[key] = list(getattr(self, key))
+        return out
 
 
 def as_epsilon(eps) -> Fraction:
@@ -202,11 +221,16 @@ def _is_square(disc: int) -> bool:
     return math.isqrt(abs(disc)) ** 2 == disc
 
 
-def _verdict(found, yes, eps, witnesses, carried=0) -> GaloisVerdict:
-    answer, certainty = (
-        (yes, Certainty.CERTAIN) if found else (GaloisAnswer.NOT_GENERIC, Certainty.MONTE_CARLO)
+def _verdict(found, yes, eps, witnesses, carried=0, factor=None) -> GaloisVerdict:
+    if factor is not None:
+        answer, certainty = GaloisAnswer.NOT_GENERIC, Certainty.CERTAIN
+    elif found:
+        answer, certainty = yes, Certainty.CERTAIN
+    else:
+        answer, certainty = GaloisAnswer.NOT_GENERIC, Certainty.MONTE_CARLO
+    return GaloisVerdict(
+        answer, eps, tuple(witnesses), carried + len(witnesses), certainty, factor
     )
-    return GaloisVerdict(answer, eps, tuple(witnesses), carried + len(witnesses), certainty)
 
 
 def _structural_no(eps) -> GaloisVerdict:
@@ -214,15 +238,78 @@ def _structural_no(eps) -> GaloisVerdict:
     return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, (), 0, Certainty.CERTAIN)
 
 
-def _transitive(hunt, n: int, eps: Fraction) -> bool:
-    """The sumset-intersection stage of is_transitive."""
-    survivors = set(range(1, n))
+# The transitivity stage tries to lift a factor from the end of its first
+# block of trials on, at every trial while survivors remain.
+_FACTOR_FROM_TRIAL = 4
+
+
+def _lifted_factor(f: IntPoly, q: int, degrees, survivors) -> tuple[int, ...] | None:
+    """A monic proper factor of f over Z, constant term first, built from
+    whole degree classes of f mod q, or None.
+
+    q is a prime that divides neither disc(f) nor the leading coefficient,
+    and degrees is the factorization pattern of f mod q.  Each union U of
+    degree classes (all the factors of one degree, as ddf_parts gives them)
+    with 2 deg U <= n and deg U in survivors (a factor's degree lies in
+    every sampled sumset) is Hensel-lifted, then checked: its constant term
+    must divide f(0), and it must divide f exactly.  Unions are tried
+    smallest first, and the distinct-degree parts are built only when some
+    union's degree qualifies.  No equal-degree split and no recombination
+    of single factors: a factor whose reduction shares a degree class with
+    its cofactor's is missed at this q.
+
+    The lift's bounds hold for any monic factor g of degree k:
+    |g_j| <= C(k, j) min(R^(k-j), |f|_2), by Mignotte's bound and by
+    Vieta with R >= every root's modulus (Fujiwara's bound, twice the
+    largest |c_(n-i)|^(1/i), rounded up to a power of 2).
+    """
+    n = f.degree
+    classes = Counter(degrees)
+    unions = [(0, ())]
+    for d in sorted(classes):
+        unions += [(size + d * classes[d], chosen + (d,)) for size, chosen in unions
+                   if 2 * (size + d * classes[d]) <= n]
+    unions = sorted(u for u in unions if u[0] in survivors)
+    if not unions:
+        return None
+    parts = dict(kernels.ddf_parts(f.coeffs, q))
+    norm = math.isqrt(sum(c * c for c in f.coeffs)) + 1
+    root_bits = 1 + max(-(-abs(f[n - i]).bit_length() // i) for i in range(1, n + 1))
+    f0 = f.coeffs[0]
+    for k, chosen in unions:
+        union = math.prod((IntPoly(parts[d]) for d in chosen), start=ONE)
+        bounds = [math.comb(k, j) * min(1 << root_bits * (k - j), norm) for j in range(k + 1)]
+        lift = kernels.hensel_lift(f.coeffs, [c % q for c in union.coeffs], q, bounds)
+        if lift is None:
+            continue
+        g0 = lift[0]
+        if (f0 % g0 if g0 else f0) == 0:
+            g = IntPoly(lift)
+            if f.divmod_monic(g)[1].is_zero():
+                return g.coeffs
+    return None
+
+
+def _transitive(f: IntPoly, hunt, witnesses, eps: Fraction) -> tuple[bool, tuple[int, ...] | None]:
+    """The sumset-intersection stage of is_transitive and is_sn, as
+    (transitive, factor).  From trial _FACTOR_FROM_TRIAL on, while sumset
+    survivors remain, the trial's own prime (the witness hunt just
+    appended) is also tried for a factor of f, and a factor stops the
+    stage; a failed attempt draws nothing."""
+    survivors = set(range(1, f.degree))
+    trials = 0
+    factor = None
 
     def invariably_transitive(degrees):
+        nonlocal trials, factor
         survivors.intersection_update(sumset(degrees))
-        return not survivors
+        trials += 1
+        if survivors and trials >= _FACTOR_FROM_TRIAL:
+            factor = _lifted_factor(f, witnesses[-1][0], degrees, survivors)
+        return not survivors or factor is not None
 
-    return hunt(trials_invariable_transitivity(eps), invariably_transitive)
+    found = hunt(trials_invariable_transitivity(eps), invariably_transitive)
+    return found and factor is None, factor
 
 
 def _sn_after_transitivity(hunt, n: int, eps: Fraction) -> bool:
@@ -251,13 +338,15 @@ def is_transitive(
 
     Keeps the running intersection of cycle-type sumsets; an empty
     intersection means the sampled classes are invariably transitive, so the
-    Galois group is transitive and f has no rational factor (certain).
+    Galois group is transitive and f has no rational factor (certain).  A
+    factor lifted from a trial's prime and dividing f exactly is a certain
+    NO, and the verdict carries it.
     """
     eps, disc, witnesses, hunt = _sampler(f, eps, rng, prime_range)
     if disc == 0:
         raise ValueError("discriminant is zero")
-    found = _transitive(hunt, f.degree, eps)
-    return _verdict(found, GaloisAnswer.IRREDUCIBLE, eps, witnesses)
+    found, factor = _transitive(f, hunt, witnesses, eps)
+    return _verdict(found, GaloisAnswer.IRREDUCIBLE, eps, witnesses, factor=factor)
 
 
 def is_sn(
@@ -268,10 +357,11 @@ def is_sn(
     Structural NOs first, with 0 trials: from degree 2 a square (or zero)
     discriminant puts the group inside A_n, and a palindromic f of even
     degree n >= 4 pairs its roots as r <-> 1/r, inside C_2 wr S_(n/2).
-    Then transitivity, and below degree 13 primitivity evidence and a
-    transposition pattern, from degree 13 one prime cycle in the Jordan
-    window n/2 < l <= n - 3.  The error budget is split evenly across at
-    most three sampling stages.
+    Then transitivity, where a factor of f lifted from a trial's prime is
+    a certain NO that the verdict carries, and below degree 13 primitivity
+    evidence and a transposition pattern, from degree 13 one prime cycle
+    in the Jordan window n/2 < l <= n - 3.  The error budget is split
+    evenly across at most three sampling stages.
     """
     eps, disc, witnesses, hunt = _sampler(f, eps, rng, prime_range)
     n = f.degree
@@ -279,10 +369,10 @@ def is_sn(
         return _structural_no(eps)
     # S_1 is trivial and S_2 = C_2: irreducibility alone decides.
     stage_eps = eps if n <= 2 else eps / 3
-    found = _transitive(hunt, n, stage_eps)
+    found, factor = _transitive(f, hunt, witnesses, stage_eps)
     if found and n > 2:
         found = _sn_after_transitivity(hunt, n, stage_eps)
-    return _verdict(found, GaloisAnswer.CONFIRMED_SN, eps, witnesses)
+    return _verdict(found, GaloisAnswer.CONFIRMED_SN, eps, witnesses, factor=factor)
 
 
 def is_hyperoctahedral(
@@ -294,10 +384,12 @@ def is_hyperoctahedral(
     A square (or zero) discriminant is a certain NO with 0 trials: swapping
     one root pair r <-> 1/r is a transposition, which A_2m lacks.  Otherwise
     the group surjects onto S_m iff the trace polynomial has Galois group
-    S_m (a structural NO there is a certain NO here), and a transposition
-    pattern on f itself then pins down the whole wreath product.  Half the
-    budget goes to each stage; the verdict records only the witnesses
-    sampled against f and carries over the trace stage's trial count.
+    S_m (a certain NO there is a certain NO here, and a factor G of the
+    trace polynomial gives the factor x^deg G G(x + 1/x) of f), and a
+    transposition pattern on f itself then pins down the whole wreath
+    product.  Half the budget goes to each stage; the verdict records only
+    the witnesses sampled against f and carries over the trace stage's
+    trial count.
     """
     eps, disc, witnesses, hunt = _sampler(f, eps, rng, prime_range)
     if f.degree % 2 != 0:
@@ -313,7 +405,10 @@ def is_hyperoctahedral(
     projection = is_sn(trace_polynomial(f), stage_eps, rng, prime_range)
     if projection.certainty is Certainty.CERTAIN and not projection.confirmed:
         # The group of f maps onto the trace polynomial's, proven not S_m.
-        return _structural_no(eps)
+        trace_factor = projection.factor
+        factor = trace_factor and reciprocal_from_trace(IntPoly(trace_factor)).coeffs
+        return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, (), projection.trials_used,
+                             Certainty.CERTAIN, factor, trace_factor)
     m = f.degree // 2
     budget = trials_for_density(transposition_density(m - 1, Fraction(1, 4)), stage_eps)
     found = projection.confirmed and hunt(budget, has_transposition_pattern)

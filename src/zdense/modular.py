@@ -18,6 +18,22 @@ from .polynomials import IntPoly
 # Sorenson-Webster); psi_12 = 399165290221 * 798330580441 passes all 12.
 _WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# (psi_k, k): psi_k is the least odd composite that is a strong probable
+# prime to each of the first k prime bases (OEIS A014233; Jaeschke 1993),
+# so below it those k bases are a proof.  psi_8 = psi_7 and
+# psi_11 = psi_10 = psi_9, and from psi_9 up to 2^64 < psi_12 all 12 serve.
+_BASES_BELOW = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (1 << 64, 12),
+)
+
 
 class PrimeSearchExhausted(RuntimeError):
     """Rejection sampling ran out of attempts: the interval is too small or
@@ -41,15 +57,18 @@ def _strong_probable_prime(n: int, a: int) -> bool:
 
 
 def is_prime(r: int) -> bool:
-    """Primality of 2 <= r < 2^64, and every answer is a proof: below
-    psi_12 > 2^64 the strong probable-prime test to the 12 bases of
-    _WITNESSES_64 is exact.  Raises ValueError for any other r."""
+    """Primality of 2 <= r < 2^64, and every answer is a proof: trial
+    division by the 12 primes of _WITNESSES_64, then the strong
+    probable-prime test to the first k of them, the least k with
+    r < psi_k (three bases below 2^24, four below 2^31).  Raises ValueError
+    for any other r."""
     if not 2 <= r < 1 << 64:
         raise ValueError("primality is proven only for 2 <= r < 2^64")
     for p in _WITNESSES_64:
         if r % p == 0:
             return r == p
-    return all(_strong_probable_prime(r, a) for a in _WITNESSES_64)
+    k = next(k for psi, k in _BASES_BELOW if r < psi)
+    return all(_strong_probable_prime(r, a) for a in _WITNESSES_64[:k])
 
 
 def check_prime_range(lo: int, hi: int) -> None:

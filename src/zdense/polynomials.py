@@ -1,8 +1,9 @@
 """Exact integer polynomial arithmetic.
 
 Discriminants via a subresultant polynomial remainder sequence, the
-coefficient-sum norm and its discriminant bound, reciprocal structure and
-trace polynomials, and cyclotomic-product detection by root squaring.
+coefficient-sum norm and its discriminant bound, reciprocal structure,
+trace polynomials and the reciprocal polynomial of a given trace
+polynomial, and cyclotomic-product detection by root squaring.
 Everything is done over Z; coefficients may be arbitrarily large.
 """
 
@@ -192,6 +193,18 @@ def trace_polynomial(f: IntPoly) -> IntPoly:
         result = result + f[n - k] * e_cur
         e_prev, e_cur = e_cur, z * e_cur - e_prev
     return result
+
+
+def reciprocal_from_trace(g: IntPoly) -> IntPoly:
+    """x^k g(x + 1/x) for g of degree k: the reciprocal polynomial of degree
+    2k whose trace polynomial is g.  A factorization of a trace polynomial
+    F = g h gives f = x^n F(x + 1/x) as the product of the two lifts."""
+    k = g.degree
+    out, power = IntPoly(), ONE  # power = (x^2 + 1)^j
+    for j, c in enumerate(g.coeffs):
+        out = out + IntPoly.monomial(k - j, c) * power
+        power = power * IntPoly([1, 0, 1])
+    return out
 
 
 def cyclotomic(d: int) -> IntPoly:

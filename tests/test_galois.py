@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -7,6 +8,7 @@ from random import Random
 
 import pytest
 
+from zdense import galois
 from zdense.galois import (
     Certainty,
     GaloisAnswer,
@@ -22,7 +24,7 @@ from zdense.galois import (
     trials_for_density,
     trials_invariable_transitivity,
 )
-from zdense.modular import factor_degrees_mod, is_prime
+from zdense.modular import factor_degrees_mod, is_prime, random_prime_avoiding
 from zdense.polynomials import IntPoly, cyclotomic, discriminant, trace_polynomial
 from zdense.polynomials import is_reciprocal as is_reciprocal_poly
 
@@ -497,11 +499,11 @@ PINNED_VERDICTS = [
         (1614377, (4,)), (1858433, (4,)), (1486321, (1, 1, 1, 1)),
         (1862711, (1, 1, 1, 1)), (1193603, (4,)),
     )),
-    # (x^2 + 1)(x^2 + x - 1): transitivity budget runs out
-    (is_sn, IntPoly([1, 0, 1]) * IntPoly([-1, 1, 1]), 12, GaloisAnswer.NOT_GENERIC, 8, (
+    # (x^2 + 1)(x^2 + x - 1): the fourth trial's prime lifts the factor
+    # x^2 + 1 (see PINNED_FACTORS), a certain NO
+    (is_sn, IntPoly([1, 0, 1]) * IntPoly([-1, 1, 1]), 12, GaloisAnswer.NOT_GENERIC, 4, (
         (1156271, (1, 1, 2)), (2033377, (1, 1, 2)), (1847413, (1, 1, 2)),
-        (1324837, (1, 1, 2)), (1924463, (2, 2)), (1243343, (2, 2)),
-        (1817149, (1, 1, 1, 1)), (1084247, (2, 2)),
+        (1324837, (1, 1, 2)),
     )),
     # x^4 - 2 (D_4): transitive after 6, primitivity budget (11) runs out
     (is_sn, IntPoly([-2, 0, 0, 0, 1]), 13, GaloisAnswer.NOT_GENERIC, 17, (
@@ -522,10 +524,31 @@ PINNED_VERDICTS = [
 ]
 
 
+# the factor of each PINNED_VERDICTS row that has one, by seed
+PINNED_FACTORS = {12: (1, 0, 1)}
+
+
 @pytest.mark.parametrize("certifier,f,seed,answer,trials,witnesses", PINNED_VERDICTS)
 def test_pinned_verdicts(certifier, f, seed, answer, trials, witnesses):
     v = certifier(f, "1/10", Random(seed))
     assert (v.answer, v.trials_used, v.witnesses) == (answer, trials, witnesses)
+    assert v.factor == PINNED_FACTORS.get(seed)
+
+
+def test_pinned_factor_verdict_at_default_eps():
+    # (x^4 - 2)(x^5 - 3) at eps 1e-6, where the budget is 20 trials: the
+    # attempts at trials 4 and 5 find no union of degree classes that lifts
+    # (at trial 5 none has a surviving degree), and trial 6's does
+    f = IntPoly([-2, 0, 0, 0, 1]) * IntPoly([-3, 0, 0, 0, 0, 1])
+    v = is_sn(f, EPS, Random(11))
+    assert (v.answer, v.certainty, v.trials_used, v.factor) == (
+        GaloisAnswer.NOT_GENERIC, Certainty.CERTAIN, 6, (-2, 0, 0, 0, 1))
+    assert v.witnesses == (
+        (1446829, (1, 2, 2, 4)), (2046323, (1, 2, 2, 4)), (1173463, (1, 1, 1, 2, 4)),
+        (1447471, (1, 1, 1, 1, 1, 1, 1, 2)), (1188721, (1, 1, 1, 1, 1, 1, 1, 1, 1)),
+        (1496321, (2, 2, 5)),
+    )
+    assert v.to_json()["factor"] == [-2, 0, 0, 0, 1]
 
 
 def test_discriminant_once_per_polynomial(monkeypatch):
@@ -560,3 +583,91 @@ def test_trials_used_counts_witnesses():
     for seed, (certifier, f) in enumerate(runs):
         v = certifier(f, "1/10", Random(seed))
         assert v.trials_used == len(v.witnesses) > 0
+
+
+def _taylor_shift(f, a):
+    """f(x + a), by Horner."""
+    out = IntPoly()
+    for c in reversed(f.coeffs):
+        out = out * IntPoly([a, 1]) + IntPoly([c])
+    return out
+
+
+def _check_factor(f, v):
+    assert (v.answer, v.certainty) == (GaloisAnswer.NOT_GENERIC, Certainty.CERTAIN)
+    g = IntPoly(v.factor)
+    quo, rem = f.divmod_monic(g)
+    assert rem.is_zero() and 0 < g.degree < f.degree and g * quo == f
+
+
+def test_reducible_inputs_get_a_factor_that_divides_them():
+    # seeded products of two or three random monic polynomials, degree <= 30,
+    # half of them Taylor-shifted by a 32-bit a: every one is a certain NO
+    # whose factor times its cofactor is the input
+    rng = Random(2024)
+    checked = shifted = 0
+    while checked < 24:
+        n = rng.randrange(4, 31)
+        cuts = sorted(rng.sample(range(1, n), rng.choice((1, 2)) if n > 2 else 1))
+        degrees = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+        f = IntPoly([1])
+        for d in degrees:
+            f = f * IntPoly([rng.randrange(-5, 6) for _ in range(d)] + [1])
+        if rng.random() < 0.5:
+            f = _taylor_shift(f, rng.choice((-1, 1)) * rng.randrange(1 << 31, 1 << 32))
+            shifted += 1
+        disc = discriminant(f)
+        if disc == 0 or math.isqrt(abs(disc)) ** 2 == disc or is_reciprocal_poly(f):
+            continue  # a structural NO, with no factor to check
+        for certifier in (is_sn, is_transitive):
+            _check_factor(f, certifier(f, EPS, Random(checked)))
+        checked += 1
+    assert shifted > 6
+
+
+def test_trace_stage_factor_gives_a_factor_of_f():
+    # Phi_5 Phi_7: the trace polynomial (z^2 + z - 1)(z^3 + z^2 - 2z - 1) is
+    # reducible, and its factor G lifts to x^deg G G(x + 1/x), which divides f
+    f = cyclotomic(5) * cyclotomic(7)
+    v = is_hyperoctahedral(f, EPS, Random(3))
+    _check_factor(f, v)
+    assert v.trials_used > 0 and v.witnesses == ()
+    trace = trace_polynomial(f)
+    assert trace.divmod_monic(IntPoly(v.trace_factor))[1].is_zero()
+    assert trace_polynomial(IntPoly(v.factor)) == IntPoly(v.trace_factor)
+    assert {"factor", "trace_factor"} <= set(v.to_json())
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 12, 17, 22])
+def test_sn_inputs_never_get_a_factor(n):
+    for a in (0, 3141592653):
+        f = _taylor_shift(TRINOMIAL(n), a)
+        for seed in range(3):
+            v = is_sn(f, EPS, Random(seed))
+            assert v.confirmed and v.factor is None
+        # every union of degree classes, at 12 primes, lifts to no factor
+        rng = Random(n)
+        for _ in range(12):
+            q = random_prime_avoiding(discriminant(f), 1 << 20, 1 << 21, rng)
+            degrees = factor_degrees_mod(f, q)
+            assert galois._lifted_factor(f, q, degrees, set(range(1, n))) is None
+
+
+def test_a_lift_that_does_not_divide_is_refused(monkeypatch):
+    # x^k + 1 passes the constant-term test against f(0) = -1, so only the
+    # exact division stands between it and a false certificate
+    lifts = []
+
+    def fake_lift(f, g, q, bounds):
+        lifts.append(g)
+        return [1] + [0] * (len(g) - 2) + [1]
+
+    monkeypatch.setattr(galois.kernels, "hensel_lift", fake_lift)
+    f = TRINOMIAL(9)
+    rng = Random(5)
+    for _ in range(12):
+        q = random_prime_avoiding(discriminant(f), 1 << 20, 1 << 21, rng)
+        degrees = factor_degrees_mod(f, q)
+        assert galois._lifted_factor(f, q, degrees, set(range(1, 9))) is None
+    assert len(lifts) > 12
+    assert is_sn(f, EPS, Random(0)).confirmed

@@ -65,10 +65,11 @@ def _monic_irreducibles(p, max_degree):
     return found
 
 
-def _factor_degrees(f, p, irreducibles):
-    """Sorted factor degrees of a monic f over F_p, or None if f has a
-    repeated factor; every factor of degree <= deg f / 2 is in irreducibles."""
-    degrees = []
+def _factors(f, p, irreducibles):
+    """The monic irreducible factors of a monic f over F_p, or None if f has
+    a repeated factor; every factor of degree <= deg f / 2 is in
+    irreducibles."""
+    factors = []
     for g in irreducibles:
         if 2 * (len(g) - 1) > len(f) - 1:
             break
@@ -77,11 +78,18 @@ def _factor_degrees(f, p, irreducibles):
             continue
         if not any(_divmod_monic(quo, g, p)[1]):
             return None
-        degrees.append(len(g) - 1)
+        factors.append(g)
         f = quo
     if len(f) > 1:
-        degrees.append(len(f) - 1)
-    return sorted(degrees)
+        factors.append(f)
+    return factors
+
+
+def _factor_degrees(f, p, irreducibles):
+    """Sorted factor degrees of a monic f over F_p, or None if f has a
+    repeated factor."""
+    factors = _factors(f, p, irreducibles)
+    return None if factors is None else sorted(len(g) - 1 for g in factors)
 
 
 def _poly_mul(a, b):
@@ -116,6 +124,28 @@ def test_ddf_matches_trial_division(p):
         else:
             assert _kernel_py.ddf_degrees(coeffs, p) == expected, (f, p)
     assert repeated > 20
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ddf_parts_match_trial_division(p):
+    # each part is the monic product of the factors of its degree
+    irreducibles = _monic_irreducibles(p, 4)
+    rng = Random(100 + p)
+    checked = 0
+    for _ in range(120):
+        f = [rng.randrange(p) for _ in range(rng.randrange(1, 9))] + [1]
+        factors = _factors(f, p, irreducibles)
+        if factors is None:
+            continue
+        want = {}
+        for g in factors:
+            d = len(g) - 1
+            want[d] = [c % p for c in _poly_mul(want.get(d, [1]), g)]
+        unit = rng.randrange(1, p)
+        coeffs = [unit * c + p * rng.randrange(-9, 10) for c in f]
+        assert list(_kernel_py.ddf_parts(coeffs, p)) == sorted(want.items()), (f, p)
+        checked += 1
+    assert checked > 60
 
 
 def _strip(a):
@@ -470,3 +500,92 @@ def test_find_root_on_planted_roots():
             f = _poly_mul(f, [-r, 1])
         got = _kernel_py.find_root(f, q, rng)
         assert got in set(planted) if planted else got is None, trial
+
+
+def _symmetric(c, m):
+    c %= m
+    return c - m if c > m // 2 else c
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_hensel_lift_is_the_unique_lift_dividing_f_mod_m(q):
+    # brute force: among all monic G = g mod q with coefficients in
+    # (-M/2, M/2], exactly one divides f mod M (M the least q^(2^k) above
+    # 2 max(bounds)); hensel_lift returns it when every coefficient is
+    # within its bound, and None otherwise
+    irreducibles = _monic_irreducibles(q, 3)
+    rng = Random(200 + q)
+    outcomes = set()
+    for trial in range(80):
+        f = [rng.randrange(-30, 31) for _ in range(rng.randrange(2, 6))] + [1]
+        factors = _factors([c % q for c in f], q, irreducibles)
+        if factors is None or len(factors) < 2:
+            continue
+        chosen = [g for g in factors if rng.random() < 0.5] or factors[:1]
+        if len(chosen) == len(factors):
+            chosen = chosen[1:]
+        g = [1]
+        for x in chosen:
+            g = [c % q for c in _poly_mul(g, x)]
+        k = len(g) - 1
+        big = q * q if trial % 3 else q**4  # the modulus the lift stops at
+        if (big // q) ** k > 3000:
+            continue
+        top = rng.randrange(math.isqrt(big) + 1, big) // 2  # sqrt(big) <= 2 top < big
+        bounds = [rng.randrange(top // 3, top + 1) for _ in range(k)] + [top]
+        assert bounds[-1] == max(bounds)
+        want = []
+        for digits in itertools.product(range(big // q), repeat=k):
+            cand = [_symmetric(c + q * i, big) for c, i in zip(g, digits)] + [1]
+            if not any(_divmod_monic(f, cand, big)[1]):
+                want.append(cand)
+        assert len(want) == 1, (f, g, q)
+        (lift,) = want
+        within = all(abs(c) <= b for c, b in zip(lift, bounds))
+        got = kernels.hensel_lift(f, g, q, bounds)
+        assert got == (lift if within else None), (f, g, q, bounds)
+        outcomes.add(within)
+    assert outcomes == {True, False}
+
+
+def test_hensel_lift_recovers_planted_factors():
+    # f = g h over Z: where f is squarefree mod q the lift of g mod q is g,
+    # up to 60-digit coefficients, and its quotient is h over Q
+    rng = Random(61)
+    lifted = 0
+    for trial in range(150):
+        size = 10 ** rng.choice((1, 3, 12, 60))
+        g = [rng.randrange(-size, size + 1) for _ in range(rng.randrange(1, 7))] + [1]
+        h = [rng.randrange(-size, size + 1) for _ in range(rng.randrange(1, 7))] + [1]
+        f = _poly_mul(g, h)
+        q = (3, 101, 1048583)[trial % 3]
+        if _ddf_square_and_multiply(f, q) is None:
+            continue
+        bounds = [max(map(abs, g))] * len(g)
+        lift = kernels.hensel_lift(f, [c % q for c in g], q, bounds)
+        assert lift == g, (f, g, q)
+        quo, rem = _fraction_divmod(f, lift)
+        assert quo == h and not any(rem)
+        lifted += 1
+    assert lifted > 100
+
+
+def _fraction_divmod(a, b):
+    """Quotient and remainder of a by b over Q, in Fractions."""
+    a = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * (len(a) - len(b) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = a[i + len(b) - 1] / b[-1]
+        for j, bj in enumerate(b):
+            a[i + j] -= c * bj
+    return quo, a[: len(b) - 1]
+
+
+def test_kronecker_product_matches_schoolbook():
+    rng = Random(67)
+    for _ in range(200):
+        m = rng.choice((2, 7, 1048583, (1 << 61) - 1, 3**200))
+        a = [rng.randrange(m) for _ in range(rng.randrange(0, 20))]
+        b = [rng.randrange(m) for _ in range(rng.randrange(0, 20))]
+        want = _strip([c % m for c in _poly_mul(a, b)]) if a and b else []
+        assert _kernel_py._kmul(_strip(a), _strip(b), m) == want

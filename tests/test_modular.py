@@ -1,8 +1,10 @@
+import math
 from random import Random
 
 import pytest
 
 from zdense.modular import (
+    _BASES_BELOW,
     _WITNESSES_64,
     PrimeSearchExhausted,
     _strong_probable_prime,
@@ -49,6 +51,38 @@ def test_is_prime_beyond_word_size():
         with pytest.raises(ValueError, match="2 <= r < 2\\^64"):
             is_prime(r)
     assert is_prime(2**64 - 59)  # the largest prime below 2^64
+
+
+# psi_k for k = 1..11 (OEIS A014233): the least odd composite that is a
+# strong probable prime to each of the first k prime bases
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051)
+
+
+def test_is_prime_base_sets_stop_below_each_psi():
+    # each psi_k < 2^64 fools the first k bases, and is_prime still calls
+    # it composite: the base set it uses for psi_k goes one base further
+    for k, psi in enumerate(_PSI, 1):
+        assert psi < 2**64
+        assert all(_strong_probable_prime(psi, a) for a in _WITNESSES_64[:k])
+        assert not is_prime(psi)
+    assert [psi for psi, _ in _BASES_BELOW[:-1]] == sorted(set(_PSI))
+    # below psi_k, k bases; where psi_k = psi_(k+1), still k
+    assert all(_PSI.index(psi) + 1 == k for psi, k in _BASES_BELOW[:-1])
+    assert _BASES_BELOW[-1] == (2**64, 12)
+
+
+def test_is_prime_matches_a_sieve_on_the_sampling_range():
+    lo, hi = 1 << 20, 1 << 21
+    sieve = bytearray([1]) * hi
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(hi) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, hi, p)))
+    rng = Random(21)
+    for r in [rng.randrange(lo, hi) for _ in range(20000)] + [lo, hi - 1]:
+        assert is_prime(r) == bool(sieve[r]), r
 
 
 def test_random_prime_avoiding_examples():

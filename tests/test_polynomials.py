@@ -13,6 +13,7 @@ from zdense.polynomials import (
     is_reciprocal,
     l1_norm,
     mahler_bound,
+    reciprocal_from_trace,
     resultant,
     trace_polynomial,
 )
@@ -288,3 +289,15 @@ def test_cyclotomic_product_coefficient_bound_shortcut():
     for _ in range(6):
         g = g * cyclotomic(1)
     assert all(abs(g[n - k]) <= comb(n, k) for k in range(n + 1))
+
+
+def test_reciprocal_from_trace_inverts_the_trace_polynomial():
+    rng = Random(8)
+    for _ in range(40):
+        g = IntPoly([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 8))] + [1])
+        h = IntPoly([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 8))] + [1])
+        f = reciprocal_from_trace(g)
+        assert f.degree == 2 * g.degree and is_reciprocal(f)
+        assert trace_polynomial(f) == g
+        # a factorization of the trace polynomial is one of f
+        assert reciprocal_from_trace(g * h) == f * reciprocal_from_trace(h)

@@ -14,6 +14,7 @@ from zdense.matrices import (
     validate,
 )
 from zdense.modular import is_prime, random_prime_avoiding
+from zdense.polynomials import IntPoly
 from zdense.zariski import (
     Certainty,
     adjoint_matrices,
@@ -609,6 +610,18 @@ def test_zariski_block_sl2_pair_in_sp4_not_dense():
     assert not is_irreducible_algebra(gens, 4).irreducible
     for seed in range(8):
         assert not zariski_dense(gs, "1e-4", Random(seed)).dense
+
+
+def test_weyl_route_stays_monte_carlo_when_a_word_is_factored(sl3_parabolic):
+    # every word keeps the plane e1, e2, so its charpoly has the factor
+    # x - 1: the Galois stage proves that word not generic, with the factor,
+    # but a fact about one word says nothing certain about the group
+    for seed in range(4):
+        v = zariski_dense(sl3_parabolic, "1e-6", Random(seed))
+        assert not v.dense and v.certainty is Certainty.MONTE_CARLO
+        step = v.trail[-1]
+        assert step["step"] == "galois_certificate" and step["verdict"]["factor"] == [-1, 1]
+        assert IntPoly(step["charpoly"]).divmod_monic(IntPoly([-1, 1]))[1].is_zero()
 
 
 def _restrict_sqrt2(m):
