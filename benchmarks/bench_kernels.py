@@ -26,7 +26,12 @@ Four workloads, all straight from the deciders' inner loops:
     instead).  Each parabolic row is followed by a `gate` row: the routes'
     gate, zdense.zariski._irreducible, on the same inputs and seeds, whose
     NO is Norton's short spin, its subspace lifted and checked exactly,
-    and the walk only when no attempt answers;
+    and the walk only when no attempt answers.  Three more `gate` rows time
+    the gate alone on the adjoint matrices of NO inputs whose every theta
+    has a wide eigenspace or a finite order: Heisenberg (upper
+    unitriangular) SL(4) and SL(6), where Norton's spin starts from the
+    first vector of a kernel wider than a line, and a signed-permutation
+    SL(4);
   * factor: the Galois transitivity stage's factor attempt,
     zdense.galois._lifted_factor, at 20 seeded 21-bit primes each, on the
     galois band polynomial (x^8 - 2)(x^9 - 3) and on x^22 - x - 1, both
@@ -75,6 +80,8 @@ IRREDUCIBILITY_SIZES = (
     ("Sp", 24, "standard"),
 )
 IRREDUCIBILITY_COPIES = 2
+# (family, n); the gate alone, on the adjoint matrices of a NO input in SL(n)
+GATE_SIZES = (("Heisenberg", 4), ("Heisenberg", 6), ("signed-permutation", 4))
 FACTOR_PRIMES = 20
 
 
@@ -152,6 +159,18 @@ def _sp_gens(m, dense):
     return gens
 
 
+def _heisenberg_gens(n):
+    return [_unit(n, [(i, i + 1, 1)]) for i in range(n - 1)]
+
+
+def _signed_perm_gens(n):
+    """A signed n-cycle and a signed swap: they generate a finite group."""
+    return [_signed_cycle(n), _block_diag(Matrix([[0, 1], [-1, 0]]), Matrix.identity(n - 2))]
+
+
+GATE_FAMILIES = {"Heisenberg": _heisenberg_gens, "signed-permutation": _signed_perm_gens}
+
+
 def make_word_workload(rng, count, n):
     """SL(n) generated by I + e_12 and a signed n-cycle (a dense pair),
     conjugated by a product of n random transvections, and `count` seeded
@@ -166,14 +185,16 @@ def make_word_workload(rng, count, n):
     return [(gs, random_word_letters(gs, WORD_LENGTH, rng)) for _ in range(count)]
 
 
-def make_irreducibility_job(rng, group, n, action, dense):
+def make_irreducibility_job(rng, group, n, action, dense, gens=None):
     """The gate's input for `group`(n) under `action`, conjugated by a word
-    of length n in the dense group, and a decider seed."""
+    of length n in the dense group, and a decider seed.  The generators are
+    `gens`, or else the dense or parabolic ones."""
     kind = GroupKind.SPECIAL_LINEAR if group == "SL" else GroupKind.SYMPLECTIC
     make = _sl_gens if group == "SL" else (lambda n, dense: _sp_gens(n // 2, dense))
     g = random_word(validate(kind, n, make(n, True)), n, rng)
     g_inv = adjugate_inverse(g)
-    gs = validate(kind, n, [multiply(multiply(g, x), g_inv) for x in make(n, dense)])
+    gens = make(n, dense) if gens is None else gens
+    gs = validate(kind, n, [multiply(multiply(g, x), g_inv) for x in gens])
     mats = adjoint_matrices(gs) if action == "adjoint" else list(gs.generators)
     return mats, mats[0].dim, rng.randrange(1 << 63)
 
@@ -242,6 +263,12 @@ def main():
         ("(x^8 - 2)(x^9 - 3)", make_factor_workload(rng, band.coeffs)),
         ("x^22 - x - 1", make_factor_workload(rng, [-1, -1] + [0] * 20 + [1])),
     ]
+    gate_jobs = [
+        (family, n, [make_irreducibility_job(rng, "SL", n, "adjoint", False,
+                                             GATE_FAMILIES[family](n))
+                     for _ in range(IRREDUCIBILITY_COPIES)])
+        for family, n in GATE_SIZES
+    ]
 
     rows = [
         measure(
@@ -280,6 +307,11 @@ def main():
         measure("factor", f"{len(jobs)} primes, {name} shifted by a 32-bit a", jobs,
                 args.repeat, galois._lifted_factor)
         for name, jobs in factor_jobs
+    )
+    rows.extend(
+        measure("gate", f"{len(jobs)} {family} SL({n}), adjoint (dim {jobs[0][1]})", jobs,
+                args.repeat, gate)
+        for family, n, jobs in gate_jobs
     )
 
     if args.json is not None:

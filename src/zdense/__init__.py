@@ -1,8 +1,8 @@
 """Exact-arithmetic certification of Zariski density in SL(n,Z) and
 Sp(2n,Z) through large Galois groups of characteristic polynomials.
 
-YES answers are certificate-backed and certain; NO answers are one-sided
-Monte Carlo with a caller-chosen error bound.
+YES answers and adjoint-route NO answers are certain; other NO answers
+are one-sided Monte Carlo with a caller-chosen error bound.
 """
 
 from .galois import (

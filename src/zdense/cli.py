@@ -207,7 +207,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
                     parsed, config.epsilon, rng, config.word_constant, prime_range
                 )
             else:
-                verdict = general_zariski_dense(parsed, config.epsilon, rng, config.word_constant)
+                verdict = general_zariski_dense(parsed, config.epsilon, rng)
             positive = verdict.confirmed if mode == "galois" else verdict.dense
             certain = verdict.certainty is Certainty.CERTAIN
             trial_seconds.append(time.perf_counter() - t1)
@@ -262,10 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Decide Zariski density of a finitely generated subgroup of "
             "SL(n,Z) or Sp(2n,Z), or certify a large Galois group of a "
-            "polynomial.  YES answers are certain; NO answers are meant to "
-            "be wrong with probability at most epsilon, but weyl mode and "
-            "the Galois transitivity stage do not meet that bound today "
-            "(see the README)."
+            "polynomial.  YES answers and adjoint-mode answers are certain; "
+            "other NO answers are meant to be wrong with probability at "
+            "most epsilon, but weyl mode and the Galois transitivity stage "
+            "do not meet that bound today (see the README)."
         ),
     )
     parser.add_argument("input", help="JSON input file (generator set or polynomial)")
@@ -273,16 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=MODES + ("auto",),
         default="auto",
-        help="weyl = two-word Weyl-group decider, adjoint = one-word adjoint "
-        "decider, galois = Galois certification of a polynomial "
-        "(default: inferred from the input)",
+        help="weyl = two-word Weyl-group decider.  adjoint = irreducibility of "
+        "Ad(G) on the Lie algebra; every answer certain.  galois = Galois "
+        "certification of a polynomial.  Default: inferred from the input.",
     )
     parser.add_argument("--epsilon", default="1e-6", help="error bound in (0,1)")
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     parser.add_argument(
         "--word-constant",
         default=str(DEFAULT_WORD_CONSTANT),
-        help="multiplier c in the word length max(16, ceil(c ln(1/eps)))",
+        help="weyl mode only: multiplier c in the word length "
+        "max(16, ceil(c ln(1/eps)))",
     )
     parser.add_argument(
         "--prime-bits",

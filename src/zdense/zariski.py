@@ -2,11 +2,11 @@
 
 Two routes: the Weyl-group route (two random words must both carry the
 generic Galois group of the ambient group, plus a standard-representation
-irreducibility gate in the symplectic case) and the general route (one
-random word of infinite order plus irreducibility of the adjoint action on
-the Lie algebra).  TRUE answers are certificate-backed and certain; FALSE
-answers are Monte Carlo unless the failure itself is structural (a
-reducible action can never be dense); DensityVerdict states their bound.
+irreducibility gate in the symplectic case) and the adjoint route (Ad(G)
+irreducible over Q on the Lie algebra, which alone decides density).  TRUE
+answers and adjoint FALSE answers are certain; a Weyl FALSE is Monte Carlo
+unless the failure is structural (a reducible action can never be dense);
+DensityVerdict states its bound.
 The Burnside check draws one prime p per round.  Norton's test mod p
 proves YES with O(d^3) work and no exact product.  In the routes' gate a
 Norton spin that stops short proves NO as well: its subspace mod p is
@@ -53,8 +53,9 @@ _NORTON_ATTEMPTS = 6
 
 @dataclass(frozen=True)
 class DensityVerdict:
-    """dense=True is always Certain; dense=False is meant to be wrong with
-    probability at most epsilon (and may itself be Certain when the
+    """dense=True is always Certain, and so is every adjoint-route answer
+    (see general_zariski_dense).  A Weyl dense=False is meant to be wrong
+    with probability at most epsilon (and may be Certain when the
     obstruction is structural), but the Weyl route and the Galois
     transitivity stage do not meet that bound today (see the README).  The
     trail records every step for reproduction.  A certain NO from the
@@ -209,6 +210,8 @@ def _norton(mats: Sequence[Matrix], dim: int, p: int, rng: Random,
     p plus one product of two of them, finds a root lambda of its
     characteristic polynomial in F_p, and goes on only if ker(theta -
     lambda) is a line, spanned by v; w spans ker((theta - lambda)^T).
+    With lift=True a wider kernel goes on too, from each basis's first
+    vector, but only to prove NO: the criterion needs a line.
     Norton's criterion: F_p^d is an irreducible module for the algebra
     A_p generated mod p iff v spins to all of it under the generators and
     w spins to all of it under their transposes.  (A proper submodule U
@@ -241,14 +244,16 @@ def _norton(mats: Sequence[Matrix], dim: int, p: int, rng: Random,
         for i, row in enumerate(theta):
             row[i] = (row[i] - root) % p
         line = _kernel_mod(theta, p)
-        if len(line) != 1:
+        if len(line) != 1 and not lift:
             continue
         submodule = _spin(line[0], gens, p)
         if len(submodule) == dim:
-            (w,) = _kernel_mod(list(zip(*theta)), p)
+            w = _kernel_mod(list(zip(*theta)), p)[0]
             spun = _spin(w, gens_t, p)
             if len(spun) == dim:
-                return True
+                if len(line) == 1:
+                    return True
+                continue
             submodule = _kernel_mod(spun, p)
         if not lift:
             return None
@@ -613,36 +618,25 @@ def zariski_dense(
     return verdict(True)
 
 
-def general_zariski_dense(
-    gs: GeneratorSet,
-    eps,
-    rng: Random,
-    word_constant=DEFAULT_WORD_CONSTANT,
-) -> DensityVerdict:
-    """Adjoint route: FALSE on a cyclotomic-product characteristic polynomial
-    of one random word (finite-order suspicion, Monte Carlo), else TRUE iff
-    the adjoint action on the Lie algebra is irreducible.
+def general_zariski_dense(gs: GeneratorSet, eps, rng: Random) -> DensityVerdict:
+    """Adjoint route: TRUE iff Ad(G) acts irreducibly over Q on the Lie
+    algebra g of the ambient group, by the Burnside gate; both answers are
+    certain, and eps is only recorded.
 
-    The cyclotomic gate can misfire on unipotent words of infinite order
-    (charpoly (x-1)^n); that stays within the one-sided contract and the
-    witness is surfaced in the trail.
+    The Lie algebra h of G's Zariski closure is a Q-subspace of g that
+    Ad(G) keeps, so an irreducible Ad(G) has h = g (G is dense) or h = 0
+    (G is finite).  A finite G keeps the positive-definite S = sum g^T g,
+    and then Ad(G) keeps a proper nonzero subspace: {X : S X symmetric}
+    in sl_n, the line of J^-1 S in sp_2n.  So Ad(G) is irreducible iff G
+    is dense (Borel, Linear Algebraic Groups, sec. 7); the gate's Norton
+    YES, lifted invariant subspace or algebra dimension below d^2 each
+    settle density.
     """
     eps = as_epsilon(eps)
-    trail: list[dict] = []
-
-    def verdict(dense: bool, certainty: Certainty = Certainty.CERTAIN) -> DensityVerdict:
-        return DensityVerdict(dense, certainty, eps, tuple(trail))
-
     if gs.dim == 1:
-        trail.append({"step": "trivial_group", "dense": True})
-        return verdict(True)
-    w = _sample_word(gs, 1, word_length(eps, word_constant), rng, trail)
-    f = characteristic_polynomial(w)
-    cyclotomic = is_cyclotomic_product(f)
-    trail.append(
-        {"step": "cyclotomic_check", "charpoly": list(f.coeffs), "cyclotomic": cyclotomic}
-    )
-    if cyclotomic:
-        return verdict(False, Certainty.MONTE_CARLO)
+        trivial = {"step": "trivial_group", "dense": True}
+        return DensityVerdict(True, Certainty.CERTAIN, eps, (trivial,))
+    trail: list[dict] = []
     mats = adjoint_matrices(gs)  # validate gives at least one generator
-    return verdict(_irreducible(mats, mats[0].dim, rng, "adjoint_irreducibility", trail))
+    dense = _irreducible(mats, mats[0].dim, rng, "adjoint_irreducibility", trail)
+    return DensityVerdict(dense, Certainty.CERTAIN, eps, tuple(trail))

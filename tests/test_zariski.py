@@ -918,7 +918,7 @@ def test_gate_no_carries_an_invariant_subspace_that_rechecks(
         assert step.keys() == {"step", "irreducible", "invariant_subspace"}, step
         _recheck_invariant_subspace(mats, step["invariant_subspace"])
         by_spin["w" if spins[-2:] == [True, False] else "v"] += 1
-    assert by_spin == {"v": 38, "w": 7, "walk": 3}, by_spin
+    assert by_spin == {"v": 40, "w": 7, "walk": 1}, by_spin
 
 
 def _reducible_only_mod(p, rng, dim):
@@ -971,7 +971,7 @@ def test_lift_at_a_prime_that_splits_an_irreducible_set_never_answers(monkeypatc
         assert len(draws) >= 2  # 7 answered nothing
     answers = {answer for answer, _ in lifts}
     checked = sum(ran for _, ran in lifts)
-    assert (irreducible, answers, checked) == (38, {None}, 432), (irreducible, answers, checked)
+    assert (irreducible, answers, checked) == (38, {None}, 440), (irreducible, answers, checked)
 
 
 def test_zariski_block_sl2_in_sl3_not_dense():
@@ -1017,20 +1017,110 @@ def test_general_zariski_dense(sl2, heisenberg):
     gate = [s for s in v.trail if s["step"] == "adjoint_irreducibility"]
     assert gate and gate[0]["algebra_dimension"] == 9
 
+    # a unipotent group: Norton's spin from theta's wide eigenspace stops
+    # on a line of the adjoint module, lifted and checked exactly
     v = general_zariski_dense(heisenberg, "1e-6", Random(12))
-    assert not v.dense and v.certainty is Certainty.MONTE_CARLO
-    gate = [s for s in v.trail if s["step"] == "cyclotomic_check"]
-    assert gate and gate[0]["cyclotomic"]
-    # unipotent word: charpoly (x-1)^3
-    assert gate[0]["charpoly"] == [-1, 3, -3, 1]
+    assert not v.dense and v.certainty is Certainty.CERTAIN
+    assert v.trail == ({"step": "adjoint_irreducibility", "irreducible": False,
+                        "invariant_subspace": [[0, 1, 0, 0, 0, 0, 0, 0]]},)
 
 
 def test_general_zariski_single_rotation():
+    # <S> has order 4 and fixes the line of S itself, e - f in (e, h, f)
     gs = validate(GroupKind.SPECIAL_LINEAR, 2, [S])
     v = general_zariski_dense(gs, "1e-6", Random(13))
-    assert not v.dense
-    gate = [s for s in v.trail if s["step"] == "cyclotomic_check"]
-    assert gate and gate[0]["cyclotomic"]  # powers of S have cyclotomic charpoly
+    assert not v.dense and v.certainty is Certainty.CERTAIN
+    assert v.trail == ({"step": "adjoint_irreducibility", "irreducible": False,
+                        "invariant_subspace": [[1, 0, -1]]},)
+
+
+def _unit_add(dim, cells):
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for i, j, c in cells:
+        rows[i][j] += c
+    return Matrix(rows)
+
+
+def _signed_cycle(n):
+    """e_i -> e_(i+1), with one sign flipped when n is even: det 1."""
+    rows = [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
+    if n % 2 == 0:
+        rows[0][n - 1] = -1
+    return Matrix(rows)
+
+
+def _diag2(a):
+    """diag(a, a) for a signed permutation a, which is orthogonal: in Sp."""
+    m = a.dim
+    return Matrix([[*row, *[0] * m] for row in a.rows] + [[*[0] * m, *row] for row in a.rows])
+
+
+def _sp_dense(dim):
+    # J, a long-root transvection, a short-root element and a signed cycle on
+    # the Levi: their conjugates give the root groups of every simple root
+    # and its negative, which generate sp_2m
+    m = dim // 2
+    short = _unit_add(dim, [(0, 1, 1), (m + 1, m, -1)])
+    return [_form_j(dim), _unit_add(dim, [(0, m, 1)]), short, _diag2(_signed_cycle(m))]
+
+
+def _signed_perms(n):
+    """A signed n-cycle and e_1 -> -e_2, e_2 -> e_1: a finite group."""
+    swap = _unit_add(n, [(0, 0, -1), (1, 1, -1), (0, 1, 1), (1, 0, -1)])
+    return [_signed_cycle(n), swap]
+
+
+SL, SP = GroupKind.SPECIAL_LINEAR, GroupKind.SYMPLECTIC
+# name -> (kind, dim, generators, dense); each is decided on seeds 0-4, after
+# a conjugation by 8 random transvections in SL, or by a word of length
+# `dim` in the dense group in Sp
+_KNOWN_FAMILIES = {
+    # finite groups: their closure is themselves
+    **{f"signed_perms_sl{n}": (SL, n, _signed_perms(n), False) for n in range(3, 7)},
+    "signed_perms_sp4": (SP, 4, [_form_j(4), _diag2(_signed_cycle(2))], False),
+    "order_4_sl2": (SL, 2, [S], False),
+    "order_6_sl2": (SL, 2, [Matrix([[1, -1], [1, 0]])], False),
+    "order_3_sl2": (SL, 2, [Matrix([[0, -1], [1, -1]])], False),
+    # unipotent groups
+    **{f"heisenberg_sl{n}": (SL, n, [_unit_add(n, [(i, i + 1, 1)]) for i in range(n - 1)],
+                             False) for n in range(3, 7)},
+    "t_sl2": (SL, 2, [T], False),
+    # proper algebraic subgroups of positive dimension
+    "sp4_in_sl4": (SL, 4, _sp_dense(4), False),
+    "sp6_in_sl6": (SL, 6, _sp_dense(6), False),
+    "sl2_sqrt2_in_sl4": (SL, 4, _sqrt2_gens(), False),
+    # dense: a transvection and a signed cycle, and _sp_dense
+    **{f"dense_sl{n}": (SL, n, [_unit_add(n, [(0, 1, 1)]), _signed_cycle(n)], True)
+       for n in range(2, 6)},
+    "dense_sp4": (SP, 4, _sp_dense(4), True),
+    "dense_sp6": (SP, 6, _sp_dense(6), True),
+}
+
+
+@pytest.mark.parametrize("family", list(_KNOWN_FAMILIES))
+def test_adjoint_route_decides_known_families_for_certain(family):
+    # Ad(G) irreducible over Q iff G is dense, for finite, unipotent and
+    # positive-dimensional proper subgroups alike: every answer is certain,
+    # and every NO carries a certificate that re-checks
+    kind, dim, gens, dense = _KNOWN_FAMILIES[family]
+    for seed in range(5):
+        rng = Random(seed)
+        if kind is SL:
+            g = random_unimodular(dim, rng)
+        else:
+            g = random_word(validate(SP, dim, _sp_dense(dim)), dim, rng)
+        g_inv = adjugate_inverse(g)
+        gs = validate(kind, dim, [multiply(multiply(g, x), g_inv) for x in gens])
+        v = general_zariski_dense(gs, "1e-6", rng)
+        assert (v.dense, v.certainty) == (dense, Certainty.CERTAIN), (family, seed)
+        (step,) = v.trail
+        assert step["step"] == "adjoint_irreducibility", step
+        mats = adjoint_matrices(gs)
+        if "invariant_subspace" in step:
+            assert not dense
+            _recheck_invariant_subspace(mats, step["invariant_subspace"])
+        else:  # the walk's exact dimension: d^2 iff YES
+            assert (step["algebra_dimension"] == mats[0].dim ** 2) is dense, step
 
 
 def test_general_zariski_sp4(sp4):
