@@ -2,7 +2,7 @@
 """Benchmark the hot kernels (zdense._kernel_py), the word product and the
 Burnside gate.
 
-Four workloads, all straight from the deciders' inner loops:
+Seven workloads, all straight from the deciders' inner loops:
   * ddf: factorization degree patterns of random monic polynomials of
     degree 8, 17 and 30 modulo 21-bit primes (one call per sampling trial
     of every certifier);
@@ -38,7 +38,18 @@ Four workloads, all straight from the deciders' inner loops:
     Taylor-shifted by a 32-bit a.  Every degree counts as a survivor, so
     every union of degree classes with 2 deg <= n is tried: on the band
     the lift finds x^8 - 2 or x^9 - 3 wherever the classes separate them,
-    and on x^22 - x - 1 (Galois group S_22) every lift fails.
+    and on x^22 - x - 1 (Galois group S_22) every lift fails;
+  * kernel: zdense.zariski._kernel_mod, the kernel mod p that Norton's
+    test takes of theta - lambda and of its transpose, on seeded d x d
+    matrices of nullity 1 (theta - lambda's shape) mod the 31-bit prime
+    2^31 - 1, at d = 8 and 10 (adjoint SL(3), Sp(4)) up to 143 (SL(12));
+  * block-triangular walk: is_irreducible_algebra on three 10 x 10
+    matrices with entries in [-3, 3] that keep span(e_1, e_2), conjugated
+    by a product of ten random transvections: its NO (algebra dimension
+    84) is the walk, whose lifted check needs many primes.
+
+The kernel and block-triangular jobs are drawn after all the others, so
+adding them moved no earlier row's input.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--json PATH [--label TEXT]]
 
@@ -83,6 +94,8 @@ IRREDUCIBILITY_COPIES = 2
 # (family, n); the gate alone, on the adjoint matrices of a NO input in SL(n)
 GATE_SIZES = (("Heisenberg", 4), ("Heisenberg", 6), ("signed-permutation", 4))
 FACTOR_PRIMES = 20
+KERNEL_SIZES = ((8, 200), (10, 200), (35, 10), (63, 4), (143, 2))  # (d, matrices)
+KERNEL_PRIME = (1 << 31) - 1
 
 
 def make_ddf_workload(rng, count, degree):
@@ -226,6 +239,31 @@ def make_factor_workload(rng, coeffs):
     return jobs
 
 
+def make_kernel_workload(rng, count, d):
+    """`count` d x d matrices mod KERNEL_PRIME whose last column is a
+    random combination of the others: nullity 1, as theta - lambda."""
+    p = KERNEL_PRIME
+    jobs = []
+    for _ in range(count):
+        rows = [[rng.randrange(p) for _ in range(d - 1)] for _ in range(d)]
+        c = [rng.randrange(p) for _ in range(d - 1)]
+        jobs.append(([row + [sum(x * y for x, y in zip(row, c)) % p] for row in rows], p))
+    return jobs
+
+
+def make_block_triangular_job(rng, n=10, k=2, count=3):
+    """`count` n x n matrices with entries in [-3, 3] that keep span(e_1..e_k),
+    conjugated by a product of n random transvections, and a decider seed."""
+    g = Matrix.identity(n)
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        g = multiply(g, _unit(n, [(i, j, rng.choice((-1, 1)))]))
+    g_inv = adjugate_inverse(g)
+    mats = [Matrix([[rng.randrange(-3, 4) if i < k or j >= k else 0 for j in range(n)]
+                    for i in range(n)]) for _ in range(count)]
+    return [multiply(multiply(g, x), g_inv) for x in mats], n, rng.randrange(1 << 63)
+
+
 def measure(kernel, workload, jobs, repeat, fn=None):
     fn = fn or getattr(_kernel_py, kernel)
     best = float("inf")
@@ -269,6 +307,8 @@ def main():
                      for _ in range(IRREDUCIBILITY_COPIES)])
         for family, n in GATE_SIZES
     ]
+    kernel_jobs = [(d, make_kernel_workload(rng, count, d)) for d, count in KERNEL_SIZES]
+    block_triangular_job = make_block_triangular_job(rng)
 
     rows = [
         measure(
@@ -313,6 +353,14 @@ def main():
                 args.repeat, gate)
         for family, n, jobs in gate_jobs
     )
+    rows.extend(
+        measure("_kernel_mod", f"{len(jobs)} matrices {d}x{d} of nullity 1, 31-bit prime",
+                jobs, args.repeat, zariski._kernel_mod)
+        for d, jobs in kernel_jobs
+    )
+    rows.append(measure("is_irreducible_algebra",
+                        "3 block-triangular 10x10, entries in [-3, 3] (algebra dim 84)",
+                        [block_triangular_job], args.repeat, irreducibility))
 
     if args.json is not None:
         entries = json.loads(args.json.read_text()) if args.json.exists() else []

@@ -25,10 +25,12 @@ them (the Burnside walk) never eliminates a kept row again; rank_mod is
 one pass of rows through a fresh RowEchelon.  With record=True a row
 also carries its combination of the kept rows in slots past its columns,
 so the same multiply-adds leave each dependent row's coefficients on the
-kept rows mod p; Norton's spins and rank_mod leave it off and pay
-one flag test per row.  crt and rational_reconstruction (Wang's, over a common
-denominator) lift such coefficients from residues to fractions; the
-caller checks the fractions exactly, as it checks hensel_lift's lift.
+kept rows mod p: the walk's products, and the columns of a matrix
+whose reduced echelon form the Burnside layer reads off their relations.
+Norton's spins and rank_mod leave it off and pay one flag test per row.
+crt and rational_reconstruction (Wang's, over a common denominator) lift
+such coefficients from residues to fractions; the caller checks the
+fractions exactly, as it checks hensel_lift's lift.
 
 Polynomials here are lists of ints in [0, q), constant term first;
 hensel_lift takes f over Z and returns its lift in the symmetric range.
@@ -419,15 +421,20 @@ class RowEchelon:
             c = (v >> shift & mask) % p
             if c:
                 v += (p - c) * prow
-        # Bytes, not shifts: each shift copies the int, so shifting grows
-        # with the square of the slot count.  Shifts won 1.1-1.6x at 64-100
-        # slots of 72 bits (adjoint SL(3), Sp(4)); bytes won 1.2-1.8x at
-        # 225-441 and 4-6x at 1225 slots (SL(4), Sp(6), SL(6); Python 3.11).
-        raw = v.to_bytes(width * nslots, "little")
-        vals = [
-            int.from_bytes(raw[i : i + width], "little") % p
-            for i in range(0, len(raw), width)
-        ]
+        # Shifts up to 128 slots, bytes above: each shift copies the int, so
+        # shifting grows with the square of the slot count.  Over slots of
+        # 72 bits shifts won 1.9x at 8-21 slots (Norton's kernels) and
+        # 1.1-1.6x at 64-129 (adjoint SL(3)); bytes won 1.3x at 160-201 and
+        # 1.2-6x at 225-1225 (Sp(4), SL(4), SL(6); Python 3.11).
+        if nslots <= 128:
+            vals = []
+            for _ in range(nslots):
+                vals.append((v & mask) % p)
+                v >>= w
+        else:
+            raw = v.to_bytes(width * nslots, "little")
+            vals = [int.from_bytes(raw[i : i + width], "little") % p
+                    for i in range(0, len(raw), width)]
         lead = next((j for j in range(ncols) if vals[j]), None)
         if lead is None:
             if self.record:  # 0 = row - sum of relation[i] times kept row i

@@ -9,8 +9,9 @@ equal-degree split.  RowEchelon reduces each added row once against the
 rows it has kept, and with record=True gives each dependent row's
 coefficients on the kept rows mod p; rank_mod is one pass of rows through
 it.  crt and rational_reconstruction turn such coefficients into
-fractions, for the Burnside walk's exact NO check.  The callers check
-every lift exactly.
+fractions, for the Burnside walk's exact NO check, and
+rational_reconstruction also lifts the reduced echelon rows of Norton's
+invariant subspaces.  The callers check every lift exactly.
 
 Callers import them from here; BACKEND fills the reports' kernel_backend.
 """

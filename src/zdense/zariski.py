@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import kernels
 from .galois import DEFAULT_PRIME_RANGE, Certainty, _log_inv, as_epsilon
@@ -146,28 +146,25 @@ def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
 
 def _rref_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """The nonzero rows of the reduced row echelon form mod p of `rows`
-    (entries in [0, p)), by Gauss-Jordan elimination, and their pivot
-    columns."""
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    for col in range(len(rows[0])):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        prow = rows[r] = [x * inv % p for x in rows[r]]
-        for i, row in enumerate(rows):
-            c = row[col]
-            if c and i != r:
-                rows[i] = [(x - c * y) % p for x, y in zip(row, prow)]
-        pivots.append(col)
-    return rows[: len(pivots)], pivots
+    (entries in [0, p)), and their pivot columns, read off one recording
+    RowEchelon fed the columns in order: the kept columns are the pivots,
+    and row i holds at each other column its relation[i], its coefficient
+    on pivot column i."""
+    echelon = kernels.RowEchelon(p, len(rows), record=True)
+    pivots, columns = [], []
+    for j, col in enumerate(zip(*rows)):
+        if echelon.add(col):
+            columns.append([0] * len(pivots) + [1])
+            pivots.append(j)
+        else:
+            columns.append(echelon.relation)
+    padded = [c + [0] * (len(pivots) - len(c)) for c in columns]
+    return [list(row) for row in zip(*padded)], pivots
 
 
 def _kernel_mod(a: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """A basis of {v : a v = 0} mod p, read off the reduced echelon form."""
+    """A basis of {v : a v = 0} mod p, read off the reduced echelon form:
+    e_j - sum_i relation_i e_(pivot_i) for each non-pivot column j."""
     rows, pivots = _rref_mod(a, p)
     n = len(a[0])
     basis = []
@@ -294,6 +291,20 @@ def _lies_in_span(row: Sequence[int], den: int, nums: Sequence[int],
     return acc == 0
 
 
+def _span_checks(kept: Sequence[Sequence[int]], claims: Sequence[tuple]) -> Iterator[bool]:
+    """Yields for each claim (row, den, nums), in order: is den * row =
+    sum_i nums[i] kept[i], exactly?  At the first one, each kept row is
+    packed once, at one width whose slots hold every kept entry and every
+    entry of every claim's difference; each claim is one _lies_in_span."""
+    top = max(max(map(abs, k)) for k in kept)
+    bound = max([top] + [den * max(map(abs, row)) + top * sum(map(abs, nums))
+                         for row, den, nums in claims])
+    width = (bound.bit_length() + 8) // 8  # bound < 2^(8 width - 1)
+    packed = [_pack_signed(k, width) for k in kept]
+    for row, den, nums in claims:
+        yield _lies_in_span(row, den, nums, packed, width)
+
+
 def _lift_invariant(basis: Sequence[Sequence[int]], mats: Sequence[Matrix],
                     p: int) -> list[list[int]] | None:
     """Integer rows spanning a subspace of Q^d that every matrix of `mats`
@@ -304,32 +315,23 @@ def _lift_invariant(basis: Sequence[Sequence[int]], mats: Sequence[Matrix],
     reconstructed mod p over its least common denominator den_i.  Row i
     then holds den_i at its pivot column and 0 at every other pivot
     column, so y lies in the rows' span over Q iff y = sum_i (y[pivot_i] /
-    den_i) row_i; with L the lcm of the den_i, one packed check (as in
-    _lies_in_span) of L y = sum_i y[pivot_i] (L / den_i) row_i for each
+    den_i) row_i; with L the lcm of the den_i, one packed check (by
+    _span_checks) of L y = sum_i y[pivot_i] (L / den_i) row_i for each
     image y = g row, one exact mat-vec per generator g and row.  Distinct
     pivots make the rows independent over Q.
     """
     echelon, pivots = _rref_mod(basis, p)
-    dens, rows = [], []
-    for row in echelon:
-        lifted = kernels.rational_reconstruction(row, p)
-        if lifted is None:
-            return None
-        dens.append(lifted[0])
-        rows.append(lifted[1])
+    lifts = [kernels.rational_reconstruction(row, p) for row in echelon]
+    if None in lifts:
+        return None
+    dens, rows = zip(*lifts)
     lcm = math.lcm(*dens)
     claims = []
     for g in mats:
         for row in rows:
             y = [sum(map(operator.mul, r, row)) for r in g.rows]
-            claims.append((y, [y[c] * (lcm // den) for c, den in zip(pivots, dens)]))
-    top = max(max(map(abs, row)) for row in rows)
-    bound = max(lcm * max(map(abs, y)) + top * sum(map(abs, nums)) for y, nums in claims)
-    width = (bound.bit_length() + 8) // 8  # bound < 2^(8 width - 1)
-    packed = [_pack_signed(row, width) for row in rows]
-    if all(_lies_in_span(y, lcm, nums, packed, width) for y, nums in claims):
-        return rows
-    return None
+            claims.append((y, lcm, [y[c] * (lcm // den) for c, den in zip(pivots, dens)]))
+    return list(rows) if all(_span_checks(rows, claims)) else None
 
 
 def _closed_over_q(kept: Sequence[Sequence[int]], dependent: list, p: int) -> bool:
@@ -357,22 +359,10 @@ def _closed_over_q(kept: Sequence[Sequence[int]], dependent: list, p: int) -> bo
     modulus = p
     primes = _lift_primes(p)
     pending = [(row, rel + [0] * (len(kept) - len(rel))) for row, rel in dependent]
-    top = max(max(map(abs, k)) for k in kept)
     while True:
-        claims, failed = [], []
-        for row, residues in pending:
-            lifted = kernels.rational_reconstruction(residues, modulus)
-            if lifted is None:
-                failed.append((row, residues))
-            else:
-                claims.append((row, residues, *lifted))
-        if claims:
-            bound = max(den * max(map(abs, row)) + top * sum(map(abs, nums))
-                        for row, _, den, nums in claims)
-            width = (bound.bit_length() + 8) // 8  # bound < 2^(8 width - 1)
-            packed = [_pack_signed(k, width) for k in kept]
-            failed += [(row, residues) for row, residues, den, nums in claims
-                       if not _lies_in_span(row, den, nums, packed, width)]
+        lifts = [kernels.rational_reconstruction(residues, modulus) for _, residues in pending]
+        checks = _span_checks(kept, [(r, *lift) for (r, _), lift in zip(pending, lifts) if lift])
+        failed = [pair for pair, lift in zip(pending, lifts) if lift is None or not next(checks)]
         if not failed:
             return True
         for q in primes:

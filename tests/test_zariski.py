@@ -723,6 +723,73 @@ def test_kernel_mod_spans_the_kernel():
             assert len(basis) == n - _rank_mod(rows, n, p)
 
 
+def _gauss_jordan(rows, p):
+    """The reference: the nonzero rows of the reduced row echelon form mod p,
+    by list Gauss-Jordan elimination, and their pivot columns."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        prow = rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            c = row[col]
+            if c and i != r:
+                rows[i] = [(x - c * y) % p for x, y in zip(row, prow)]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def _gauss_jordan_kernel(rows, p):
+    """The reference kernel basis: e_j minus row i's entry j at pivot i,
+    for each free column j."""
+    echelon, pivots = _gauss_jordan(rows, p)
+    n = len(rows[0])
+    basis = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[free] = 1
+        for row, col in zip(echelon, pivots):
+            v[col] = -row[free] % p
+        basis.append(v)
+    return basis
+
+
+def _seeded_rank_matrices(rng, p):
+    """Seeded m x n matrices mod p of every rank, as products of an m x r
+    and an r x n matrix, with the shapes 1 x n, m x 1, the zero matrix and
+    full rank among them."""
+    shapes = [(1, n) for n in range(1, 7)] + [(m, 1) for m in range(1, 7)]
+    shapes += [(rng.randrange(1, 9), rng.randrange(1, 9)) for _ in range(60)]
+    for m, n in shapes:
+        for rank in range(min(m, n) + 1):
+            left = [[rng.randrange(p) for _ in range(rank)] for _ in range(m)]
+            right = [[rng.randrange(p) for _ in range(n)] for _ in range(rank)]
+            yield [[sum(r[t] * right[t][j] for t in range(rank)) % p for j in range(n)]
+                   for r in left]
+
+
+def test_kernel_and_echelon_mod_match_gauss_jordan():
+    # the reduced echelon form and the kernel basis read off it are unique,
+    # and Norton's spin starts from the kernel basis's first vector: both
+    # must be the reference's, list for list
+    rng = Random(47)
+    for p in (2, 3, 5, WALK_PRIME):
+        ranks = set()
+        for rows in _seeded_rank_matrices(rng, p):
+            echelon, pivots = _gauss_jordan(rows, p)
+            assert zariski._rref_mod(rows, p) == (echelon, pivots), (p, rows)
+            assert zariski._kernel_mod(rows, p) == _gauss_jordan_kernel(rows, p), (p, rows)
+            ranks.add((len(pivots), len(rows), len(rows[0])))
+        assert any(r == 0 for r, _, _ in ranks)  # a zero matrix
+        assert any(r == m == n > 1 for r, m, n in ranks)  # an invertible one
+        assert any(0 < r < min(m, n) for r, m, n in ranks)  # a rank-deficient one
+
+
 def test_norton_yes_agrees_with_the_walk_on_random_matrices():
     # seeded small sets, singular ones included: a YES from Norton's test
     # must be a YES of the walk, and most walk YESes above dim 1 get one
