@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark the hot kernels (zdense._kernel_py), the word product and the
-Burnside gate.
+"""Benchmark the hot kernels (zdense._kernel_py), the word product, the
+Burnside gate and the S_n certifier.
 
-Seven workloads, all straight from the deciders' inner loops:
+Eight workloads, all straight from the deciders' inner loops:
   * ddf: factorization degree patterns of random monic polynomials of
     degree 8, 17 and 30 modulo 21-bit primes (one call per sampling trial
     of every certifier);
@@ -46,10 +46,14 @@ Seven workloads, all straight from the deciders' inner loops:
   * block-triangular walk: is_irreducible_algebra on three 10 x 10
     matrices with entries in [-3, 3] that keep span(e_1, e_2), conjugated
     by a product of ten random transvections: its NO (algebra dimension
-    84) is the walk, whose lifted check needs many primes.
+    84) is the walk, whose lifted check needs many primes;
+  * certify: zdense.galois.is_sn on x^n - x - 1 (Galois group S_n) at
+    n = 6, 7, 13 and 22 and eps 1e-6, once for each of 50 seeded rngs: the
+    whole certifier, whose cost is its trials.  Each row also records the
+    mean trials per YES, which depends on the seeds only.
 
-The kernel and block-triangular jobs are drawn after all the others, so
-adding them moved no earlier row's input.
+The kernel, block-triangular and certify jobs are drawn after all the
+others, in that order, so adding them moved no earlier row's input.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--json PATH [--label TEXT]]
 
@@ -96,6 +100,9 @@ GATE_SIZES = (("Heisenberg", 4), ("Heisenberg", 6), ("signed-permutation", 4))
 FACTOR_PRIMES = 20
 KERNEL_SIZES = ((8, 200), (10, 200), (35, 10), (63, 4), (143, 2))  # (d, matrices)
 KERNEL_PRIME = (1 << 31) - 1
+CERTIFY_DEGREES = (6, 7, 13, 22)
+CERTIFY_SEEDS = 50
+CERTIFY_EPS = "1e-6"
 
 
 def make_ddf_workload(rng, count, degree):
@@ -264,6 +271,21 @@ def make_block_triangular_job(rng, n=10, k=2, count=3):
     return [multiply(multiply(g, x), g_inv) for x in mats], n, rng.randrange(1 << 63)
 
 
+def certify(f, seed):
+    return galois.is_sn(f, CERTIFY_EPS, Random(seed))
+
+
+def certify_row(n, seeds, repeat):
+    """The certify row for x^n - x - 1, with the mean trials per YES."""
+    jobs = [(IntPoly([-1, -1] + [0] * (n - 2) + [1]), seed) for seed in seeds]
+    row = measure("certify", f"is_sn on x^{n} - x - 1, {len(jobs)} seeds, eps {CERTIFY_EPS}",
+                  jobs, repeat, certify)
+    trials = [v.trials_used for v in (certify(*job) for job in jobs) if v.confirmed]
+    row["trials_per_yes"] = sum(trials) / len(trials)
+    print(f"  trials per YES {row['trials_per_yes']:.2f}")
+    return row
+
+
 def measure(kernel, workload, jobs, repeat, fn=None):
     fn = fn or getattr(_kernel_py, kernel)
     best = float("inf")
@@ -309,6 +331,8 @@ def main():
     ]
     kernel_jobs = [(d, make_kernel_workload(rng, count, d)) for d, count in KERNEL_SIZES]
     block_triangular_job = make_block_triangular_job(rng)
+    certify_jobs = [(n, [rng.randrange(1 << 63) for _ in range(CERTIFY_SEEDS)])
+                    for n in CERTIFY_DEGREES]
 
     rows = [
         measure(
@@ -361,6 +385,7 @@ def main():
     rows.append(measure("is_irreducible_algebra",
                         "3 block-triangular 10x10, entries in [-3, 3] (algebra dim 84)",
                         [block_triangular_job], args.repeat, irreducibility))
+    rows.extend(certify_row(n, seeds, args.repeat) for n, seeds in certify_jobs)
 
     if args.json is not None:
         entries = json.loads(args.json.read_text()) if args.json.exists() else []

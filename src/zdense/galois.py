@@ -25,10 +25,13 @@ with a certain NO (a reducible f is never generic).  Every sampling stage
 is one call of the same loop, which draws primes until a certificate
 predicate accepts a cycle type or the stage's trial budget runs out;
 cycle types sampled at different primes all lie in the one Galois group
-of f, so certificates compose freely.  Each budget but transitivity's is
-trials_for_density of the exact density of its certificate class in the
-group a YES would certify, so a sampled NO is wrong with probability at
-most eps.
+of f, so certificates compose freely.  The witnesses drawn for f are one
+pool: a stage first asks its predicate of the cycle types earlier stages
+drew, and draws no prime when one of them passes, so a certificate may
+rest on any witness.  A stage that does draw gets its whole budget, and
+each budget but transitivity's is trials_for_density of the exact density
+of its certificate class in the group a YES would certify, so a sampled
+NO is wrong with probability at most eps.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ class GaloisVerdict:
     NOs that take 0 trials and the NOs that carry a factor; a sampled NO
     carries the error bound honored by the trial budget.  Every witness
     (q, degrees) reproduces under factor_degrees_mod of the polynomial the
-    verdict is about.  factor, constant term first, is a monic proper
+    verdict is about, in the order drawn, and a YES may rest on any of
+    them, not only the last.  factor, constant term first, is a monic proper
     factor of that polynomial over Z, which divides it exactly;
     trace_factor is one of its trace polynomial, when the hyperoctahedral
     certifier's trace stage found one (factor is then the reciprocal
@@ -191,15 +195,23 @@ def has_long_prime_cycle(degrees: Iterable[int], n: int, upper_slack: int) -> bo
 def _hunt(f, disc, rng, prime_range, witnesses, budget, certified) -> bool:
     """The one sampling loop behind every certifier stage.
 
-    Draws up to `budget` primes q not dividing disc, appends each
-    (q, cycle type of f mod q) to `witnesses`, and stops at the first cycle
-    type that `certified` accepts.  True iff a certificate turned up.
+    `witnesses` is the pool of (q, cycle type of f mod q) that every stage
+    on f shares.  The stage first asks `certified(q, degrees)` of the
+    witnesses already in the pool, in order, and one that passes certifies
+    it with no prime drawn.  Otherwise it draws up to `budget` primes q not
+    dividing disc, appends each witness to the pool and stops at the first
+    that `certified` accepts.  So `certified` sees every witness exactly
+    once until it accepts one, whichever stages ran before, and a predicate
+    with state (the transitivity stage's running intersection) folds over
+    the whole pool.  True iff a certificate turned up.
     """
+    if any(certified(q, degrees) for q, degrees in witnesses):
+        return True
     for _ in range(budget):
         q = random_prime_avoiding(disc, prime_range[0], prime_range[1], rng)
         degrees = factor_degrees_mod(f, q)
         witnesses.append((q, degrees))
-        if certified(degrees):
+        if certified(q, degrees):
             return True
     return False
 
@@ -290,22 +302,23 @@ def _lifted_factor(f: IntPoly, q: int, degrees, survivors) -> tuple[int, ...] | 
     return None
 
 
-def _transitive(f: IntPoly, hunt, witnesses, eps: Fraction) -> tuple[bool, tuple[int, ...] | None]:
+def _transitive(f: IntPoly, hunt, eps: Fraction) -> tuple[bool, tuple[int, ...] | None]:
     """The sumset-intersection stage of is_transitive and is_sn, as
     (transitive, factor).  From trial _FACTOR_FROM_TRIAL on, while sumset
-    survivors remain, the trial's own prime (the witness hunt just
-    appended) is also tried for a factor of f, and a factor stops the
-    stage; a failed attempt draws nothing."""
+    survivors remain, the trial's own prime is also tried for a factor of
+    f, and a factor stops the stage; a failed attempt draws nothing.  The
+    predicate counts every witness of f as a trial, and hunt shows it each
+    one exactly once, those already pooled first."""
     survivors = set(range(1, f.degree))
     trials = 0
     factor = None
 
-    def invariably_transitive(degrees):
+    def invariably_transitive(q, degrees):
         nonlocal trials, factor
         survivors.intersection_update(sumset(degrees))
         trials += 1
         if survivors and trials >= _FACTOR_FROM_TRIAL:
-            factor = _lifted_factor(f, witnesses[-1][0], degrees, survivors)
+            factor = _lifted_factor(f, q, degrees, survivors)
         return not survivors or factor is not None
 
     found = hunt(trials_invariable_transitivity(eps), invariably_transitive)
@@ -315,7 +328,7 @@ def _transitive(f: IntPoly, hunt, witnesses, eps: Fraction) -> tuple[bool, tuple
 def _sn_after_transitivity(hunt, n: int, eps: Fraction) -> bool:
     def long_cycle(upper_slack):
         budget = trials_for_density(prime_cycle_density(n, upper_slack), eps)
-        return hunt(budget, lambda d: has_long_prime_cycle(d, n, upper_slack))
+        return hunt(budget, lambda _, d: has_long_prime_cycle(d, n, upper_slack))
 
     if n >= 13:
         # One prime cycle in the Jordan window gives primitivity and A_n; the
@@ -328,7 +341,7 @@ def _sn_after_transitivity(hunt, n: int, eps: Fraction) -> bool:
     if not is_prime(n) and not long_cycle(-1):
         return False
     density = transposition_density(n - 2, Fraction(1, 2))
-    return hunt(trials_for_density(density, eps), has_transposition_pattern)
+    return hunt(trials_for_density(density, eps), lambda _, d: has_transposition_pattern(d))
 
 
 def is_transitive(
@@ -345,7 +358,7 @@ def is_transitive(
     eps, disc, witnesses, hunt = _sampler(f, eps, rng, prime_range)
     if disc == 0:
         raise ValueError("discriminant is zero")
-    found, factor = _transitive(f, hunt, witnesses, eps)
+    found, factor = _transitive(f, hunt, eps)
     return _verdict(found, GaloisAnswer.IRREDUCIBLE, eps, witnesses, factor=factor)
 
 
@@ -361,7 +374,9 @@ def is_sn(
     a certain NO that the verdict carries, and below degree 13 primitivity
     evidence and a transposition pattern, from degree 13 one prime cycle
     in the Jordan window n/2 < l <= n - 3.  The error budget is split
-    evenly across at most three sampling stages.
+    evenly across at most three sampling stages.  A stage after
+    transitivity first looks among the witnesses already drawn, and one
+    that certifies it there draws no prime.
     """
     eps, disc, witnesses, hunt = _sampler(f, eps, rng, prime_range)
     n = f.degree
@@ -369,7 +384,7 @@ def is_sn(
         return _structural_no(eps)
     # S_1 is trivial and S_2 = C_2: irreducibility alone decides.
     stage_eps = eps if n <= 2 else eps / 3
-    found, factor = _transitive(f, hunt, witnesses, stage_eps)
+    found, factor = _transitive(f, hunt, stage_eps)
     if found and n > 2:
         found = _sn_after_transitivity(hunt, n, stage_eps)
     return _verdict(found, GaloisAnswer.CONFIRMED_SN, eps, witnesses, factor=factor)
@@ -387,9 +402,11 @@ def is_hyperoctahedral(
     S_m (a certain NO there is a certain NO here, and a factor G of the
     trace polynomial gives the factor x^deg G G(x + 1/x) of f), and a
     transposition pattern on f itself then pins down the whole wreath
-    product.  Half the budget goes to each stage; the verdict records only
-    the witnesses sampled against f and carries over the trace stage's
-    trial count.
+    product.  Half the budget goes to each stage.  The trace polynomial's
+    is_sn pools its own witnesses; they are cycle types of another
+    polynomial, so the stage on f starts from an empty pool.  The verdict
+    records only the witnesses sampled against f and carries over the
+    trace stage's trial count.
     """
     eps, disc, witnesses, hunt = _sampler(f, eps, rng, prime_range)
     if f.degree % 2 != 0:
@@ -411,7 +428,7 @@ def is_hyperoctahedral(
                              Certainty.CERTAIN, factor, trace_factor)
     m = f.degree // 2
     budget = trials_for_density(transposition_density(m - 1, Fraction(1, 4)), stage_eps)
-    found = projection.confirmed and hunt(budget, has_transposition_pattern)
+    found = projection.confirmed and hunt(budget, lambda _, d: has_transposition_pattern(d))
     return _verdict(
         found, GaloisAnswer.CONFIRMED_HYPEROCTAHEDRAL, eps, witnesses, projection.trials_used
     )

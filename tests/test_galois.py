@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from zdense import galois
+from zdense import _kernel_py, galois
 from zdense.galois import (
     Certainty,
     GaloisAnswer,
@@ -287,8 +287,8 @@ def test_is_sn_large_prime_degree():
     f = IntPoly([-1, -1] + [0] * 11 + [1])
     v = is_sn(f, "1e-3", Random(21))
     assert v.answer is GaloisAnswer.CONFIRMED_SN
-    last_q, last_degrees = v.witnesses[-1]
-    assert has_long_prime_cycle(last_degrees, 13, 5)
+    # the Jordan cycle may be a witness the transitivity stage drew
+    assert any(has_long_prime_cycle(degrees, 13, 5) for _, degrees in v.witnesses)
 
 
 @pytest.mark.parametrize("n", [14, 15, 16])
@@ -433,22 +433,22 @@ def TRINOMIAL(n):
 
 
 # (answer, trials_used, witnesses) at eps 1/10 for fixed seeds, one row per
-# branch of the certifiers: transposition hunts below degree 13, the
+# branch of the certifiers: a pool that already certifies the later stages
+# at degrees 3 and 4, transposition hunts below degree 13, the
 # primitivity hunt at composite degree 12, the Jordan-window hunt at 13, 14,
 # 16 and 18, the hyperoctahedral stage, structural NOs, and each budget
-# running out.  Any change to a trial budget or to the order of rng draws
-# moves these rows.
+# running out.  Any change to a trial budget, to the order of rng draws or
+# to which pooled witnesses a stage accepts moves these rows.
 PINNED_VERDICTS = [
-    # x^3 - x - 1
-    (is_sn, TRINOMIAL(3), 1, GaloisAnswer.CONFIRMED_SN, 7, (
+    # x^3 - x - 1: the transitivity trials already hold a transposition
+    (is_sn, TRINOMIAL(3), 1, GaloisAnswer.CONFIRMED_SN, 6, (
         (1295869, (1, 1, 1)), (1258291, (1, 2)), (1446719, (1, 2)),
-        (1229911, (1, 1, 1)), (2075537, (1, 2)), (1853231, (3,)), (1427707, (1, 2)),
+        (1229911, (1, 1, 1)), (2075537, (1, 2)), (1853231, (3,)),
     )),
-    # x^4 - x - 1
-    (is_sn, TRINOMIAL(4), 2, GaloisAnswer.CONFIRMED_SN, 12, (
-        (2023529, (1, 1, 2)), (1790521, (2, 2)), (2076209, (1, 3)), (2006033, (1, 3)),
-        (1396849, (1, 3)), (1764667, (4,)), (1066237, (1, 3)), (1271203, (1, 3)),
-        (1151147, (4,)), (1648417, (1, 3)), (1316039, (1, 3)), (1574501, (1, 1, 2)),
+    # x^4 - x - 1: the transitivity trials already hold a 3-cycle and a
+    # transposition, so the later stages draw no prime
+    (is_sn, TRINOMIAL(4), 2, GaloisAnswer.CONFIRMED_SN, 3, (
+        (2023529, (1, 1, 2)), (1790521, (2, 2)), (2076209, (1, 3)),
     )),
     # x^12 - x - 1
     (is_sn, TRINOMIAL(12), 3, GaloisAnswer.CONFIRMED_SN, 28, (
@@ -583,6 +583,115 @@ def test_trials_used_counts_witnesses():
     for seed, (certifier, f) in enumerate(runs):
         v = certifier(f, "1/10", Random(seed))
         assert v.trials_used == len(v.witnesses) > 0
+
+
+def _assert_certifies_sn(f, witnesses):
+    """Re-derive a YES of is_sn from its witnesses alone: each cycle type
+    re-factors at its prime, the sumsets leave no survivor (transitive),
+    n is prime or some cycle is a prime l in (n/2, n] (primitive), and a
+    transposition pattern below degree 13, or from 13 on a Jordan cycle and
+    a non-square discriminant, gives S_n."""
+    n = f.degree
+    for q, degrees in witnesses:
+        assert tuple(_kernel_py.ddf_degrees(f.coeffs, q)) == degrees
+    types = [degrees for _, degrees in witnesses]
+    survivors = set(range(1, n))
+    for degrees in types:
+        survivors &= sumset(degrees)
+    assert not survivors
+    if n <= 2:
+        return
+    assert is_prime(n) or any(has_long_prime_cycle(d, n, -1) for d in types)
+    if n < 13:
+        assert any(has_transposition_pattern(d) for d in types)
+    else:
+        assert any(has_long_prime_cycle(d, n, 2) for d in types)
+        disc = discriminant(f)
+        assert math.isqrt(abs(disc)) ** 2 != disc
+
+
+def test_confirmed_verdicts_rederive_from_their_witnesses(monkeypatch):
+    # Every stage may accept a witness that an earlier stage drew, so a YES
+    # must still follow from the witness list alone.  The trace
+    # polynomial's verdict inside is_hyperoctahedral is caught on its way
+    # out; its YES and a transposition pattern on f certify C_2 wr S_m.
+    traces = []
+
+    def recording_is_sn(*args):
+        traces.append(is_sn(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(galois, "is_sn", recording_is_sn)
+    confirmed = 0
+    for eps in ("1/10", EPS):
+        for seed in range(20):
+            for n in range(3, 31):
+                v = is_sn(TRINOMIAL(n), eps, Random(seed))
+                if v.confirmed:
+                    _assert_certifies_sn(TRINOMIAL(n), v.witnesses)
+                    confirmed += 1
+            for m in range(3, 9):
+                f = audit.reciprocal_trinomial(m)
+                traces.clear()
+                v = is_hyperoctahedral(f, eps, Random(seed))
+                if v.confirmed:
+                    _assert_certifies_sn(trace_polynomial(f), traces[0].witnesses)
+                    for q, degrees in v.witnesses:
+                        assert tuple(_kernel_py.ddf_degrees(f.coeffs, q)) == degrees
+                    assert any(has_transposition_pattern(d) for _, d in v.witnesses)
+                    confirmed += 1
+    assert confirmed > 1300
+
+
+def test_a_stage_certified_by_the_pool_draws_no_prime(monkeypatch):
+    draws = []
+
+    def counting_draw(*args):
+        draws.append(random_prime_avoiding(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(galois, "random_prime_avoiding", counting_draw)
+    # x^6 - x - 1, seed 7: the third transitivity trial empties the sumset
+    # intersection, and the first three already hold a 5-cycle (primitivity)
+    # and a transposition pattern, so the two later stages draw nothing
+    v = is_sn(TRINOMIAL(6), "1/10", Random(7))
+    assert v.answer is GaloisAnswer.CONFIRMED_SN
+    assert v.witnesses == ((1172539, (3, 3)), (1695509, (1, 2, 3)), (1264699, (1, 5)))
+    assert len(draws) == v.trials_used == 3
+    for seed, n in enumerate((3, 4, 6, 7, 12, 13, 17, 22)):
+        for eps in ("1/10", EPS):
+            draws.clear()
+            v = is_sn(TRINOMIAL(n), eps, Random(seed))
+            assert len(draws) == v.trials_used == len(v.witnesses)
+
+
+def test_transitivity_folds_over_a_pooled_witness_once(monkeypatch):
+    # The transitivity stage keeps state, so hunt must show it each pooled
+    # witness exactly once, whatever stage drew it.  A stage that waits for
+    # a 5-cycle of x^5 - x - 1 fills the pool with five witnesses (at the
+    # fourth, transitivity tries a factor at that witness's own prime);
+    # transitivity then ends on the pooled 5-cycle, having seen every
+    # witness in order, and draws nothing.
+    seen, attempts = [], []
+
+    def recording_sumset(degrees):
+        seen.append(degrees)
+        return sumset(degrees)
+
+    def recording_lift(f, q, degrees, survivors):
+        attempts.append(q)
+        return None
+
+    monkeypatch.setattr(galois, "sumset", recording_sumset)
+    monkeypatch.setattr(galois, "_lifted_factor", recording_lift)
+    _, _, witnesses, hunt = galois._sampler(TRINOMIAL(5), EPS, Random(2), (1 << 20, 1 << 21))
+    assert hunt(100, lambda _, degrees: degrees == (5,))
+    pooled = list(witnesses)
+    assert len(pooled) == 5
+    assert galois._transitive(TRINOMIAL(5), hunt, as_epsilon(EPS)) == (True, None)
+    assert witnesses == pooled
+    assert seen == [degrees for _, degrees in pooled]
+    assert attempts == [pooled[3][0]]
 
 
 def _taylor_shift(f, a):
