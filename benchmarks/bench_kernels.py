@@ -2,7 +2,7 @@
 """Benchmark the hot kernels (zdense._kernel_py), the word product, the
 Burnside gate and the S_n certifier.
 
-Eight workloads, all straight from the deciders' inner loops:
+Nine workloads, all straight from the deciders' inner loops:
   * ddf: factorization degree patterns of random monic polynomials of
     degree 8, 17 and 30 modulo 21-bit primes (one call per sampling trial
     of every certifier);
@@ -13,20 +13,24 @@ Eight workloads, all straight from the deciders' inner loops:
   * word: 139-letter random words (the length at the default epsilon)
     over conjugated dense generators of SL(4), SL(12) and SL(24), formed
     by zdense.matrices.word_from_letters as the Weyl route forms its two;
+  * charpoly: zdense.matrices.characteristic_polynomial, the Berkowitz
+    iteration the Weyl route runs on each word it tries to certify, on the
+    words the word rows form (these rows draw no rng, so adding them moved
+    no other row's input);
   * irreducibility: zdense.zariski.is_irreducible_algebra, the Burnside
     algebra dimension, on the adjoint matrices of SL(3), SL(4), SL(5),
     Sp(4) and Sp(6) (the adjoint route) and on the standard matrices of
-    Sp(4), Sp(10), Sp(16) and Sp(24) (the Weyl route's symplectic gate),
-    each for dense generators and for block-triangular (parabolic) ones,
-    conjugated by a word in the dense group; the dense rows time a YES, the
+    Sp(4), Sp(10), Sp(16) and Sp(24), each for dense generators and for
+    block-triangular (parabolic) ones, conjugated by a word in the dense
+    group; the dense rows time a YES, the
     parabolic rows a NO.  Its NO is the walk plus its lifted check: each
     product the walk did not keep is rebuilt from the kept ones by rational
     reconstruction of its coefficients mod p and one exact packed check
     (the rows before that timed a fraction-free rank of every product
-    instead).  Each parabolic row is followed by a `gate` row: the routes'
-    gate, zdense.zariski._irreducible, on the same inputs and seeds, whose
-    NO is Norton's short spin, its subspace lifted and checked exactly,
-    and the walk only when no attempt answers.  Three more `gate` rows time
+    instead).  Each parabolic row is followed by a `gate` row: the adjoint
+    route's gate, zdense.zariski._irreducible, on the same inputs and
+    seeds, whose NO is Norton's short spin, its subspace lifted and checked
+    exactly, and the walk only when no attempt answers.  Three more `gate` rows time
     the gate alone on the adjoint matrices of NO inputs whose every theta
     has a wide eigenspace or a finite order: Heisenberg (upper
     unitriangular) SL(4) and SL(6), where Norton's spin starts from the
@@ -74,6 +78,7 @@ from zdense.matrices import (
     GroupKind,
     Matrix,
     adjugate_inverse,
+    characteristic_polynomial,
     multiply,
     random_word,
     random_word_letters,
@@ -358,6 +363,16 @@ def main():
             jobs,
             args.repeat,
             word_from_letters,
+        )
+        for n, jobs in word_jobs
+    )
+    rows.extend(
+        measure(
+            "characteristic_polynomial",
+            f"the {len(jobs)} words of {WORD_LENGTH} letters, SL({n})",
+            [(word_from_letters(*job),) for job in jobs],
+            args.repeat,
+            characteristic_polynomial,
         )
         for n, jobs in word_jobs
     )

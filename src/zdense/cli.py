@@ -262,10 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Decide Zariski density of a finitely generated subgroup of "
             "SL(n,Z) or Sp(2n,Z), or certify a large Galois group of a "
-            "polynomial.  YES answers and adjoint-mode answers are certain; "
-            "other NO answers are meant to be wrong with probability at "
-            "most epsilon, but weyl mode and the Galois transitivity stage "
-            "do not meet that bound today (see the README)."
+            "polynomial.  YES answers, adjoint-mode answers and weyl-mode "
+            "NO answers after a certified word are certain; other NO "
+            "answers are meant to be wrong with probability at most "
+            "epsilon, but the Galois transitivity stage does not meet that "
+            "bound everywhere (see the README)."
         ),
     )
     parser.add_argument("input", help="JSON input file (generator set or polynomial)")
@@ -273,9 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=MODES + ("auto",),
         default="auto",
-        help="weyl = two-word Weyl-group decider.  adjoint = irreducibility of "
-        "Ad(G) on the Lie algebra; every answer certain.  galois = Galois "
-        "certification of a polynomial.  Default: inferred from the input.",
+        help="weyl = Weyl-group decider: a word certified to carry the Weyl "
+        "group, then an exact normalizer test against every generator; YES "
+        "certain, and NO too after a certified word.  adjoint = "
+        "irreducibility of Ad(G) on the Lie algebra; every answer certain.  "
+        "galois = Galois certification of a polynomial.  Default: inferred "
+        "from the input.",
     )
     parser.add_argument("--epsilon", default="1e-6", help="error bound in (0,1)")
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")

@@ -216,13 +216,20 @@ def _hunt(f, disc, rng, prime_range, witnesses, budget, certified) -> bool:
     return False
 
 
-def _sampler(f: IntPoly, eps, rng: Random, prime_range: tuple[int, int]):
-    """The set-up every certifier shares: (eps, disc, witnesses, hunt), where
-    hunt(budget, certified) runs _hunt on f and appends to witnesses."""
+def _checked(f: IntPoly, eps, prime_range: tuple[int, int]) -> Fraction:
+    """eps as a Fraction, once f and the prime range pass the checks that
+    every certifier makes before it looks at f's shape."""
     eps = as_epsilon(eps)
     if f.degree < 1 or not f.is_monic():
         raise ValueError("need a monic polynomial of positive degree")
     check_prime_range(*prime_range)
+    return eps
+
+
+def _sampler(f: IntPoly, eps, rng: Random, prime_range: tuple[int, int]):
+    """The set-up every certifier shares: (eps, disc, witnesses, hunt), where
+    hunt(budget, certified) runs _hunt on f and appends to witnesses."""
+    eps = _checked(f, eps, prime_range)
     disc = discriminant(f)
     witnesses = []
     return eps, disc, witnesses, partial(_hunt, f, disc, rng, prime_range, witnesses)
@@ -367,9 +374,10 @@ def is_sn(
 ) -> GaloisVerdict:
     """Decide whether the Galois group of f is the full symmetric group.
 
-    Structural NOs first, with 0 trials: from degree 2 a square (or zero)
-    discriminant puts the group inside A_n, and a palindromic f of even
-    degree n >= 4 pairs its roots as r <-> 1/r, inside C_2 wr S_(n/2).
+    Structural NOs first, with 0 trials: a palindromic f of even degree
+    n >= 4 pairs its roots as r <-> 1/r, inside C_2 wr S_(n/2), which its
+    coefficients show before any discriminant is computed; from degree 2 a
+    square (or zero) discriminant puts the group inside A_n.
     Then transitivity, where a factor of f lifted from a trial's prime is
     a certain NO that the verdict carries, and below degree 13 primitivity
     evidence and a transposition pattern, from degree 13 one prime cycle
@@ -378,9 +386,12 @@ def is_sn(
     transitivity first looks among the witnesses already drawn, and one
     that certifies it there draws no prime.
     """
-    eps, disc, witnesses, hunt = _sampler(f, eps, rng, prime_range)
+    eps = _checked(f, eps, prime_range)
     n = f.degree
-    if n >= 2 and _is_square(disc) or n >= 4 and n % 2 == 0 and is_reciprocal(f):
+    if n >= 4 and n % 2 == 0 and is_reciprocal(f):
+        return _structural_no(eps)
+    _, disc, witnesses, hunt = _sampler(f, eps, rng, prime_range)
+    if n >= 2 and _is_square(disc):
         return _structural_no(eps)
     # S_1 is trivial and S_2 = C_2: irreducibility alone decides.
     stage_eps = eps if n <= 2 else eps / 3

@@ -96,22 +96,26 @@ def commutes(a: Matrix, b: Matrix) -> bool:
 def characteristic_polynomial(a: Matrix) -> IntPoly:
     """det(xI - A) by the Berkowitz iteration: division-free, O(dim^4)
     integer operations, no rational bookkeeping however large the entries.
+
+    The columns are read once.  v has length k, so each map over a whole
+    column stops at its first k entries: column j of the leading block M,
+    or `above`, the top of column k.
     """
     n = a.dim
     rows = a.rows
+    cols = list(zip(*rows))
+    mul = operator.mul
     # p holds coefficients (leading first) for the leading principal k x k block.
     p = [1, -rows[0][0]]
     for k in range(1, n):
-        akk = rows[k][k]
-        left = rows[k][:k]
-        above = [rows[i][k] for i in range(k)]
+        above, block = cols[k], cols[:k]
         # First column of the (k+2) x (k+1) Toeplitz factor:
         # [1, -a_kk, -left.above, -left.M.above, ..., -left.M^(k-1).above]
-        toep = [1, -akk]
-        v = list(left)
-        for _ in range(k):
-            toep.append(-sum(x * y for x, y in zip(v, above)))
-            v = [sum(v[i] * rows[i][j] for i in range(k)) for j in range(k)]
+        v = rows[k][:k]  # left
+        toep = [1, -rows[k][k], -sum(map(mul, v, above))]
+        for _ in range(k - 1):
+            v = [sum(map(mul, v, col)) for col in block]
+            toep.append(-sum(map(mul, v, above)))
         p = [
             sum(toep[i - j] * p[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
             for i in range(k + 2)

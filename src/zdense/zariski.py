@@ -1,19 +1,22 @@
 """Zariski-density deciders for subgroups of SL(n,Z) and Sp(2n,Z).
 
-Two routes: the Weyl-group route (two random words must both carry the
-generic Galois group of the ambient group, plus a standard-representation
-irreducibility gate in the symplectic case) and the adjoint route (Ad(G)
-irreducible over Q on the Lie algebra, which alone decides density).  TRUE
-answers and adjoint FALSE answers are certain; a Weyl FALSE is Monte Carlo
-unless the failure is structural (a reducible action can never be dense);
-DensityVerdict states its bound.
-The Burnside check draws one prime p per round.  Norton's test mod p
-proves YES with O(d^3) work and no exact product.  In the routes' gate a
-Norton spin that stops short proves NO as well: its subspace mod p is
-lifted to Q by rational reconstruction and checked exactly, one mat-vec
-per generator and basis vector, and the report records its integer
-basis.  When no attempt answers, the walk at the same p reduces each
-product once mod p and answers YES as soon as the rank is full.  A walk
+Two routes: the Weyl-group route (a random word whose characteristic
+polynomial carries the generic Galois group of the ambient group, then one
+exact commutator per generator: does the generator normalize the word's
+torus?) and the adjoint route (Ad(G) irreducible over Q on the Lie algebra,
+which alone decides density).  Every TRUE answer is certain, and so is
+every adjoint answer and every Weyl FALSE after a certified word; a Weyl
+FALSE with no certified word is Monte Carlo.  DensityVerdict states its
+bound.
+The Burnside check, which the adjoint route and is_irreducible_algebra run
+and the Weyl route does not, draws one prime p per round.  Norton's test
+mod p proves YES with O(d^3) work and no exact product.  In the adjoint
+route's gate a Norton spin that stops short proves NO as well: its
+subspace mod p is lifted to Q by rational reconstruction and checked
+exactly, one mat-vec per generator and basis vector, and the report
+records its integer basis.  When no attempt answers, the walk at the same
+p reduces each product once mod p and answers YES as soon as the rank is
+full.  A walk
 that ends short of it proves NO by lifting its own mod-p dependencies:
 each product it did not keep is rebuilt exactly from the kept ones, by
 rational reconstruction (and CRT over further primes when one is not
@@ -41,10 +44,10 @@ from .matrices import (
     commutes,
     multiply,
     random_word_letters,
+    symplectic_form,
     word_from_letters,
 )
 from .modular import is_prime, random_prime_avoiding
-from .polynomials import is_cyclotomic_product
 
 DEFAULT_WORD_CONSTANT = Fraction(10)
 _RANK_PRIME_RANGE = (1 << 30, 1 << 31)
@@ -54,15 +57,17 @@ _NORTON_ATTEMPTS = 6
 @dataclass(frozen=True)
 class DensityVerdict:
     """dense=True is always Certain, and so is every adjoint-route answer
-    (see general_zariski_dense).  A Weyl dense=False is meant to be wrong
-    with probability at most epsilon (and may be Certain when the
-    obstruction is structural), but the Weyl route and the Galois
-    transitivity stage do not meet that bound today (see the README).  The
-    trail records every step for reproduction.  A certain NO from the
-    irreducibility gate records either the algebra dimension or, when
-    Norton's test answered, `invariant_subspace`: integer rows spanning a
-    proper nonzero subspace of Q^d that every generator keeps, which the
-    report alone lets anyone re-check."""
+    (see general_zariski_dense) and every Weyl answer after a certified
+    word, whose `normalizer_test` step one exact commutator per generator
+    re-checks (see zariski_dense).  A Weyl dense=False with no certified
+    word is Monte Carlo, meant to be wrong with probability at most
+    epsilon, but the Galois transitivity stage does not meet that bound
+    everywhere (see the README).  The trail records every step for
+    reproduction.  A certain NO from the adjoint route's irreducibility
+    gate records either the algebra dimension or, when Norton's test
+    answered, `invariant_subspace`: integer rows spanning a proper nonzero
+    subspace of Q^d that every generator keeps, which the report alone
+    lets anyone re-check."""
 
     dense: bool
     certainty: Certainty
@@ -439,7 +444,7 @@ def is_irreducible_algebra(
     some product lies outside span_Q(K), so p divided a minor, and the
     next round draws a fresh prime.  Both answers are certain.
 
-    The routes' gate (_irreducible) runs the same rounds, but there
+    The adjoint route's gate (_irreducible) runs the same rounds, but there
     Norton's test also answers NO, by a lifted invariant subspace, and the
     walk runs only when no attempt answers.
     """
@@ -534,9 +539,10 @@ def _sample_word(gs: GeneratorSet, index: int, length: int, rng: Random, trail) 
 
 
 def _irreducible(mats: Sequence[Matrix], dim: int, rng: Random, step: str, trail) -> bool:
-    """The routes' Burnside gate: the rounds of is_irreducible_algebra,
-    where a NO from Norton's test records its lifted invariant subspace in
-    place of the algebra dimension.  Either NO is certain."""
+    """The adjoint route's Burnside gate: the rounds of
+    is_irreducible_algebra, where a NO from Norton's test records its lifted
+    invariant subspace in place of the algebra dimension.  Either NO is
+    certain."""
     result = _rounds(mats, dim, rng, lift=True)
     if isinstance(result, IrreducibilityResult):
         trail.append({"step": step, "irreducible": result.irreducible,
@@ -546,6 +552,16 @@ def _irreducible(mats: Sequence[Matrix], dim: int, rng: Random, step: str, trail
     return False
 
 
+def _normalizer_test(gs: GeneratorSet, x: Matrix) -> int | None:
+    """The index of the first generator g with [g X g^-1, X] != 0, or None
+    when every generator's conjugate of X commutes with X: one exact n x n
+    commutator per generator, with g^-1 from gs.inverses."""
+    for index, (g, g_inv) in enumerate(zip(gs.generators, gs.inverses)):
+        if not commutes(multiply(multiply(g, x), g_inv), x):
+            return index
+    return None
+
+
 def zariski_dense(
     gs: GeneratorSet,
     eps,
@@ -553,14 +569,31 @@ def zariski_dense(
     word_constant=DEFAULT_WORD_CONSTANT,
     prime_range: tuple[int, int] = DEFAULT_PRIME_RANGE,
 ) -> DensityVerdict:
-    """Weyl-group route.
+    """Weyl-group route: one certified word decides, for certain.
 
-    Sample two random words; FALSE if they commute; both characteristic
-    polynomials must carry the generic Galois group (S_n for SL, the signed
-    permutations for Sp), each certified with half the error budget; in
-    dimension 2 the certified words must additionally have non-cyclotomic
-    characteristic polynomial (infinite order); for Sp the standard action
-    must be irreducible.  Any surviving input generates a dense subgroup.
+    Sample two random words and record whether they commute.  Certify the
+    first word's characteristic polynomial at eps/2 (S_n on SL, the signed
+    permutations C_2 wr S_m on Sp(2m)), and the second's only if the first
+    fails.  The first certified word w runs the normalizer test; in
+    dimension 2 it must also have |tr w| > 2, since an abelian Weyl group
+    cannot rule out finite order.  When no word qualifies, the NO is Monte
+    Carlo.
+
+    Such a w has infinite order and is regular semisimple; its Galois group
+    acts irreducibly on the characters of its centralizer T, a maximal
+    torus, so the Zariski closure of <w> is T, and the Lie algebra h of G's
+    closure is t plus a Galois-stable closed set of root spaces.  On SL(n)
+    S_n is transitive on the roots, so h = t or h = sl_n, and g normalizes
+    T iff g w g^-1 commutes with w.  On Sp(2m), m >= 2, h is t, the long
+    roots sp(V_1) + ... + sp(V_m), or sp_2m, where the V_i are the
+    eigenplanes of c = w + w^-1 = w - J w^T J; g permutes the V_i iff
+    g c g^-1 commutes with c.  So one generator whose conjugate of X (c on
+    Sp(2m) with m >= 2, w otherwise) does not commute with X proves G
+    dense, and when every generator's does, G lies in N(T), or in
+    Sp(2)^m x| S_m, and is not dense (Borel, Linear Algebraic Groups,
+    secs. 8 and 13-14; Prasad-Rapinchuk 2014).  The `normalizer_test`
+    step names the word, the tested matrix ("w" or "c") and, for a YES,
+    the generator.
     """
     eps = as_epsilon(eps)
     trail: list[dict] = []
@@ -574,11 +607,9 @@ def zariski_dense(
         return verdict(True)
     n = word_length(eps, word_constant)
     w1, w2 = (_sample_word(gs, index, n, rng, trail) for index in (1, 2))
-    commuting = commutes(w1, w2)
-    trail.append({"step": "commutation_check", "commute": commuting})
-    if commuting:
-        return verdict(False, Certainty.MONTE_CARLO)
-    certify = is_sn if gs.kind is GroupKind.SPECIAL_LINEAR else is_hyperoctahedral
+    trail.append({"step": "commutation_check", "commute": commutes(w1, w2)})
+    symplectic = gs.kind is GroupKind.SYMPLECTIC
+    certify = is_hyperoctahedral if symplectic else is_sn
     for index, w in ((1, w1), (2, w2)):
         f = characteristic_polynomial(w)
         galois = certify(f, eps / 2, rng, prime_range)
@@ -590,22 +621,19 @@ def zariski_dense(
                 "verdict": galois.to_json(),
             }
         )
-        if not galois.confirmed:
-            return verdict(False, Certainty.MONTE_CARLO)
-        if gs.dim == 2:
-            # An abelian Weyl group cannot rule out finite order by itself.
-            cyclotomic = is_cyclotomic_product(f)
-            trail.append(
-                {"step": "finite_order_guard", "word": index, "cyclotomic": cyclotomic}
-            )
-            if cyclotomic:
-                return verdict(False, Certainty.MONTE_CARLO)
-    if gs.kind is GroupKind.SYMPLECTIC and not _irreducible(
-        gs.generators, gs.dim, rng, "standard_rep_irreducibility", trail
-    ):
-        # A reducible action can never be dense: this NO is structural.
-        return verdict(False)
-    return verdict(True)
+        if galois.confirmed and (gs.dim > 2 or abs(w.rows[0][0] + w.rows[1][1]) > 2):
+            if symplectic and gs.dim > 2:
+                j = symplectic_form(gs.dim)
+                jwj = multiply(multiply(j, w.transpose()), j)
+                tested, x = "c", Matrix([map(operator.sub, *rows)
+                                         for rows in zip(w.rows, jwj.rows)])
+            else:
+                tested, x = "w", w
+            generator = _normalizer_test(gs, x)
+            trail.append({"step": "normalizer_test", "word": index, "tested": tested,
+                          "generator": generator})
+            return verdict(generator is not None)
+    return verdict(False, Certainty.MONTE_CARLO)
 
 
 def general_zariski_dense(gs: GeneratorSet, eps, rng: Random) -> DensityVerdict:

@@ -234,6 +234,23 @@ def test_is_sn_structural_no_takes_no_trials(f):
     assert v.certainty is Certainty.CERTAIN
 
 
+def test_is_sn_palindromic_no_computes_no_discriminant(monkeypatch):
+    # the shape shows in the coefficients, so no resultant is taken; the
+    # input checks still come first
+    def no_discriminant(f):
+        raise AssertionError("discriminant computed")
+
+    monkeypatch.setattr(galois, "discriminant", no_discriminant)
+    palindromic = IntPoly([1, 3, 1, 3, 1])
+    v = is_sn(palindromic, EPS, Random(1))
+    assert (v.answer, v.trials_used, v.certainty) == (GaloisAnswer.NOT_GENERIC, 0,
+                                                      Certainty.CERTAIN)
+    with pytest.raises(ValueError, match=r"1 < lo < hi <= 2\^64"):
+        is_sn(palindromic, EPS, Random(1), (8, 4))
+    with pytest.raises(ValueError, match="monic"):
+        is_sn(IntPoly([2, 3, 1, 3, 2]), EPS, Random(1))
+
+
 def test_hyperoctahedral_square_discriminant_takes_no_trials():
     # disc(Phi_24) = 2^16 3^4: the group lies in A_8, which misses the lone
     # 2-cycle of a swapped root pair r <-> 1/r

@@ -252,6 +252,84 @@ def test_charpoly_matches_cofactor_oracle():
         assert characteristic_polynomial(a) == _charpoly_cofactor(a)
 
 
+def _berkowitz_reference(a: Matrix) -> IntPoly:
+    # the row-reading Berkowitz iteration that characteristic_polynomial
+    # replaced, kept as an oracle
+    n = a.dim
+    rows = a.rows
+    p = [1, -rows[0][0]]
+    for k in range(1, n):
+        akk = rows[k][k]
+        left = rows[k][:k]
+        above = [rows[i][k] for i in range(k)]
+        toep = [1, -akk]
+        v = list(left)
+        for _ in range(k):
+            toep.append(-sum(x * y for x, y in zip(v, above)))
+            v = [sum(v[i] * rows[i][j] for i in range(k)) for j in range(k)]
+        p = [
+            sum(toep[i - j] * p[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return IntPoly(list(reversed(p)))
+
+
+def _fraction_det(a: Matrix) -> Fraction:
+    rows = [[Fraction(v) for v in row] for row in a.rows]
+    n, det = a.dim, Fraction(1)
+    for k in range(n):
+        r = next((r for r in range(k, n) if rows[r][k]), None)
+        if r is None:
+            return Fraction(0)
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, n):
+            c = rows[i][k] / rows[k][k]
+            if c:
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[k])]
+    return det
+
+
+def _seeded_charpoly_inputs():
+    """Matrices of size 1..24 with 1- to 200-bit entries, each also with a
+    zero diagonal and with a zero column."""
+    rng = Random(2036)
+    for n in range(1, 25):
+        for shape in ("dense", "zero diagonal", "zero column"):
+            bits = rng.choice((1, 2, 8, 31, 64, 200))
+            rows = [[rng.randrange(-(1 << bits), 1 << bits) for _ in range(n)] for _ in range(n)]
+            if shape == "zero diagonal":
+                for i in range(n):
+                    rows[i][i] = 0
+            elif shape == "zero column":
+                j = rng.randrange(n)
+                for row in rows:
+                    row[j] = 0
+            yield shape, Matrix(rows)
+
+
+def test_charpoly_oracle_cayley_hamilton_trace_det_and_reference():
+    for shape, a in _seeded_charpoly_inputs():
+        n = a.dim
+        f = characteristic_polynomial(a)
+        assert f.degree == n and f[n] == 1, (shape, n)
+        assert f == _berkowitz_reference(a), (shape, n)
+        assert -f[n - 1] == sum(a.rows[i][i] for i in range(n)), (shape, n)
+        assert (-1) ** n * f[0] == _fraction_det(a), (shape, n)
+        if shape == "zero column":
+            assert f[0] == 0
+        # Cayley-Hamilton by Horner: f(A) = (...(A + f_(n-1)) A + ...) + f_0 = 0
+        acc = Matrix.identity(n)
+        for i in range(n - 1, -1, -1):
+            rows = [list(row) for row in multiply(acc, a).rows]
+            for r in range(n):
+                rows[r][r] += f[i]
+            acc = Matrix(rows)
+        assert all(v == 0 for row in acc.rows for v in row), (shape, n)
+
+
 def test_validate_sl2():
     gs = validate(GroupKind.SPECIAL_LINEAR, 2, [S, T])
     assert gs.norm_bound == 2  # frobenius of both is sqrt(2)..sqrt(3)

@@ -558,10 +558,12 @@ def test_zariski_dense_sl2(sl2):
     assert v.dense and v.certainty is Certainty.CERTAIN
     assert v.epsilon == Fraction(1, 10**6)
     steps = [s["step"] for s in v.trail]
-    assert steps.count("sample_word") == 2
-    assert "commutation_check" in steps
-    assert steps.count("galois_certificate") == 2
-    assert steps.count("finite_order_guard") == 2  # dim 2 guard ran
+    # the first word certifies and is hyperbolic, so it decides alone
+    assert steps == ["sample_word", "sample_word", "commutation_check",
+                     "galois_certificate", "normalizer_test"]
+    assert v.trail[-1] == {"step": "normalizer_test", "word": 1, "tested": "w",
+                           "generator": 0}
+    _recheck_normalizer_test(sl2, v)
 
 
 def test_zariski_dense_heisenberg(heisenberg):
@@ -580,19 +582,25 @@ def test_zariski_commuting_pair_fails_at_gate():
 
 
 def test_zariski_finite_order_guard_fires(sl2):
-    # seed found by scanning: both words certify S_2 but one is elliptic
+    # seed found by scanning: both words certify S_2, but the first is
+    # elliptic (x^2 + 1, order 4), so it is passed over and the second,
+    # hyperbolic, runs the normalizer test
     v = zariski_dense(sl2, "1e-2", Random(4))
-    fired = [
-        s for s in v.trail if s["step"] == "finite_order_guard" and s["cyclotomic"]
-    ]
-    assert fired and not v.dense
+    certs = [s for s in v.trail if s["step"] == "galois_certificate"]
+    assert [(c["word"], c["charpoly"], c["verdict"]["answer"]) for c in certs] == [
+        (1, [1, 0, 1], "confirmed_sn"), (2, [1, 6, 1], "confirmed_sn")]
+    assert v.trail[-1] == {"step": "normalizer_test", "word": 2, "tested": "w",
+                           "generator": 0}
+    assert v.dense and v.certainty is Certainty.CERTAIN
+    _recheck_normalizer_test(sl2, v)
 
 
 def test_zariski_dense_sp4(sp4):
     v = zariski_dense(sp4, "1e-6", Random(4001), word_constant=Fraction("4.3"))
     assert v.dense and v.certainty is Certainty.CERTAIN
-    gate = [s for s in v.trail if s["step"] == "standard_rep_irreducibility"]
-    assert gate and gate[0]["irreducible"] and gate[0]["algebra_dimension"] == 16
+    (step,) = [s for s in v.trail if s["step"] == "normalizer_test"]
+    assert step["tested"] == "c" and step["generator"] is not None
+    _recheck_normalizer_test(sp4, v)
 
 
 def test_zariski_block_sl2_pair_in_sp4_not_dense():
@@ -645,15 +653,17 @@ def _sqrt2_gens():
 def test_weyl_route_refutes_restriction_of_scalars_for_certain():
     # SL2(Z[sqrt 2]) lies in Res SL2 over Q(sqrt 2), of dimension 6 < 10, so
     # it is not dense in Sp(4) although its words carry the full signed
-    # permutation group; only the irreducibility gate can tell
+    # permutation group; the closure is the long-root subgroup of a word's
+    # torus, so every generator keeps the eigenplanes of c = w + w^-1
     gs = validate(GroupKind.SYMPLECTIC, 4, _sqrt2_gens())
     for seed in range(5):
         v = zariski_dense(gs, "1e-6", Random(seed))
         assert not v.dense and v.certainty is Certainty.CERTAIN
         certs = [s["verdict"]["answer"] for s in v.trail if s["step"] == "galois_certificate"]
-        assert certs == ["confirmed_hyperoctahedral"] * 2
-        assert v.trail[-1] == {"step": "standard_rep_irreducibility", "irreducible": False,
-                               "algebra_dimension": 8}  # M_2(Q(sqrt 2))
+        assert certs == ["confirmed_hyperoctahedral"]
+        assert v.trail[-1] == {"step": "normalizer_test", "word": 1, "tested": "c",
+                               "generator": None}
+        _recheck_normalizer_test(gs, v)
     v = general_zariski_dense(gs, "1e-6", Random(0))
     assert not v.dense and v.certainty is Certainty.CERTAIN
     # Norton's spin stops short on a 4-dimensional subspace of the
@@ -665,6 +675,102 @@ def test_weyl_route_refutes_restriction_of_scalars_for_certain():
     assert v.trail[-1] == {"step": "adjoint_irreducibility", "irreducible": False,
                            "invariant_subspace": subspace}
     _recheck_invariant_subspace(adjoint_matrices(gs), subspace)
+
+
+def _twisted_sqrt2_gens():
+    # s = diag(1, -1, 1, -1) in Sp(4, Z) is Galois conjugation on Z[sqrt 2]^2
+    # times diag(1, -1): it normalizes Res SL2 and swaps its two factors, so
+    # the closure (SL2 x SL2) x| C2 acts absolutely irreducibly on Q^4
+    return _sqrt2_gens() + [Matrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])]
+
+
+def _recheck_normalizer_test(gs, v):
+    """Re-derive a normalizer_test step from the input and the report alone:
+    rebuild its word from the sample_word letters, check that its recorded
+    charpoly is the word's and was certified, form X (w, or c = w + w^-1 by
+    an adjugate inverse, independent of J), and check one exact commutator
+    for a YES, one per generator for a NO."""
+    trail = v.to_json()["trail"]
+    (step,) = [s for s in trail if s["step"] == "normalizer_test"]
+    (sample,) = [s for s in trail if s["step"] == "sample_word" and s["word"] == step["word"]]
+    (cert,) = [s for s in trail if s["step"] == "galois_certificate"
+               and s["word"] == step["word"]]
+    w = Matrix.identity(gs.dim)
+    for letter in sample["letters"]:
+        w = multiply(w, gs.alphabet[letter])
+    assert list(characteristic_polynomial(w).coeffs) == cert["charpoly"]
+    assert cert["verdict"]["answer"].startswith("confirmed")
+    if gs.dim == 2:
+        assert abs(w.rows[0][0] + w.rows[1][1]) > 2
+    symplectic = gs.kind is GroupKind.SYMPLECTIC and gs.dim > 2
+    assert step["tested"] == ("c" if symplectic else "w")
+    x = w
+    if symplectic:
+        w_inv = adjugate_inverse(w)
+        x = Matrix([[a + b for a, b in zip(r, s)] for r, s in zip(w.rows, w_inv.rows)])
+
+    def conjugate_commutes(i):
+        g = gs.generators[i]
+        y = multiply(multiply(g, x), adjugate_inverse(g))
+        return multiply(x, y) == multiply(y, x)
+
+    if step["generator"] is None:
+        assert not v.dense and v.certainty is Certainty.CERTAIN
+        assert all(conjugate_commutes(i) for i in range(len(gs.generators)))
+    else:
+        assert v.dense and v.certainty is Certainty.CERTAIN
+        assert not conjugate_commutes(step["generator"])
+
+
+def test_weyl_route_never_says_yes_on_the_twisted_sqrt2_group():
+    # SL2(Z[sqrt 2]) with s: the closure's identity component is the
+    # long-root subgroup Sp(V_1) x Sp(V_2) of a word's torus, and s swaps
+    # V_1 and V_2; testing c, not w, sees that every generator permutes the
+    # eigenplanes of c
+    gs = validate(GroupKind.SYMPLECTIC, 4, _twisted_sqrt2_gens())
+    certain = 0
+    for seed in range(40):
+        v = zariski_dense(gs, "1e-6", Random(seed))
+        assert not v.dense, seed
+        if v.trail[-1]["step"] == "normalizer_test":
+            _recheck_normalizer_test(gs, v)
+            certain += 1
+        else:
+            assert v.certainty is Certainty.MONTE_CARLO
+    assert certain >= 30, certain
+
+
+def test_weyl_route_certain_no_for_a_torus_and_for_restriction_of_scalars():
+    # <companion of x^3 - x - 1> is Zariski dense in its own maximal torus
+    companion = validate(GroupKind.SPECIAL_LINEAR, 3,
+                         [Matrix([[0, 0, 1], [1, 0, 1], [0, 1, 0]])])
+    sqrt2 = validate(GroupKind.SYMPLECTIC, 4, _sqrt2_gens())
+    for gs, tested in ((companion, "w"), (sqrt2, "c")):
+        for seed in range(3):
+            v = zariski_dense(gs, "1e-6", Random(seed))
+            assert not v.dense and v.certainty is Certainty.CERTAIN, seed
+            assert v.trail[-1] == {"step": "normalizer_test", "word": 1, "tested": tested,
+                                   "generator": None}
+            _recheck_normalizer_test(gs, v)
+
+
+@pytest.mark.parametrize("kind, dim", [(GroupKind.SPECIAL_LINEAR, n) for n in range(3, 9)]
+                         + [(GroupKind.SYMPLECTIC, n) for n in (4, 6, 8)])
+def test_weyl_route_certain_yes_on_dense_groups(kind, dim):
+    # a transvection and a signed cycle in SL(n), _sp_dense in Sp(2m), each
+    # conjugated as in _KNOWN_FAMILIES: one certified word decides
+    for seed in range(3):
+        rng = Random(seed)
+        if kind is GroupKind.SPECIAL_LINEAR:
+            g, gens = random_unimodular(dim, rng), [_unit_add(dim, [(0, 1, 1)]),
+                                                    _signed_cycle(dim)]
+        else:
+            g, gens = random_word(validate(kind, dim, _sp_dense(dim)), dim, rng), _sp_dense(dim)
+        g_inv = adjugate_inverse(g)
+        gs = validate(kind, dim, [multiply(multiply(g, x), g_inv) for x in gens])
+        v = zariski_dense(gs, "1e-6", rng)
+        assert v.dense and v.certainty is Certainty.CERTAIN, seed
+        _recheck_normalizer_test(gs, v)
 
 
 def _norton_runs(mats, dim, trials, lift=False):
