@@ -39,10 +39,15 @@ Nine workloads, all straight from the deciders' inner loops:
   * factor: the Galois transitivity stage's factor attempt,
     zdense.galois._lifted_factor, at 20 seeded 21-bit primes each, on the
     galois band polynomial (x^8 - 2)(x^9 - 3) and on x^22 - x - 1, both
-    Taylor-shifted by a 32-bit a.  Every degree counts as a survivor, so
-    every union of degree classes with 2 deg <= n is tried: on the band
-    the lift finds x^8 - 2 or x^9 - 3 wherever the classes separate them,
-    and on x^22 - x - 1 (Galois group S_22) every lift fails;
+    Taylor-shifted by a 32-bit a.  It is handed the distinct-degree parts
+    that each prime's factor_degrees_mod call left and f's bounds, as the
+    stage hands them, so the rows time the lifts and the exact divisions
+    alone (rows recorded before the attempt took the parts from its trial
+    also include a second distinct-degree factorization per prime).  Every
+    degree counts as a survivor, so every union of degree classes with
+    2 deg <= n is tried: on the band the lift finds x^8 - 2 or x^9 - 3
+    wherever the classes separate them, and on x^22 - x - 1 (Galois group
+    S_22) every lift fails;
   * kernel: zdense.zariski._kernel_mod, the kernel mod p that Norton's
     test takes of theta - lambda and of its transpose, on seeded d x d
     matrices of nullity 1 (theta - lambda's shape) mod the 31-bit prime
@@ -54,10 +59,13 @@ Nine workloads, all straight from the deciders' inner loops:
   * certify: zdense.galois.is_sn on x^n - x - 1 (Galois group S_n) at
     n = 6, 7, 13 and 22 and eps 1e-6, once for each of 50 seeded rngs: the
     whole certifier, whose cost is its trials.  Each row also records the
-    mean trials per YES, which depends on the seeds only.
+    mean trials per YES, which depends on the seeds only.  One more row
+    runs is_sn on the galois band, (x^8 - 2)(x^9 - 3) Taylor-shifted by a
+    seeded 32-bit a for each of 50 seeds, and records the mean trials per
+    NO: each is a certain NO that carries a factor.
 
-The kernel, block-triangular and certify jobs are drawn after all the
-others, in that order, so adding them moved no earlier row's input.
+The kernel, block-triangular, certify and band jobs are drawn after all
+the others, in that order, so adding them moved no earlier row's input.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--json PATH [--label TEXT]]
 
@@ -244,10 +252,13 @@ def make_factor_workload(rng, coeffs):
     by a seeded 32-bit a, with every degree 1..n-1 a survivor."""
     f = _taylor_shift(coeffs, rng.randrange(1 << 31, 1 << 32))
     disc = discriminant(f)
+    bounds = galois._factor_bounds(f)
     jobs = []
     for _ in range(FACTOR_PRIMES):
         q = random_prime_avoiding(disc, 1 << 20, 1 << 21, rng)
-        jobs.append((f, q, factor_degrees_mod(f, q), set(range(1, f.degree))))
+        parts = {}
+        degrees = factor_degrees_mod(f, q, parts)
+        jobs.append((f, q, degrees, parts, set(range(1, f.degree)), bounds))
     return jobs
 
 
@@ -280,14 +291,16 @@ def certify(f, seed):
     return galois.is_sn(f, CERTIFY_EPS, Random(seed))
 
 
-def certify_row(n, seeds, repeat):
-    """The certify row for x^n - x - 1, with the mean trials per YES."""
-    jobs = [(IntPoly([-1, -1] + [0] * (n - 2) + [1]), seed) for seed in seeds]
-    row = measure("certify", f"is_sn on x^{n} - x - 1, {len(jobs)} seeds, eps {CERTIFY_EPS}",
+def certify_row(name, jobs, repeat, answer="yes"):
+    """The certify row for the (f, seed) jobs, with the mean trials per
+    verdict of the given answer ("yes" or "no")."""
+    row = measure("certify", f"is_sn on {name}, {len(jobs)} seeds, eps {CERTIFY_EPS}",
                   jobs, repeat, certify)
-    trials = [v.trials_used for v in (certify(*job) for job in jobs) if v.confirmed]
-    row["trials_per_yes"] = sum(trials) / len(trials)
-    print(f"  trials per YES {row['trials_per_yes']:.2f}")
+    trials = [v.trials_used for v in (certify(*job) for job in jobs)
+              if v.confirmed == (answer == "yes")]
+    key = f"trials_per_{answer}"
+    row[key] = sum(trials) / len(trials)
+    print(f"  trials per {answer.upper()} {row[key]:.2f}")
     return row
 
 
@@ -338,6 +351,8 @@ def main():
     block_triangular_job = make_block_triangular_job(rng)
     certify_jobs = [(n, [rng.randrange(1 << 63) for _ in range(CERTIFY_SEEDS)])
                     for n in CERTIFY_DEGREES]
+    band_jobs = [(_taylor_shift(band.coeffs, rng.randrange(1 << 31, 1 << 32)),
+                  rng.randrange(1 << 63)) for _ in range(CERTIFY_SEEDS)]
 
     rows = [
         measure(
@@ -400,7 +415,13 @@ def main():
     rows.append(measure("is_irreducible_algebra",
                         "3 block-triangular 10x10, entries in [-3, 3] (algebra dim 84)",
                         [block_triangular_job], args.repeat, irreducibility))
-    rows.extend(certify_row(n, seeds, args.repeat) for n, seeds in certify_jobs)
+    rows.extend(
+        certify_row(f"x^{n} - x - 1", [(IntPoly([-1, -1] + [0] * (n - 2) + [1]), seed)
+                                       for seed in seeds], args.repeat)
+        for n, seeds in certify_jobs
+    )
+    rows.append(certify_row("(x^8 - 2)(x^9 - 3) shifted by a 32-bit a", band_jobs,
+                            args.repeat, "no"))
 
     if args.json is not None:
         entries = json.loads(args.json.read_text()) if args.json.exists() else []

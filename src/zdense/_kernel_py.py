@@ -222,15 +222,21 @@ def ddf_parts(coeffs: Sequence[int], q: int) -> Iterator[tuple[int, list[int]]]:
         yield len(remaining) - 1, remaining
 
 
-def ddf_degrees(coeffs: Sequence[int], q: int) -> list[int]:
+def ddf_degrees(
+    coeffs: Sequence[int], q: int, *, parts: dict[int, list[int]] | None = None
+) -> list[int]:
     """Sorted degrees of the irreducible factors of a squarefree polynomial
-    mod q, read off ddf_parts (no equal-degree splitting).
+    mod q, read off ddf_parts (no equal-degree splitting).  A `parts` dict
+    is filled with ddf_parts' output, d -> the monic product of the degree-d
+    factors, so a caller that wants the parts too runs one factorization.
 
     Raises ValueError if the reduction is constant or not squarefree.
     """
     degrees: list[int] = []
     for d, part in ddf_parts(coeffs, q):
         degrees.extend([d] * ((len(part) - 1) // d))
+        if parts is not None:
+            parts[d] = part
     return degrees
 
 
@@ -339,13 +345,14 @@ def hensel_lift(
     r, so each is divided by r and all that meets it is done mod r: only
     the products h u, s h and t u are formed mod m.  A step lifts g first
     and checks it; the cofactor h and the Bezout pair s h + t g = 1 follow
-    only when another step needs them, so a wrong g that fails after its
-    first step costs one inverse mod q and one step.
+    only when another step needs them: a g out of bound mod q costs no
+    division, the first step needs h and s alone, and t mod q is formed
+    when the second step finishes the first.  So a wrong g that fails after
+    its first step costs one division, one inverse mod q and one step.
     """
     u = _trim([c % q for c in g])
-    h = _divmod(_trim([c % q for c in f]), u, q)[0]
     top = 2 * max(bounds)
-    m, step = q, None
+    m, step, t = q, None, None
     while True:
         half = m // 2
         lift = [c - m if c > half else c for c in u]
@@ -354,11 +361,13 @@ def hensel_lift(
         if m > top:
             return lift
         if step is None:
+            h = _divmod(_trim([c % q for c in f]), u, q)[0]
             s = _inverse_mod(h, u, q)
-            t = _divmod(_sub([1], _kmul(s, h, q), q), u, q)[0]
         else:  # finish the last step: h, s and t mod m = r^2, from r on
             r, e, quo, u_r = step
             h_r = h
+            if t is None:  # r = q
+                t = _divmod(_sub([1], _kmul(s, h_r, q), q), u_r, q)[0]
             h = _add(h_r, [r * c for c in _add(_kmul(t, e, r), _kmul(quo, h_r, r), r)], m)
             b = [c // r for c in _sub(_add(_kmul(s, h, m), _kmul(t, u, m), m), [1], m)]
             c, d = _divmod(_kmul(s, b, r), u_r, r)

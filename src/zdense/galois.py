@@ -17,11 +17,12 @@ and therefore certain:
 
 NOs that the shape of f proves (a square or zero discriminant, a
 palindromic f where S_n is asked for) come first, with 0 trials, and are
-certain.  So is a NO that carries a factor: from the fourth trial of the
-transitivity stage on, while sumset survivors remain, unions of whole
-distinct-degree classes of f mod that trial's prime are Hensel-lifted and
-divided into f exactly, and the first that divides it stops the stage
-with a certain NO (a reducible f is never generic).  Every sampling stage
+certain.  So is a NO that carries a factor: at every trial of the
+transitivity stage while sumset survivors remain, unions of whole
+distinct-degree classes of f mod that trial's prime, from the parts its
+one distinct-degree factorization left, are Hensel-lifted and divided
+into f exactly, and the first that divides it stops the stage with a
+certain NO (a reducible f is never generic).  Every sampling stage
 is one call of the same loop, which draws primes until a certificate
 predicate accepts a cycle type or the stage's trial budget runs out;
 cycle types sampled at different primes all lie in the one Galois group
@@ -41,13 +42,13 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from random import Random
 from typing import Iterable
 
 from . import kernels
 from .modular import check_prime_range, factor_degrees_mod, is_prime, random_prime_avoiding
-from .polynomials import ONE, IntPoly, discriminant, is_reciprocal, reciprocal_from_trace
+from .polynomials import IntPoly, discriminant, is_reciprocal, reciprocal_from_trace
 from .polynomials import trace_polynomial
 
 DEFAULT_PRIME_RANGE = (1 << 20, 1 << 21)
@@ -137,6 +138,7 @@ def trials_for_density(density, eps) -> int:
     return math.ceil(_log_inv(as_epsilon(eps)) / density)
 
 
+@cache
 def prime_cycle_density(n: int, upper_slack: int) -> Fraction:
     """Density in S_n of the cycle types has_long_prime_cycle accepts.  An
     l-cycle with l > n/2 has density exactly 1/l and no element has two, so
@@ -145,6 +147,7 @@ def prime_cycle_density(n: int, upper_slack: int) -> Fraction:
     return sum(Fraction(1, l) for l in window)
 
 
+@cache
 def transposition_density(k: int, s: Fraction) -> Fraction:
     """1/2 [x^k] ((1+x)/(1-x))^s, the density of has_transposition_pattern.
 
@@ -192,11 +195,14 @@ def has_long_prime_cycle(degrees: Iterable[int], n: int, upper_slack: int) -> bo
     )
 
 
-def _hunt(f, disc, rng, prime_range, witnesses, budget, certified) -> bool:
+def _hunt(f, disc, rng, prime_range, witnesses, parts, budget, certified) -> bool:
     """The one sampling loop behind every certifier stage.
 
     `witnesses` is the pool of (q, cycle type of f mod q) that every stage
-    on f shares.  The stage first asks `certified(q, degrees)` of the
+    on f shares, and `parts` maps each of its primes q to the
+    distinct-degree parts of f mod q that the same ddf_degrees run left,
+    for the transitivity stage's factor attempts; they stay out of the
+    verdict.  The stage first asks `certified(q, degrees)` of the
     witnesses already in the pool, in order, and one that passes certifies
     it with no prime drawn.  Otherwise it draws up to `budget` primes q not
     dividing disc, appends each witness to the pool and stops at the first
@@ -209,7 +215,8 @@ def _hunt(f, disc, rng, prime_range, witnesses, budget, certified) -> bool:
         return True
     for _ in range(budget):
         q = random_prime_avoiding(disc, prime_range[0], prime_range[1], rng)
-        degrees = factor_degrees_mod(f, q)
+        parts[q] = {}
+        degrees = factor_degrees_mod(f, q, parts[q])
         witnesses.append((q, degrees))
         if certified(q, degrees):
             return True
@@ -227,12 +234,14 @@ def _checked(f: IntPoly, eps, prime_range: tuple[int, int]) -> Fraction:
 
 
 def _sampler(f: IntPoly, eps, rng: Random, prime_range: tuple[int, int]):
-    """The set-up every certifier shares: (eps, disc, witnesses, hunt), where
-    hunt(budget, certified) runs _hunt on f and appends to witnesses."""
+    """The set-up every certifier shares: (eps, disc, witnesses, parts,
+    hunt), where hunt(budget, certified) runs _hunt on f and appends to
+    witnesses and parts."""
     eps = _checked(f, eps, prime_range)
     disc = discriminant(f)
-    witnesses = []
-    return eps, disc, witnesses, partial(_hunt, f, disc, rng, prime_range, witnesses)
+    witnesses, parts = [], {}
+    hunt = partial(_hunt, f, disc, rng, prime_range, witnesses, parts)
+    return eps, disc, witnesses, parts, hunt
 
 
 def _is_square(disc: int) -> bool:
@@ -257,30 +266,37 @@ def _structural_no(eps) -> GaloisVerdict:
     return GaloisVerdict(GaloisAnswer.NOT_GENERIC, eps, (), 0, Certainty.CERTAIN)
 
 
-# The transitivity stage tries to lift a factor from the end of its first
-# block of trials on, at every trial while survivors remain.
-_FACTOR_FROM_TRIAL = 4
+def _factor_bounds(f: IntPoly) -> tuple[int, int]:
+    """(|f|_2 rounded up, log2 of Fujiwara's root bound R) for
+    _lifted_factor: R is twice the largest |c_(n-i)|^(1/i), rounded up to a
+    power of 2, so every root of f has modulus at most R."""
+    n = f.degree
+    norm = math.isqrt(sum(c * c for c in f.coeffs)) + 1
+    root_bits = 1 + max(-(-abs(f[n - i]).bit_length() // i) for i in range(1, n + 1))
+    return norm, root_bits
 
 
-def _lifted_factor(f: IntPoly, q: int, degrees, survivors) -> tuple[int, ...] | None:
+def _lifted_factor(
+    f: IntPoly, q: int, degrees, parts, survivors, bounds: tuple[int, int]
+) -> tuple[int, ...] | None:
     """A monic proper factor of f over Z, constant term first, built from
     whole degree classes of f mod q, or None.
 
     q is a prime that divides neither disc(f) nor the leading coefficient,
-    and degrees is the factorization pattern of f mod q.  Each union U of
-    degree classes (all the factors of one degree, as ddf_parts gives them)
-    with 2 deg U <= n and deg U in survivors (a factor's degree lies in
-    every sampled sumset) is Hensel-lifted, then checked: its constant term
-    must divide f(0), and it must divide f exactly.  Unions are tried
-    smallest first, and the distinct-degree parts are built only when some
-    union's degree qualifies.  No equal-degree split and no recombination
-    of single factors: a factor whose reduction shares a degree class with
-    its cofactor's is missed at this q.
+    degrees is the factorization pattern of f mod q, parts maps each d in it
+    to the monic product mod q of the degree-d factors (the dict that
+    degrees' own ddf_degrees run filled), and bounds is _factor_bounds(f).
+    Each union U of degree classes with 2 deg U <= n and deg U in survivors
+    (a factor's degree lies in every sampled sumset) is formed mod q,
+    Hensel-lifted, then checked: its constant term must divide f(0), and
+    it must divide f exactly.  Unions are tried smallest first.  No
+    equal-degree split and no recombination of single factors: a factor
+    whose reduction shares a degree class with its cofactor's is missed at
+    this q.
 
     The lift's bounds hold for any monic factor g of degree k:
     |g_j| <= C(k, j) min(R^(k-j), |f|_2), by Mignotte's bound and by
-    Vieta with R >= every root's modulus (Fujiwara's bound, twice the
-    largest |c_(n-i)|^(1/i), rounded up to a power of 2).
+    Vieta with R >= every root's modulus.
     """
     n = f.degree
     classes = Counter(degrees)
@@ -288,17 +304,15 @@ def _lifted_factor(f: IntPoly, q: int, degrees, survivors) -> tuple[int, ...] | 
     for d in sorted(classes):
         unions += [(size + d * classes[d], chosen + (d,)) for size, chosen in unions
                    if 2 * (size + d * classes[d]) <= n]
-    unions = sorted(u for u in unions if u[0] in survivors)
-    if not unions:
-        return None
-    parts = dict(kernels.ddf_parts(f.coeffs, q))
-    norm = math.isqrt(sum(c * c for c in f.coeffs)) + 1
-    root_bits = 1 + max(-(-abs(f[n - i]).bit_length() // i) for i in range(1, n + 1))
+    norm, root_bits = bounds
     f0 = f.coeffs[0]
-    for k, chosen in unions:
-        union = math.prod((IntPoly(parts[d]) for d in chosen), start=ONE)
-        bounds = [math.comb(k, j) * min(1 << root_bits * (k - j), norm) for j in range(k + 1)]
-        lift = kernels.hensel_lift(f.coeffs, [c % q for c in union.coeffs], q, bounds)
+    for k, chosen in sorted(u for u in unions if u[0] in survivors):
+        union = parts[chosen[0]]
+        for d in chosen[1:]:
+            union = [c % q for c in (IntPoly(union) * IntPoly(parts[d])).coeffs]
+        coeff_bounds = [math.comb(k, j) * min(1 << root_bits * (k - j), norm)
+                        for j in range(k + 1)]
+        lift = kernels.hensel_lift(f.coeffs, union, q, coeff_bounds)
         if lift is None:
             continue
         g0 = lift[0]
@@ -309,23 +323,23 @@ def _lifted_factor(f: IntPoly, q: int, degrees, survivors) -> tuple[int, ...] | 
     return None
 
 
-def _transitive(f: IntPoly, hunt, eps: Fraction) -> tuple[bool, tuple[int, ...] | None]:
+def _transitive(f: IntPoly, hunt, parts, eps: Fraction) -> tuple[bool, tuple[int, ...] | None]:
     """The sumset-intersection stage of is_transitive and is_sn, as
-    (transitive, factor).  From trial _FACTOR_FROM_TRIAL on, while sumset
-    survivors remain, the trial's own prime is also tried for a factor of
-    f, and a factor stops the stage; a failed attempt draws nothing.  The
-    predicate counts every witness of f as a trial, and hunt shows it each
-    one exactly once, those already pooled first."""
+    (transitive, factor).  At every trial while sumset survivors remain,
+    the trial's own prime is also tried for a factor of f, from the parts
+    its ddf_degrees run left in `parts`, and a factor stops the stage.  An
+    attempt draws no prime and runs no distinct-degree factorization, and
+    f's bounds are formed once per stage.  The predicate counts every witness of f as a trial,
+    and hunt shows it each one exactly once, those already pooled first."""
     survivors = set(range(1, f.degree))
-    trials = 0
+    bounds = _factor_bounds(f)
     factor = None
 
     def invariably_transitive(q, degrees):
-        nonlocal trials, factor
+        nonlocal factor
         survivors.intersection_update(sumset(degrees))
-        trials += 1
-        if survivors and trials >= _FACTOR_FROM_TRIAL:
-            factor = _lifted_factor(f, q, degrees, survivors)
+        if survivors:
+            factor = _lifted_factor(f, q, degrees, parts[q], survivors, bounds)
         return not survivors or factor is not None
 
     found = hunt(trials_invariable_transitivity(eps), invariably_transitive)
@@ -362,10 +376,10 @@ def is_transitive(
     factor lifted from a trial's prime and dividing f exactly is a certain
     NO, and the verdict carries it.
     """
-    eps, disc, witnesses, hunt = _sampler(f, eps, rng, prime_range)
+    eps, disc, witnesses, parts, hunt = _sampler(f, eps, rng, prime_range)
     if disc == 0:
         raise ValueError("discriminant is zero")
-    found, factor = _transitive(f, hunt, eps)
+    found, factor = _transitive(f, hunt, parts, eps)
     return _verdict(found, GaloisAnswer.IRREDUCIBLE, eps, witnesses, factor=factor)
 
 
@@ -390,12 +404,12 @@ def is_sn(
     n = f.degree
     if n >= 4 and n % 2 == 0 and is_reciprocal(f):
         return _structural_no(eps)
-    _, disc, witnesses, hunt = _sampler(f, eps, rng, prime_range)
+    _, disc, witnesses, parts, hunt = _sampler(f, eps, rng, prime_range)
     if n >= 2 and _is_square(disc):
         return _structural_no(eps)
     # S_1 is trivial and S_2 = C_2: irreducibility alone decides.
     stage_eps = eps if n <= 2 else eps / 3
-    found, factor = _transitive(f, hunt, stage_eps)
+    found, factor = _transitive(f, hunt, parts, stage_eps)
     if found and n > 2:
         found = _sn_after_transitivity(hunt, n, stage_eps)
     return _verdict(found, GaloisAnswer.CONFIRMED_SN, eps, witnesses, factor=factor)
@@ -419,7 +433,7 @@ def is_hyperoctahedral(
     records only the witnesses sampled against f and carries over the
     trace stage's trial count.
     """
-    eps, disc, witnesses, hunt = _sampler(f, eps, rng, prime_range)
+    eps, disc, witnesses, _, hunt = _sampler(f, eps, rng, prime_range)
     if f.degree % 2 != 0:
         raise ValueError("need even degree >= 2")
     if not is_reciprocal(f):

@@ -1,9 +1,10 @@
-"""The hot kernels, ddf_degrees, ddf_parts, find_root, RowEchelon and
-rank_mod, and the lift helpers hensel_lift, crt and rational_reconstruction
-(see zdense._kernel_py).  ddf_parts yields the distinct-degree factorization
-itself, the product of the degree-d factors for each d, and ddf_degrees
-reads its degrees off it; hensel_lift lifts a union of those parts to a
-candidate factor over Z, for the Galois layer's exact factor NO.
+"""The hot kernels, ddf_degrees, find_root, RowEchelon and rank_mod, and
+the lift helpers hensel_lift, crt and rational_reconstruction (see
+zdense._kernel_py).  ddf_degrees reads the degree pattern off the
+distinct-degree factorization, and fills a caller's dict with the
+factorization itself, the product of the degree-d factors for each d, in
+the same run; hensel_lift lifts a union of those parts to a candidate
+factor over Z, for the Galois layer's exact factor NO.
 find_root finds one root of a polynomial mod an odd prime by an
 equal-degree split.  RowEchelon reduces each added row once against the
 rows it has kept, and with record=True gives each dependent row's
@@ -17,8 +18,7 @@ Callers import them from here; BACKEND fills the reports' kernel_backend.
 """
 
 from ._kernel_py import (
-    RowEchelon, crt, ddf_degrees, ddf_parts, find_root, hensel_lift, rank_mod,
-    rational_reconstruction,
+    RowEchelon, crt, ddf_degrees, find_root, hensel_lift, rank_mod, rational_reconstruction,
 )
 
 BACKEND = "python"

@@ -101,9 +101,13 @@ def random_prime_avoiding(disc: int, lo: int, hi: int, rng: Random) -> int:
     )
 
 
-def factor_degrees_mod(f: IntPoly, q: int) -> tuple[int, ...]:
+def factor_degrees_mod(
+    f: IntPoly, q: int, parts: dict[int, list[int]] | None = None
+) -> tuple[int, ...]:
     """Multiset (as a sorted tuple) of degrees of the irreducible factors of
-    f mod q.
+    f mod q.  A `parts` dict is filled, by the same kernel call, with the
+    distinct-degree factorization: d -> the monic product mod q of the
+    degree-d factors.
 
     The caller guarantees q is prime, q does not divide disc(f) or the
     leading coefficient; squarefreeness mod q is still re-checked defensively
@@ -113,4 +117,4 @@ def factor_degrees_mod(f: IntPoly, q: int) -> tuple[int, ...]:
         raise ValueError("need positive degree")
     if f.coeffs[-1] % q == 0:
         raise ValueError("leading coefficient vanishes mod q")
-    return tuple(kernels.ddf_degrees(f.coeffs, q))
+    return tuple(kernels.ddf_degrees(f.coeffs, q, parts=parts))

@@ -516,11 +516,11 @@ PINNED_VERDICTS = [
         (1614377, (4,)), (1858433, (4,)), (1486321, (1, 1, 1, 1)),
         (1862711, (1, 1, 1, 1)), (1193603, (4,)),
     )),
-    # (x^2 + 1)(x^2 + x - 1): the fourth trial's prime lifts the factor
-    # x^2 + 1 (see PINNED_FACTORS), a certain NO
-    (is_sn, IntPoly([1, 0, 1]) * IntPoly([-1, 1, 1]), 12, GaloisAnswer.NOT_GENERIC, 4, (
-        (1156271, (1, 1, 2)), (2033377, (1, 1, 2)), (1847413, (1, 1, 2)),
-        (1324837, (1, 1, 2)),
+    # (x^2 + 1)(x^2 + x - 1): the first trial's prime lifts the factor
+    # x^2 + x - 1 from its two linear factors (see PINNED_FACTORS), a
+    # certain NO
+    (is_sn, IntPoly([1, 0, 1]) * IntPoly([-1, 1, 1]), 12, GaloisAnswer.NOT_GENERIC, 1, (
+        (1156271, (1, 1, 2)),
     )),
     # x^4 - 2 (D_4): transitive after 6, primitivity budget (11) runs out
     (is_sn, IntPoly([-2, 0, 0, 0, 1]), 13, GaloisAnswer.NOT_GENERIC, 17, (
@@ -542,7 +542,7 @@ PINNED_VERDICTS = [
 
 
 # the factor of each PINNED_VERDICTS row that has one, by seed
-PINNED_FACTORS = {12: (1, 0, 1)}
+PINNED_FACTORS = {12: (-1, 1, 1)}
 
 
 @pytest.mark.parametrize("certifier,f,seed,answer,trials,witnesses", PINNED_VERDICTS)
@@ -553,19 +553,24 @@ def test_pinned_verdicts(certifier, f, seed, answer, trials, witnesses):
 
 
 def test_pinned_factor_verdict_at_default_eps():
-    # (x^4 - 2)(x^5 - 3) at eps 1e-6, where the budget is 20 trials: the
-    # attempts at trials 4 and 5 find no union of degree classes that lifts
-    # (at trial 5 none has a surviving degree), and trial 6's does
+    # (x^4 - 2)(x^5 - 3) at eps 1e-6, where the budget is 20 trials.  Seed
+    # 11: the first trial's prime lifts x^4 - 2 from its class of degree 4.
+    # Seed 17: the attempts at trials 1-4 find no union of degree classes
+    # that lifts (at each prime x^4 - 2 shares a degree class with a factor
+    # of x^5 - 3), and trial 5's (2, 2, 5) does
     f = IntPoly([-2, 0, 0, 0, 1]) * IntPoly([-3, 0, 0, 0, 0, 1])
     v = is_sn(f, EPS, Random(11))
     assert (v.answer, v.certainty, v.trials_used, v.factor) == (
-        GaloisAnswer.NOT_GENERIC, Certainty.CERTAIN, 6, (-2, 0, 0, 0, 1))
-    assert v.witnesses == (
-        (1446829, (1, 2, 2, 4)), (2046323, (1, 2, 2, 4)), (1173463, (1, 1, 1, 2, 4)),
-        (1447471, (1, 1, 1, 1, 1, 1, 1, 2)), (1188721, (1, 1, 1, 1, 1, 1, 1, 1, 1)),
-        (1496321, (2, 2, 5)),
-    )
+        GaloisAnswer.NOT_GENERIC, Certainty.CERTAIN, 1, (-2, 0, 0, 0, 1))
+    assert v.witnesses == ((1446829, (1, 2, 2, 4)),)
     assert v.to_json()["factor"] == [-2, 0, 0, 0, 1]
+    v = is_sn(f, EPS, Random(17))
+    assert (v.answer, v.certainty, v.trials_used, v.factor) == (
+        GaloisAnswer.NOT_GENERIC, Certainty.CERTAIN, 5, (-2, 0, 0, 0, 1))
+    assert v.witnesses == (
+        (1193653, (1, 4, 4)), (1792313, (1, 1, 1, 1, 1, 4)), (1320127, (1, 1, 1, 2, 4)),
+        (1406617, (1, 1, 1, 1, 1, 4)), (1069051, (2, 2, 5)),
+    )
 
 
 def test_discriminant_once_per_polynomial(monkeypatch):
@@ -685,8 +690,9 @@ def test_a_stage_certified_by_the_pool_draws_no_prime(monkeypatch):
 def test_transitivity_folds_over_a_pooled_witness_once(monkeypatch):
     # The transitivity stage keeps state, so hunt must show it each pooled
     # witness exactly once, whatever stage drew it.  A stage that waits for
-    # a 5-cycle of x^5 - x - 1 fills the pool with five witnesses (at the
-    # fourth, transitivity tries a factor at that witness's own prime);
+    # a 5-cycle of x^5 - x - 1 fills the pool with five witnesses (at each
+    # of the first four, sumset survivors remain, so transitivity tries a
+    # factor at that witness's own prime, from the parts its draw left);
     # transitivity then ends on the pooled 5-cycle, having seen every
     # witness in order, and draws nothing.
     seen, attempts = [], []
@@ -695,20 +701,86 @@ def test_transitivity_folds_over_a_pooled_witness_once(monkeypatch):
         seen.append(degrees)
         return sumset(degrees)
 
-    def recording_lift(f, q, degrees, survivors):
+    def recording_lift(f, q, degrees, q_parts, survivors, bounds):
+        assert q_parts is parts[q]
         attempts.append(q)
         return None
 
     monkeypatch.setattr(galois, "sumset", recording_sumset)
     monkeypatch.setattr(galois, "_lifted_factor", recording_lift)
-    _, _, witnesses, hunt = galois._sampler(TRINOMIAL(5), EPS, Random(2), (1 << 20, 1 << 21))
+    _, _, witnesses, parts, hunt = galois._sampler(
+        TRINOMIAL(5), EPS, Random(2), (1 << 20, 1 << 21))
     assert hunt(100, lambda _, degrees: degrees == (5,))
     pooled = list(witnesses)
-    assert len(pooled) == 5
-    assert galois._transitive(TRINOMIAL(5), hunt, as_epsilon(EPS)) == (True, None)
+    assert len(pooled) == 5 and set(parts) == {q for q, _ in pooled}
+    assert galois._transitive(TRINOMIAL(5), hunt, parts, as_epsilon(EPS)) == (True, None)
     assert witnesses == pooled
     assert seen == [degrees for _, degrees in pooled]
-    assert attempts == [pooled[3][0]]
+    assert attempts == [q for q, _ in pooled[:4]]
+
+
+def test_one_ddf_run_per_trial(monkeypatch):
+    # A factor attempt lifts the parts that its trial's own ddf_degrees run
+    # left, so every trial factors f mod its prime exactly once, whether
+    # the attempts fail (irreducible f, or a reducible one before the
+    # classes separate its factors) or succeed.
+    band = IntPoly([-2] + [0] * 7 + [1]) * IntPoly([-3] + [0] * 8 + [1])
+    runs = [
+        (band, "1/10", 3),
+        (_taylor_shift(band, 3141592653), EPS, 0),
+        (IntPoly([-2, 0, 0, 0, 1]) * IntPoly([-3, 0, 0, 0, 0, 1]), EPS, 17),
+        (IntPoly([1, 0, 1]) * IntPoly([-1, 1, 1]), "1/10", 12),
+        (TRINOMIAL(7), EPS, 1),
+        (_taylor_shift(TRINOMIAL(8), -2718281828), EPS, 2),
+        (TRINOMIAL(13), "1/10", 3),
+        (IntPoly([-2, 0, 0, 0, 1]), "1/10", 13),
+    ]
+    # Count kernels.ddf_degrees calls, and runs of the one distinct-degree
+    # loop, _kernel_py.ddf_parts, whoever calls it.
+    counts = {}
+    ddf_degrees, ddf_parts = galois.kernels.ddf_degrees, _kernel_py.ddf_parts
+
+    def counting_degrees(*args, **kwargs):
+        counts["ddf_degrees"] += 1
+        return ddf_degrees(*args, **kwargs)
+
+    def counting_parts(*args):
+        counts["ddf_parts"] += 1
+        return ddf_parts(*args)
+
+    monkeypatch.setattr(galois.kernels, "ddf_degrees", counting_degrees)
+    monkeypatch.setattr(_kernel_py, "ddf_parts", counting_parts)
+    factored = 0
+    for certifier in (is_sn, is_transitive):
+        for f, eps, seed in runs:
+            counts.update(ddf_degrees=0, ddf_parts=0)
+            v = certifier(f, eps, Random(seed))
+            assert counts == {"ddf_degrees": v.trials_used, "ddf_parts": v.trials_used}
+            factored += v.factor is not None
+    assert factored == 8
+
+
+def test_shifted_band_gets_its_factor_from_the_first_trial_on(monkeypatch):
+    # perfbench's galois band: (x^8 - 2)(x^9 - 3) Taylor-shifted by a
+    # seeded 32-bit a.  Every seed gets a certain NO whose factor divides
+    # f, and the first factor attempt runs at the first trial's prime.
+    attempts = []
+    lifted_factor = galois._lifted_factor
+
+    def recording_lift(f, q, *args):
+        attempts.append(q)
+        return lifted_factor(f, q, *args)
+
+    monkeypatch.setattr(galois, "_lifted_factor", recording_lift)
+    band = IntPoly([-2] + [0] * 7 + [1]) * IntPoly([-3] + [0] * 8 + [1])
+    for seed in range(20):
+        rng = Random(seed)
+        f = _taylor_shift(band, rng.randrange(1 << 31, 1 << 32) * rng.choice((-1, 1)))
+        attempts.clear()
+        v = is_sn(f, EPS, rng)
+        _check_factor(f, v)
+        assert attempts[0] == v.witnesses[0][0]
+        assert attempts == [q for q, _ in v.witnesses]
 
 
 def _taylor_shift(f, a):
@@ -775,8 +847,10 @@ def test_sn_inputs_never_get_a_factor(n):
         rng = Random(n)
         for _ in range(12):
             q = random_prime_avoiding(discriminant(f), 1 << 20, 1 << 21, rng)
-            degrees = factor_degrees_mod(f, q)
-            assert galois._lifted_factor(f, q, degrees, set(range(1, n))) is None
+            parts = {}
+            degrees = factor_degrees_mod(f, q, parts)
+            assert galois._lifted_factor(
+                f, q, degrees, parts, set(range(1, n)), galois._factor_bounds(f)) is None
 
 
 def test_a_lift_that_does_not_divide_is_refused(monkeypatch):
@@ -793,7 +867,9 @@ def test_a_lift_that_does_not_divide_is_refused(monkeypatch):
     rng = Random(5)
     for _ in range(12):
         q = random_prime_avoiding(discriminant(f), 1 << 20, 1 << 21, rng)
-        degrees = factor_degrees_mod(f, q)
-        assert galois._lifted_factor(f, q, degrees, set(range(1, 9))) is None
+        parts = {}
+        degrees = factor_degrees_mod(f, q, parts)
+        assert galois._lifted_factor(
+            f, q, degrees, parts, set(range(1, 9)), galois._factor_bounds(f)) is None
     assert len(lifts) > 12
     assert is_sn(f, EPS, Random(0)).confirmed

@@ -144,6 +144,10 @@ def test_ddf_parts_match_trial_division(p):
         unit = rng.randrange(1, p)
         coeffs = [unit * c + p * rng.randrange(-9, 10) for c in f]
         assert list(_kernel_py.ddf_parts(coeffs, p)) == sorted(want.items()), (f, p)
+        # ddf_degrees hands the same parts to a caller's dict
+        parts = {}
+        degrees = _kernel_py.ddf_degrees(coeffs, p, parts=parts)
+        assert parts == want and degrees == sorted(len(g) - 1 for g in factors), (f, p)
         checked += 1
     assert checked > 60
 
