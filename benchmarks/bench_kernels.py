@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark the hot kernels (zdense._kernel_py), the word product, the
-Burnside gate and the S_n certifier.
+Burnside gate, the S_n certifier and the Weyl route.
 
-Nine workloads, all straight from the deciders' inner loops:
+Ten workloads, all straight from the deciders' inner loops:
   * ddf: factorization degree patterns of random monic polynomials of
     degree 8, 17 and 30 modulo 21-bit primes (one call per sampling trial
     of every certifier);
@@ -12,7 +12,7 @@ Nine workloads, all straight from the deciders' inner loops:
     [2^30, 2^31), reducing each product once);
   * word: 139-letter random words (the length at the default epsilon)
     over conjugated dense generators of SL(4), SL(12) and SL(24), formed
-    by zdense.matrices.word_from_letters as the Weyl route forms its two;
+    by zdense.matrices.word_from_letters as the Weyl route forms each word;
   * charpoly: zdense.matrices.characteristic_polynomial, the Berkowitz
     iteration the Weyl route runs on each word it tries to certify, on the
     words the word rows form (these rows draw no rng, so adding them moved
@@ -62,10 +62,16 @@ Nine workloads, all straight from the deciders' inner loops:
     mean trials per YES, which depends on the seeds only.  One more row
     runs is_sn on the galois band, (x^8 - 2)(x^9 - 3) Taylor-shifted by a
     seeded 32-bit a for each of 50 seeds, and records the mean trials per
-    NO: each is a certain NO that carries a factor.
+    NO: each is a certain NO that carries a factor;
+  * weyl: zdense.zariski.zariski_dense, the whole Weyl route, at eps 1e-6
+    for each of 10 seeded rngs, on the word rows' conjugated dense SL(4),
+    SL(12) and SL(24) sets and on dense Sp(4) and Sp(10) conjugated by a
+    word in the dense group.  Each row also records the mean words formed
+    per decision: a second word is formed only when the first fails to
+    certify.
 
-The kernel, block-triangular, certify and band jobs are drawn after all
-the others, in that order, so adding them moved no earlier row's input.
+The kernel, block-triangular, certify, band and weyl jobs are drawn after
+all the others, in that order, so adding them moved no earlier row's input.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--json PATH [--label TEXT]]
 
@@ -116,6 +122,9 @@ KERNEL_PRIME = (1 << 31) - 1
 CERTIFY_DEGREES = (6, 7, 13, 22)
 CERTIFY_SEEDS = 50
 CERTIFY_EPS = "1e-6"
+WEYL_SP_SIZES = (4, 10)  # dense Sp(n), beside the word rows' SL(n) sets
+WEYL_SEEDS = 10
+WEYL_EPS = "1e-6"
 
 
 def make_ddf_workload(rng, count, degree):
@@ -237,7 +246,7 @@ def irreducibility(mats, dim, seed):
 
 
 def gate(mats, dim, seed):
-    return zariski._irreducible(mats, dim, Random(seed), "gate", [])
+    return zariski._irreducible(mats, dim, Random(seed), [])
 
 
 def _taylor_shift(coeffs, a):
@@ -304,6 +313,22 @@ def certify_row(name, jobs, repeat, answer="yes"):
     return row
 
 
+def weyl(gs, seed):
+    return zariski.zariski_dense(gs, WEYL_EPS, Random(seed))
+
+
+def weyl_row(name, gs, seeds, repeat):
+    """The weyl row for gs over the seeds, with the mean words formed per
+    decision."""
+    jobs = [(gs, seed) for seed in seeds]
+    row = measure("zariski_dense", f"dense {name}, {len(jobs)} seeds, eps {WEYL_EPS}",
+                  jobs, repeat, weyl)
+    words = [sum(step["step"] == "sample_word" for step in weyl(*job).trail) for job in jobs]
+    row["words_per_decision"] = sum(words) / len(words)
+    print(f"  words per decision {row['words_per_decision']:.2f}")
+    return row
+
+
 def measure(kernel, workload, jobs, repeat, fn=None):
     fn = fn or getattr(_kernel_py, kernel)
     best = float("inf")
@@ -353,6 +378,12 @@ def main():
                     for n in CERTIFY_DEGREES]
     band_jobs = [(_taylor_shift(band.coeffs, rng.randrange(1 << 31, 1 << 32)),
                   rng.randrange(1 << 63)) for _ in range(CERTIFY_SEEDS)]
+    weyl_sets = [(f"SL({n})", jobs[0][0]) for n, jobs in word_jobs] + [
+        (f"Sp({n})", validate(GroupKind.SYMPLECTIC, n,
+                              make_irreducibility_job(rng, "Sp", n, "standard", True)[0]))
+        for n in WEYL_SP_SIZES]
+    weyl_jobs = [(name, gs, [rng.randrange(1 << 63) for _ in range(WEYL_SEEDS)])
+                 for name, gs in weyl_sets]
 
     rows = [
         measure(
@@ -422,6 +453,7 @@ def main():
     )
     rows.append(certify_row("(x^8 - 2)(x^9 - 3) shifted by a 32-bit a", band_jobs,
                             args.repeat, "no"))
+    rows.extend(weyl_row(name, gs, seeds, args.repeat) for name, gs, seeds in weyl_jobs)
 
     if args.json is not None:
         entries = json.loads(args.json.read_text()) if args.json.exists() else []

@@ -1,7 +1,8 @@
 """Exact-arithmetic certification of Zariski density in SL(n,Z) and
 Sp(2n,Z) through large Galois groups of characteristic polynomials.
 
-YES answers and adjoint-route NO answers are certain; other NO answers
+YES answers are certain, and so are adjoint-route NOs, Weyl NOs after a
+certified word and Galois NOs from f's shape or a factor; other NO answers
 are one-sided Monte Carlo with a caller-chosen error bound.
 """
 

@@ -233,15 +233,14 @@ def _checked(f: IntPoly, eps, prime_range: tuple[int, int]) -> Fraction:
     return eps
 
 
-def _sampler(f: IntPoly, eps, rng: Random, prime_range: tuple[int, int]):
-    """The set-up every certifier shares: (eps, disc, witnesses, parts,
-    hunt), where hunt(budget, certified) runs _hunt on f and appends to
-    witnesses and parts."""
-    eps = _checked(f, eps, prime_range)
+def _sampler(f: IntPoly, rng: Random, prime_range: tuple[int, int]):
+    """The set-up every certifier shares once f has passed its checks:
+    (disc, witnesses, parts, hunt), where hunt(budget, certified) runs
+    _hunt on f and appends to witnesses and parts."""
     disc = discriminant(f)
     witnesses, parts = [], {}
     hunt = partial(_hunt, f, disc, rng, prime_range, witnesses, parts)
-    return eps, disc, witnesses, parts, hunt
+    return disc, witnesses, parts, hunt
 
 
 def _is_square(disc: int) -> bool:
@@ -376,7 +375,8 @@ def is_transitive(
     factor lifted from a trial's prime and dividing f exactly is a certain
     NO, and the verdict carries it.
     """
-    eps, disc, witnesses, parts, hunt = _sampler(f, eps, rng, prime_range)
+    eps = _checked(f, eps, prime_range)
+    disc, witnesses, parts, hunt = _sampler(f, rng, prime_range)
     if disc == 0:
         raise ValueError("discriminant is zero")
     found, factor = _transitive(f, hunt, parts, eps)
@@ -404,7 +404,7 @@ def is_sn(
     n = f.degree
     if n >= 4 and n % 2 == 0 and is_reciprocal(f):
         return _structural_no(eps)
-    _, disc, witnesses, parts, hunt = _sampler(f, eps, rng, prime_range)
+    disc, witnesses, parts, hunt = _sampler(f, rng, prime_range)
     if n >= 2 and _is_square(disc):
         return _structural_no(eps)
     # S_1 is trivial and S_2 = C_2: irreducibility alone decides.
@@ -433,11 +433,12 @@ def is_hyperoctahedral(
     records only the witnesses sampled against f and carries over the
     trace stage's trial count.
     """
-    eps, disc, witnesses, _, hunt = _sampler(f, eps, rng, prime_range)
+    eps = _checked(f, eps, prime_range)
     if f.degree % 2 != 0:
         raise ValueError("need even degree >= 2")
     if not is_reciprocal(f):
         raise ValueError("need a reciprocal polynomial")
+    disc, witnesses, _, hunt = _sampler(f, rng, prime_range)
     if _is_square(disc):
         return _structural_no(eps)
     # A squarefree reciprocal polynomial of even degree cannot vanish at +-1

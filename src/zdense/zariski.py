@@ -1,13 +1,13 @@
 """Zariski-density deciders for subgroups of SL(n,Z) and Sp(2n,Z).
 
-Two routes: the Weyl-group route (a random word whose characteristic
-polynomial carries the generic Galois group of the ambient group, then one
-exact commutator per generator: does the generator normalize the word's
-torus?) and the adjoint route (Ad(G) irreducible over Q on the Lie algebra,
-which alone decides density).  Every TRUE answer is certain, and so is
-every adjoint answer and every Weyl FALSE after a certified word; a Weyl
-FALSE with no certified word is Monte Carlo.  DensityVerdict states its
-bound.
+Two routes: the Weyl-group route (a random word, and a second only when it
+fails, whose characteristic polynomial carries the generic Galois group of
+the ambient group, then one exact commutator per generator: does the
+generator normalize the word's torus?) and the adjoint route (Ad(G)
+irreducible over Q on the Lie algebra, which alone decides density).
+Every TRUE answer is certain, and so is every adjoint answer and every
+Weyl FALSE after a certified word; a Weyl FALSE with no certified word is
+Monte Carlo.  DensityVerdict states its bound.
 The Burnside check, which the adjoint route and is_irreducible_algebra run
 and the Weyl route does not, draws one prime p per round.  Norton's test
 mod p proves YES with O(d^3) work and no exact product.  In the adjoint
@@ -531,25 +531,17 @@ def adjoint_matrices(gs: GeneratorSet) -> list[Matrix]:
     return out
 
 
-def _sample_word(gs: GeneratorSet, index: int, length: int, rng: Random, trail) -> Matrix:
-    letters = random_word_letters(gs, length, rng)
-    trail.append({"step": "sample_word", "word": index, "length": length,
-                  "letters": list(letters)})
-    return word_from_letters(gs, letters)
-
-
-def _irreducible(mats: Sequence[Matrix], dim: int, rng: Random, step: str, trail) -> bool:
+def _irreducible(mats: Sequence[Matrix], dim: int, rng: Random, trail) -> bool:
     """The adjoint route's Burnside gate: the rounds of
-    is_irreducible_algebra, where a NO from Norton's test records its lifted
-    invariant subspace in place of the algebra dimension.  Either NO is
-    certain."""
+    is_irreducible_algebra, recorded as its `adjoint_irreducibility` step,
+    where a NO from Norton's test records its lifted invariant subspace in
+    place of the algebra dimension.  Either NO is certain."""
     result = _rounds(mats, dim, rng, lift=True)
-    if isinstance(result, IrreducibilityResult):
-        trail.append({"step": step, "irreducible": result.irreducible,
-                      "algebra_dimension": result.algebra_dimension})
-        return result.irreducible
-    trail.append({"step": step, "irreducible": False, "invariant_subspace": result})
-    return False
+    evidence = ({"irreducible": result.irreducible, "algebra_dimension": result.algebra_dimension}
+                if isinstance(result, IrreducibilityResult)
+                else {"irreducible": False, "invariant_subspace": result})
+    trail.append({"step": "adjoint_irreducibility", **evidence})
+    return evidence["irreducible"]
 
 
 def _normalizer_test(gs: GeneratorSet, x: Matrix) -> int | None:
@@ -571,13 +563,13 @@ def zariski_dense(
 ) -> DensityVerdict:
     """Weyl-group route: one certified word decides, for certain.
 
-    Sample two random words and record whether they commute.  Certify the
-    first word's characteristic polynomial at eps/2 (S_n on SL, the signed
-    permutations C_2 wr S_m on Sp(2m)), and the second's only if the first
-    fails.  The first certified word w runs the normalizer test; in
-    dimension 2 it must also have |tr w| > 2, since an abelian Weyl group
-    cannot rule out finite order.  When no word qualifies, the NO is Monte
-    Carlo.
+    Sample a random word and certify its characteristic polynomial at eps/2
+    (S_n on SL, the signed permutations C_2 wr S_m on Sp(2m)).  A second
+    word is sampled only when the first fails, and the trail then records
+    whether the two commute, a step that decides nothing.  The first
+    certified word w runs the normalizer test; in dimension 2 it must also
+    have |tr w| > 2, since an abelian Weyl group cannot rule out finite
+    order.  When neither word qualifies, the NO is Monte Carlo.
 
     Such a w has infinite order and is regular semisimple; its Galois group
     acts irreducibly on the characters of its centralizer T, a maximal
@@ -606,11 +598,15 @@ def zariski_dense(
         trail.append({"step": "trivial_group", "dense": True})
         return verdict(True)
     n = word_length(eps, word_constant)
-    w1, w2 = (_sample_word(gs, index, n, rng, trail) for index in (1, 2))
-    trail.append({"step": "commutation_check", "commute": commutes(w1, w2)})
     symplectic = gs.kind is GroupKind.SYMPLECTIC
     certify = is_hyperoctahedral if symplectic else is_sn
-    for index, w in ((1, w1), (2, w2)):
+    for index in (1, 2):
+        letters = random_word_letters(gs, n, rng)
+        trail.append({"step": "sample_word", "word": index, "length": n,
+                      "letters": list(letters)})
+        w = word_from_letters(gs, letters)
+        if index == 2:
+            trail.append({"step": "commutation_check", "commute": commutes(previous, w)})
         f = characteristic_polynomial(w)
         galois = certify(f, eps / 2, rng, prime_range)
         trail.append(
@@ -633,6 +629,7 @@ def zariski_dense(
             trail.append({"step": "normalizer_test", "word": index, "tested": tested,
                           "generator": generator})
             return verdict(generator is not None)
+        previous = w
     return verdict(False, Certainty.MONTE_CARLO)
 
 
@@ -656,5 +653,5 @@ def general_zariski_dense(gs: GeneratorSet, eps, rng: Random) -> DensityVerdict:
         return DensityVerdict(True, Certainty.CERTAIN, eps, (trivial,))
     trail: list[dict] = []
     mats = adjoint_matrices(gs)  # validate gives at least one generator
-    dense = _irreducible(mats, mats[0].dim, rng, "adjoint_irreducibility", trail)
+    dense = _irreducible(mats, mats[0].dim, rng, trail)
     return DensityVerdict(dense, Certainty.CERTAIN, eps, tuple(trail))

@@ -450,19 +450,18 @@ def test_readme_examples(name, flags, expected):
 
 
 # sha256 of each report without its `timings`, first 16 hex digits; weyl
-# recorded once one certified word decided the route by its normalizer
-# test, and adjoint once the adjoint route decided by Ad(G) alone, with no
-# word
+# recorded once the second word was drawn only after the first failed, and
+# adjoint once the adjoint route decided by Ad(G) alone, with no word
 _PINNED_REPORTS = {
-    ("sl2_st", "weyl", 0): "c3f49c03b72520cf",
-    ("sl2_st", "weyl", 1): "ca251f7e1541fb61",
-    ("sl2_st", "weyl", 2): "454d32cb0a9c1e4e",
+    ("sl2_st", "weyl", 0): "2d1df189d86cccf5",
+    ("sl2_st", "weyl", 1): "27e4aff74895dc40",
+    ("sl2_st", "weyl", 2): "b78d402d699e33df",
     ("sl2_st", "adjoint", 0): "9800f21d4a6307ab",
     ("sl2_st", "adjoint", 1): "e5f67d04bbb1389f",
     ("sl2_st", "adjoint", 2): "984a73840a7dd966",
-    ("sp4_standard", "weyl", 0): "0a9edaf0fac79095",
-    ("sp4_standard", "weyl", 1): "3f1af0adf9ae3b2f",
-    ("sp4_standard", "weyl", 2): "d1e67d67887df87f",
+    ("sp4_standard", "weyl", 0): "ec3634cebb2adb1c",
+    ("sp4_standard", "weyl", 1): "686e14296a9c7507",
+    ("sp4_standard", "weyl", 2): "e343bacff3337ba1",
     ("sp4_standard", "adjoint", 0): "a1d4c5afcfcb0aed",
     ("sp4_standard", "adjoint", 1): "7f4661ec6c5009aa",
     ("sp4_standard", "adjoint", 2): "be21a7a0288b69e0",

@@ -251,6 +251,29 @@ def test_is_sn_palindromic_no_computes_no_discriminant(monkeypatch):
         is_sn(IntPoly([2, 3, 1, 3, 2]), EPS, Random(1))
 
 
+def test_hyperoctahedral_shape_errors_compute_no_discriminant(monkeypatch):
+    # odd degree and a non-reciprocal f show in the coefficients, so they
+    # are refused before any resultant is taken
+    def no_discriminant(f):
+        raise AssertionError("discriminant computed")
+
+    monkeypatch.setattr(galois, "discriminant", no_discriminant)
+    with pytest.raises(ValueError, match="need even degree"):
+        is_hyperoctahedral(IntPoly([1, 2, 0, 1]), EPS, Random(1))
+    with pytest.raises(ValueError, match="need a reciprocal polynomial"):
+        is_hyperoctahedral(IntPoly([1, 2, 0, 3, 1]), EPS, Random(1))
+    with pytest.raises(ValueError, match="monic"):
+        is_hyperoctahedral(IntPoly([2, 1, 2]), EPS, Random(1))
+
+
+def test_is_sn_checks_its_input_once(monkeypatch):
+    calls = []
+    real_checked = galois._checked
+    monkeypatch.setattr(galois, "_checked", lambda *args: calls.append(args) or real_checked(*args))
+    assert is_sn(TRINOMIAL(5), EPS, Random(1)).confirmed
+    assert len(calls) == 1
+
+
 def test_hyperoctahedral_square_discriminant_takes_no_trials():
     # disc(Phi_24) = 2^16 3^4: the group lies in A_8, which misses the lone
     # 2-cycle of a swapped root pair r <-> 1/r
@@ -708,8 +731,7 @@ def test_transitivity_folds_over_a_pooled_witness_once(monkeypatch):
 
     monkeypatch.setattr(galois, "sumset", recording_sumset)
     monkeypatch.setattr(galois, "_lifted_factor", recording_lift)
-    _, _, witnesses, parts, hunt = galois._sampler(
-        TRINOMIAL(5), EPS, Random(2), (1 << 20, 1 << 21))
+    _, witnesses, parts, hunt = galois._sampler(TRINOMIAL(5), Random(2), (1 << 20, 1 << 21))
     assert hunt(100, lambda _, degrees: degrees == (5,))
     pooled = list(witnesses)
     assert len(pooled) == 5 and set(parts) == {q for q, _ in pooled}

@@ -559,8 +559,7 @@ def test_zariski_dense_sl2(sl2):
     assert v.epsilon == Fraction(1, 10**6)
     steps = [s["step"] for s in v.trail]
     # the first word certifies and is hyperbolic, so it decides alone
-    assert steps == ["sample_word", "sample_word", "commutation_check",
-                     "galois_certificate", "normalizer_test"]
+    assert steps == ["sample_word", "galois_certificate", "normalizer_test"]
     assert v.trail[-1] == {"step": "normalizer_test", "word": 1, "tested": "w",
                            "generator": 0}
     _recheck_normalizer_test(sl2, v)
@@ -585,10 +584,10 @@ def test_zariski_finite_order_guard_fires(sl2):
     # seed found by scanning: both words certify S_2, but the first is
     # elliptic (x^2 + 1, order 4), so it is passed over and the second,
     # hyperbolic, runs the normalizer test
-    v = zariski_dense(sl2, "1e-2", Random(4))
+    v = zariski_dense(sl2, "1e-2", Random(32))
     certs = [s for s in v.trail if s["step"] == "galois_certificate"]
     assert [(c["word"], c["charpoly"], c["verdict"]["answer"]) for c in certs] == [
-        (1, [1, 0, 1], "confirmed_sn"), (2, [1, 6, 1], "confirmed_sn")]
+        (1, [1, 0, 1], "confirmed_sn"), (2, [1, 90, 1], "confirmed_sn")]
     assert v.trail[-1] == {"step": "normalizer_test", "word": 2, "tested": "w",
                            "generator": 0}
     assert v.dense and v.certainty is Certainty.CERTAIN
@@ -754,23 +753,76 @@ def test_weyl_route_certain_no_for_a_torus_and_for_restriction_of_scalars():
             _recheck_normalizer_test(gs, v)
 
 
+def _conjugated_dense(kind, dim, rng):
+    """A transvection and a signed cycle in SL(n), _sp_dense in Sp(2m), each
+    conjugated as in _KNOWN_FAMILIES."""
+    if kind is GroupKind.SPECIAL_LINEAR:
+        g, gens = random_unimodular(dim, rng), [_unit_add(dim, [(0, 1, 1)]), _signed_cycle(dim)]
+    else:
+        g, gens = random_word(validate(kind, dim, _sp_dense(dim)), dim, rng), _sp_dense(dim)
+    g_inv = adjugate_inverse(g)
+    return validate(kind, dim, [multiply(multiply(g, x), g_inv) for x in gens])
+
+
 @pytest.mark.parametrize("kind, dim", [(GroupKind.SPECIAL_LINEAR, n) for n in range(3, 9)]
                          + [(GroupKind.SYMPLECTIC, n) for n in (4, 6, 8)])
 def test_weyl_route_certain_yes_on_dense_groups(kind, dim):
-    # a transvection and a signed cycle in SL(n), _sp_dense in Sp(2m), each
-    # conjugated as in _KNOWN_FAMILIES: one certified word decides
+    # one certified word decides
     for seed in range(3):
         rng = Random(seed)
-        if kind is GroupKind.SPECIAL_LINEAR:
-            g, gens = random_unimodular(dim, rng), [_unit_add(dim, [(0, 1, 1)]),
-                                                    _signed_cycle(dim)]
-        else:
-            g, gens = random_word(validate(kind, dim, _sp_dense(dim)), dim, rng), _sp_dense(dim)
-        g_inv = adjugate_inverse(g)
-        gs = validate(kind, dim, [multiply(multiply(g, x), g_inv) for x in gens])
+        gs = _conjugated_dense(kind, dim, rng)
         v = zariski_dense(gs, "1e-6", rng)
         assert v.dense and v.certainty is Certainty.CERTAIN, seed
         _recheck_normalizer_test(gs, v)
+
+
+def _record_word_draws(monkeypatch):
+    draws = []
+    real = zariski.random_word_letters
+    monkeypatch.setattr(zariski, "random_word_letters",
+                        lambda *args: draws.append(args) or real(*args))
+    return draws
+
+
+def test_weyl_yes_from_the_first_word_forms_no_second(monkeypatch):
+    # the second word is drawn only when the first fails, so a YES that the
+    # first word decides draws one word and forms no commutator of two
+    draws = _record_word_draws(monkeypatch)
+    cases = ([(GroupKind.SPECIAL_LINEAR, n) for n in range(3, 7)]
+             + [(GroupKind.SYMPLECTIC, n) for n in (4, 6)])
+    by_first = []
+    for kind, dim in cases:
+        for seed in range(3):
+            rng = Random(seed)
+            gs = _conjugated_dense(kind, dim, rng)
+            draws.clear()
+            v = zariski_dense(gs, "1e-6", rng)
+            assert v.dense and len(draws) == v.trail[-1]["word"], (kind, dim, seed)
+            if len(draws) == 1:
+                by_first.append((kind, dim, seed))
+                assert [s["step"] for s in v.trail] == ["sample_word", "galois_certificate",
+                                                        "normalizer_test"]
+    # the first word's charpoly has a factor on SL(5) seed 0 (x^2 - 4x + 1)
+    # and SL(6) seed 1 (x + 1), and there the second word decides
+    assert len(by_first) == 16, by_first
+
+
+def test_weyl_no_forms_the_second_word_after_the_first_fails(heisenberg, sl3_parabolic,
+                                                             monkeypatch):
+    # no word of these certifies, so both are drawn, and the commutation of
+    # the two is recorded once the second is formed, before its certificate
+    draws = _record_word_draws(monkeypatch)
+    heisenberg4 = validate(GroupKind.SPECIAL_LINEAR, 4,
+                           [_unit_add(4, [(i, i + 1, 1)]) for i in range(3)])
+    for gs in (heisenberg4, sl3_parabolic):
+        for seed in range(3):
+            draws.clear()
+            v = zariski_dense(gs, "1e-6", Random(seed))
+            assert not v.dense and v.certainty is Certainty.MONTE_CARLO
+            assert len(draws) == 2
+            assert [(s["step"], s.get("word")) for s in v.trail] == [
+                ("sample_word", 1), ("galois_certificate", 1), ("sample_word", 2),
+                ("commutation_check", None), ("galois_certificate", 2)]
 
 
 def _norton_runs(mats, dim, trials, lift=False):
@@ -1081,10 +1133,10 @@ def test_gate_no_carries_an_invariant_subspace_that_rechecks(
         assert not walk.irreducible, mats
         spins.clear()
         trail = []
-        assert zariski._irreducible(mats, dim, Random(seed), "gate", trail) is False
+        assert zariski._irreducible(mats, dim, Random(seed), trail) is False
         (step,) = trail
         if "algebra_dimension" in step:  # no attempt answered: the walk's NO
-            assert step == {"step": "gate", "irreducible": False,
+            assert step == {"step": "adjoint_irreducibility", "irreducible": False,
                             "algebra_dimension": walk.algebra_dimension}
             by_spin["walk"] += 1
             continue
@@ -1139,8 +1191,9 @@ def test_lift_at_a_prime_that_splits_an_irreducible_set_never_answers(monkeypatc
         assert zariski._norton(mats, dim, p, Random(trial), lift=True) is None
         draws.clear()
         trail = []
-        assert zariski._irreducible(mats, dim, Random(trial), "gate", trail)
-        assert trail == [{"step": "gate", "irreducible": True, "algebra_dimension": dim * dim}]
+        assert zariski._irreducible(mats, dim, Random(trial), trail)
+        assert trail == [{"step": "adjoint_irreducibility", "irreducible": True,
+                          "algebra_dimension": dim * dim}]
         assert len(draws) >= 2  # 7 answered nothing
     answers = {answer for answer, _ in lifts}
     checked = sum(ran for _, ran in lifts)
