@@ -68,10 +68,21 @@ Ten workloads, all straight from the deciders' inner loops:
     SL(12) and SL(24) sets and on dense Sp(4) and Sp(10) conjugated by a
     word in the dense group.  Each row also records the mean words formed
     per decision: a second word is formed only when the first fails to
-    certify.
+    certify;
+  * pack: the one packed-integer format's helpers, zdense._kernel_py.pack
+    and unpack (mod the 31-bit prime 2^31 - 1) on values below 2^31, and
+    pack_signed and unpack_signed on values below 2^(w - 2) in absolute
+    value, at each caller's sizes: the ddf ring (6 and 30 slots of 48
+    bits), RowEchelon (8 to 1225 slots of 72 bits), the word fold (24
+    slots of 64 to 4096 bits) and the span check (8 to 255 slots of 64
+    bits).  Each row times the helper as it runs and, beside it, with the
+    shifts-or-bytes constant forced to either side (shifts_ms, bytes_ms);
+    the slot counts straddle both constants, so the rows re-measure the
+    crossover.
 
-The kernel, block-triangular, certify, band and weyl jobs are drawn after
-all the others, in that order, so adding them moved no earlier row's input.
+The kernel, block-triangular, certify, band, weyl and pack jobs are drawn
+after all the others, in that order, so adding them moved no earlier row's
+input.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--json PATH [--label TEXT]]
 
@@ -125,6 +136,15 @@ CERTIFY_EPS = "1e-6"
 WEYL_SP_SIZES = (4, 10)  # dense Sp(n), beside the word rows' SL(n) sets
 WEYL_SEEDS = 10
 WEYL_EPS = "1e-6"
+# (call site, signed, ((slots, slot bits), ...))
+PACK_SIZES = (
+    ("ddf ring", False, ((6, 48), (30, 48))),
+    ("RowEchelon", False, tuple((n, 72) for n in (8, 21, 40, 56, 64, 128, 192, 225, 1225))),
+    ("word fold", True, ((24, 64), (24, 512), (24, 4096))),
+    ("span check", True, tuple((n, 64) for n in (8, 40, 56, 128, 192, 255))),
+)
+PACK_SLOTS = 20000  # slots per row: 20000 // slots values lists
+PACK_PRIME = (1 << 31) - 1
 
 
 def make_ddf_workload(rng, count, degree):
@@ -329,16 +349,55 @@ def weyl_row(name, gs, seeds, repeat):
     return row
 
 
-def measure(kernel, workload, jobs, repeat, fn=None):
-    fn = fn or getattr(_kernel_py, kernel)
+def make_pack_workload(rng, signed, n, w):
+    """The values lists of one pack row, and the packed ints they give."""
+    bound = 1 << (w - 2 if signed else 31)
+    low = -bound + 1 if signed else 0
+    lists = [[rng.randrange(low, bound) for _ in range(n)] for _ in range(PACK_SLOTS // n)]
+    pack = _kernel_py.pack_signed if signed else _kernel_py.pack
+    return lists, [pack(values, w) for values in lists]
+
+
+def pack_rows(site, signed, n, w, lists, packed, repeat):
+    """A pack and an unpack row for one size, each also timed with the
+    shifts-or-bytes constant forced to shifts and to bytes."""
+    if signed:
+        ops = (("pack_signed", _kernel_py.pack_signed, [(v, w) for v in lists], "_PACK_BYTES_FROM"),
+               ("unpack_signed", _kernel_py.unpack_signed, [(v, n, w) for v in packed],
+                "_UNPACK_BYTES_FROM"))
+    else:
+        ops = (("pack", _kernel_py.pack, [(v, w) for v in lists], "_PACK_BYTES_FROM"),
+               ("unpack", _kernel_py.unpack, [(v, n, w, PACK_PRIME) for v in packed],
+                "_UNPACK_BYTES_FROM"))
+    rows = []
+    for name, fn, jobs, constant in ops:
+        row = measure(name, f"{site}: {len(jobs)} of {n} slots x {w} bits", jobs, repeat, fn)
+        saved = getattr(_kernel_py, constant)
+        try:
+            for path, value in (("shifts", n + 1), ("bytes", 0)):
+                setattr(_kernel_py, constant, value)
+                row[f"{path}_ms"] = best_ms(fn, jobs, repeat)
+                print(f"  {path:8} {row[f'{path}_ms']:10.2f} ms")
+        finally:
+            setattr(_kernel_py, constant, saved)
+        rows.append(row)
+    return rows
+
+
+def best_ms(fn, jobs, repeat):
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
         for args in jobs:
             fn(*args)
         best = min(best, time.perf_counter() - t0)
-    print(f"{kernel}: {workload}\n  python   {best * 1000:10.1f} ms")
-    return {"kernel": kernel, "workload": workload, "python_ms": best * 1000}
+    return best * 1000
+
+
+def measure(kernel, workload, jobs, repeat, fn=None):
+    ms = best_ms(fn or getattr(_kernel_py, kernel), jobs, repeat)
+    print(f"{kernel}: {workload}\n  python   {ms:10.1f} ms")
+    return {"kernel": kernel, "workload": workload, "python_ms": ms}
 
 
 def main():
@@ -384,6 +443,8 @@ def main():
         for n in WEYL_SP_SIZES]
     weyl_jobs = [(name, gs, [rng.randrange(1 << 63) for _ in range(WEYL_SEEDS)])
                  for name, gs in weyl_sets]
+    pack_jobs = [(site, signed, n, w, *make_pack_workload(rng, signed, n, w))
+                 for site, signed, sizes in PACK_SIZES for n, w in sizes]
 
     rows = [
         measure(
@@ -454,6 +515,8 @@ def main():
     rows.append(certify_row("(x^8 - 2)(x^9 - 3) shifted by a 32-bit a", band_jobs,
                             args.repeat, "no"))
     rows.extend(weyl_row(name, gs, seeds, args.repeat) for name, gs, seeds in weyl_jobs)
+    for job in pack_jobs:
+        rows.extend(pack_rows(*job, args.repeat))
 
     if args.json is not None:
         entries = json.loads(args.json.read_text()) if args.json.exists() else []

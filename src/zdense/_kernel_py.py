@@ -2,6 +2,11 @@
 the Hensel lift of a factor mod q, row rank mod p with the dependencies
 it finds, and their lift to Q, in pure Python with big-int packing.
 
+Every packed int in the package has one format: value i in w-bit slot i,
+w = slot_bits(the bits a slot must hold), written by pack and read by
+unpack (by shifts or bytes, whichever the slot count makes faster), or by
+pack_signed and unpack_signed, which offset each slot by half its range.
+
 ddf_parts makes f monic, computes the Frobenius power x^q mod f once,
 multiplies by Kronecker substitution (one big-int product per polynomial
 product), and walks the degrees through a table of its powers instead of
@@ -14,19 +19,18 @@ takes the same x^q, keeps gcd(f, x^q - x), the product of the distinct
 linear factors, and splits it by equal degree with (x + a)^((q-1)/2)
 until one factor is left; both powers are _PackedRing.power.
 hensel_lift lifts a monic factor mod q of an integer polynomial
-quadratically, every product one _kmul (Kronecker substitution over
+quadratically, every product one kmul (Kronecker substitution over
 Z/m), and gives up as soon as a coefficient leaves the caller's bound.
 RowEchelon also packs each row into one int with a column per slot, so
-eliminating against a pivot row is one big-int multiply-add, but it packs
-through bytes where _PackedRing shifts: each packer is the faster one at
-its own sizes (see their pack methods).  It reduces each added row once
-against the rows it has kept, so a caller that feeds rows as it forms
-them (the Burnside walk) never eliminates a kept row again; rank_mod is
-one pass of rows through a fresh RowEchelon.  With record=True a row
-also carries its combination of the kept rows in slots past its columns,
-so the same multiply-adds leave each dependent row's coefficients on the
-kept rows mod p: the walk's products, and the columns of a matrix
-whose reduced echelon form the Burnside layer reads off their relations.
+eliminating against a pivot row is one big-int multiply-add.  It reduces
+each added row once against the rows it has kept, so a caller that feeds
+rows as it forms them (the Burnside walk) never eliminates a kept row
+again; rank_mod is one pass of rows through a fresh RowEchelon.  With
+record=True a row also carries its combination of the kept rows in slots
+past its columns, so the same multiply-adds leave each dependent row's
+coefficients on the kept rows mod p: the walk's products, and the columns
+of a matrix whose reduced echelon form the Burnside layer reads off their
+relations.
 Norton's spins and rank_mod leave it off and pay one flag test per row.
 crt and rational_reconstruction (Wang's, over a common denominator) lift
 such coefficients from residues to fractions; the caller checks the
@@ -75,52 +79,102 @@ def _gcd(a: list[int], b: list[int], q: int) -> list[int]:
     return a
 
 
+# Shifts or bytes, by slot count: each shift copies the growing int, so a
+# shift loop grows with the square of the slot count.  Over 48- and 72-bit
+# slots shifts packed faster up to 40 slots and bytes from 48-56; shifts
+# unpacked faster up to 128-192 and bytes from 160-224, the lower counts at
+# 72 bits, RowEchelon's (Python 3.11, best of 5, five runs).  The pack rows
+# of benchmarks/bench_kernels.py time both sides of each constant.
+_PACK_BYTES_FROM = 48
+_UNPACK_BYTES_FROM = 160
+
+
+def slot_bits(bits: int) -> int:
+    """The slot width for values of `bits` bits: the least multiple of 8
+    above bits, whole bytes with a bit to spare (a signed slot's sign)."""
+    return (bits // 8 + 1) * 8
+
+
+def pack(values: list[int], w: int) -> int:
+    """sum_i values[i] 2^(w i), for values in [0, 2^w) and w a multiple of 8."""
+    if len(values) < _PACK_BYTES_FROM:
+        v = 0
+        for c in reversed(values):
+            v = (v << w) | c
+        return v
+    size = w // 8
+    return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in values]), "little")
+
+
+def unpack(v: int, n: int, w: int, m: int) -> list[int]:
+    """The n slots of v = sum_i s_i 2^(w i), s_i in [0, 2^w), each reduced
+    mod m; w is a multiple of 8."""
+    if n < _UNPACK_BYTES_FROM:
+        mask = (1 << w) - 1
+        out = []
+        for _ in range(n):
+            out.append((v & mask) % m)
+            v >>= w
+        return out
+    size = w // 8
+    raw = v.to_bytes(size * n, "little")
+    return [int.from_bytes(raw[i : i + size], "little") % m for i in range(0, len(raw), size)]
+
+
+def _offsets(n: int, w: int) -> int:
+    """sum_i 2^(w i + w - 1) over n slots: each slot's half."""
+    return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * n, "little")
+
+
+def pack_signed(values: Sequence[int], w: int) -> int:
+    """sum_i values[i] 2^(w i), for values in [-2^(w - 1), 2^(w - 1)): pack
+    of the values offset by 2^(w - 1), less the offsets."""
+    half = 1 << (w - 1)
+    return pack([x + half for x in values], w) - _offsets(len(values), w)
+
+
+def unpack_signed(v: int, n: int, w: int) -> list[int]:
+    """The n slots of v = sum_i s_i 2^(w i), s_i in [-2^(w - 1), 2^(w - 1)).
+
+    Adding the offsets lifts every slot s to s + 2^(w - 1) in [0, 2^w) with
+    no carry, so the lifted sum lies in [0, 2^(w n)) exactly when v is such
+    a sum; ArithmeticError says it is not (a slot overflowed).
+    """
+    lifted = v + _offsets(n, w)
+    if lifted < 0 or lifted >> (w * n):
+        raise ArithmeticError("packed entries overflowed their slots")
+    half = 1 << (w - 1)
+    return [s - half for s in unpack(lifted, n, w, 1 << w)]
+
+
 class _PackedRing:
     """F_q[x]/(f) for a monic f of degree n >= 2, elements as length-n lists.
 
     A product is one big-int multiply (Kronecker substitution): coefficients
-    sit in w-bit slots, w >= 2 bitlen(q-1) + bitlen(n) + 1, so a slot that
-    sums up to 2n - 1 products of two coefficients in [0, q) never carries
-    into the next.  The product is folded back with the packed rows
+    sit in slots of w = slot_bits(2 bitlen(q-1) + bitlen(n)) bits, so a
+    slot that sums up to 2n - 1 products of two coefficients in [0, q) never
+    carries into the next.  The product is folded back with the packed rows
     x^n .. x^(2n-2) mod f.
     """
 
     def __init__(self, f: list[int], q: int):
         n = len(f) - 1
         self.n, self.q = n, q
-        self.w = 8 * ((2 * (q - 1).bit_length() + n.bit_length() + 8) // 8)
+        self.w = slot_bits(2 * (q - 1).bit_length() + n.bit_length())
         self.x = [0, 1] + [0] * (n - 2)
         self.xn = [-c % q for c in f[:n]]  # x^n mod f
         rows = [self.xn]
         for _ in range(n - 2):
             rows.append(self.times_x(rows[-1]))
-        self.rows = [self.pack(r) for r in rows]
-
-    def pack(self, a: list[int]) -> int:
-        # Shifts, not bytes: at the ddf sizes (6-30 slots of 48 bits) this
-        # loop packed 1.1-2.5x faster than RowEchelon._pack's joined bytes
-        # (Python 3.11, best of 5 x 2000 calls, three runs).
-        v = 0
-        for c in reversed(a):
-            v = (v << self.w) | c
-        return v
-
-    def unpack(self, v: int, m: int) -> list[int]:
-        """The m low slots of v, each reduced mod q."""
-        w, q = self.w, self.q
-        mask = (1 << w) - 1
-        out = []
-        for _ in range(m):
-            out.append((v & mask) % q)
-            v >>= w
-        return out
+        self.rows = [pack(r, self.w) for r in rows]
 
     def reduce(self, v: int) -> list[int]:
         """The reduced element of a packed product of two reduced elements.
 
         The slots are read inline, not by unpack: this is the inner step of
         every power, and the two calls and the zip cost 5-45% at n = 30..2
-        (31-bit q, Python 3.11, best of 5 x 2000 calls).
+        (31-bit q, Python 3.11, best of 5 x 2000 calls), the final read
+        alone 1-15% of a power (22-bit q, best of 3).
         """
         n, w, q = self.n, self.w, self.q
         mask = (1 << w) - 1
@@ -150,15 +204,15 @@ class _PackedRing:
         its 1 bits."""
         q, c = self.q, a[0]
         linear = a[1:] == self.x[1:]  # a = x + c
-        v_a = None if linear else self.pack(a)
+        v_a = None if linear else pack(a, self.w)
         b = a
         for bit in bin(e)[3:]:
-            v = self.pack(b)
+            v = pack(b, self.w)
             b = self.reduce(v * v)
             if bit == "0":
                 continue
             if not linear:
-                b = self.reduce(self.pack(b) * v_a)
+                b = self.reduce(pack(b, self.w) * v_a)
             elif c:
                 b = [(u + c * w) % q for u, w in zip(self.times_x(b), b)]
             else:
@@ -167,10 +221,10 @@ class _PackedRing:
 
     def powers(self, a: list[int]) -> list[int]:
         """Packed a^0 .. a^(n-1)."""
-        v = self.pack(a)
+        v = pack(a, self.w)
         table = [1, v]
         for _ in range(self.n - 2):
-            table.append(self.pack(self.reduce(table[-1] * v)))
+            table.append(pack(self.reduce(table[-1] * v), self.w))
         return table
 
     def compose(self, h: list[int], table: list[int]) -> list[int]:
@@ -179,7 +233,7 @@ class _PackedRing:
         for c, t in zip(h, table):
             if c:
                 acc += c * t
-        return self.unpack(acc, self.n)
+        return unpack(acc, self.n, self.w, self.q)
 
 
 def ddf_parts(coeffs: Sequence[int], q: int) -> Iterator[tuple[int, list[int]]]:
@@ -270,29 +324,16 @@ def find_root(coeffs: Sequence[int], q: int, rng) -> int | None:
     return -g[0] % q if len(g) == 2 else None
 
 
-def _kmul(a: list[int], b: list[int], m: int) -> list[int]:
+def kmul(a: list[int], b: list[int], m: int) -> list[int]:
     """The product mod m of two polynomials with coefficients in [0, m), by
     one big-int multiply (Kronecker substitution).  Each coefficient of the
     integer product sums at most min(len a, len b) products below m^2, so
-    slots of 2 bitlen(m - 1) + bitlen(min(len a, len b)) bits never carry.
-    Shifts pack, as in _PackedRing: at the lift's sizes (2-31 slots, 21-
-    to 700-bit m) they packed and unpacked up to 2x faster than bytes
-    (Python 3.11)."""
+    slots of slot_bits(2 bitlen(m - 1) + bitlen(min(len a, len b))) bits
+    never carry."""
     if not a or not b:
         return []
-    w = 2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length()
-    va = vb = 0
-    for c in reversed(a):
-        va = (va << w) | c
-    for c in reversed(b):
-        vb = (vb << w) | c
-    v = va * vb
-    mask = (1 << w) - 1
-    out = []
-    for _ in range(len(a) + len(b) - 1):
-        out.append((v & mask) % m)
-        v >>= w
-    return _trim(out)
+    w = slot_bits(2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length())
+    return _trim(unpack(pack(a, w) * pack(b, w), len(a) + len(b) - 1, w, m))
 
 
 def _add(a: list[int], b: list[int], m: int) -> list[int]:
@@ -315,7 +356,7 @@ def _inverse_mod(a: list[int], b: list[int], q: int) -> list[int]:
     while r1:
         quo, rem = _divmod(r0, r1, q)
         r0, r1 = r1, rem
-        s0, s1 = s1, _sub(s0, _kmul(quo, s1, q), q)
+        s0, s1 = s1, _sub(s0, kmul(quo, s1, q), q)
     if len(r0) != 1:
         raise ValueError("factors are not coprime mod q")
     inv = pow(r0[0], -1, q)
@@ -340,7 +381,7 @@ def hensel_lift(
     promised: the caller checks the lift, by dividing f by it exactly.
 
     Quadratic Hensel lifting (von zur Gathen and Gerhard, Modern Computer
-    Algebra, Algorithm 15.10), every product one _kmul.  From r to m = r^2
+    Algebra, Algorithm 15.10), every product one kmul.  From r to m = r^2
     the error f - h u and the Bezout defect s h + t u - 1 are multiples of
     r, so each is divided by r and all that meets it is done mod r: only
     the products h u, s h and t u are formed mod m.  A step lifts g first
@@ -367,22 +408,22 @@ def hensel_lift(
             r, e, quo, u_r = step
             h_r = h
             if t is None:  # r = q
-                t = _divmod(_sub([1], _kmul(s, h_r, q), q), u_r, q)[0]
-            h = _add(h_r, [r * c for c in _add(_kmul(t, e, r), _kmul(quo, h_r, r), r)], m)
-            b = [c // r for c in _sub(_add(_kmul(s, h, m), _kmul(t, u, m), m), [1], m)]
-            c, d = _divmod(_kmul(s, b, r), u_r, r)
+                t = _divmod(_sub([1], kmul(s, h_r, q), q), u_r, q)[0]
+            h = _add(h_r, [r * c for c in _add(kmul(t, e, r), kmul(quo, h_r, r), r)], m)
+            b = [c // r for c in _sub(_add(kmul(s, h, m), kmul(t, u, m), m), [1], m)]
+            c, d = _divmod(kmul(s, b, r), u_r, r)
             s = _sub(s, [r * x for x in d], m)
-            t = _sub(t, [r * x for x in _add(_kmul(t, b, r), _kmul(c, h_r, r), r)], m)
+            t = _sub(t, [r * x for x in _add(kmul(t, b, r), kmul(c, h_r, r), r)], m)
         r, m = m, m * m
-        e = [c // r for c in _sub(_trim([c % m for c in f]), _kmul(h, u, m), m)]
-        quo, rem = _divmod(_kmul(s, e, r), u, r)
+        e = [c // r for c in _sub(_trim([c % m for c in f]), kmul(h, u, m), m)]
+        quo, rem = _divmod(kmul(s, e, r), u, r)
         step = r, e, quo, u
         u = _add(u, [r * c for c in rem], m)
 
 
 class RowEchelon:
     """Rows mod p in echelon form, each packed into one int: column j sits
-    in the w-bit slot j, with w >= 2 bitlen(p) + bitlen(ncols) + 1.
+    in slot j, of w = slot_bits(2 bitlen(p) + bitlen(ncols)) bits.
 
     add(row) reduces the row once against the kept pivot rows and keeps
     it, normalized, iff it is independent of them.  Eliminating against a
@@ -401,27 +442,18 @@ class RowEchelon:
 
     def __init__(self, p: int, ncols: int, record: bool = False):
         self.p, self.ncols, self.record = p, ncols, record
-        self.w = 8 * ((2 * p.bit_length() + ncols.bit_length() + 8) // 8)
-        self.width = self.w // 8  # bytes per slot
+        self.w = slot_bits(2 * p.bit_length() + ncols.bit_length())
         self.pivots: list[tuple[int, int]] = []  # (pivot slot offset, packed normalized row)
         self.relation: list[int] = []
 
-    def _pack(self, values) -> int:
-        # Bytes, not shifts: at the echelon sizes (64-225 slots of 72 bits)
-        # joining the slots' bytes packed 1.5-4.9x faster than
-        # _PackedRing.pack's shift loop, which copies the growing int at
-        # every slot (Python 3.11, best of 5 x 2000 calls, three runs).
-        width = self.width
-        return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in values]), "little")
-
     def add(self, row: Sequence[int]) -> bool:
         """Keep row iff it is independent mod p of the rows kept so far."""
-        p, w, width, ncols = self.p, self.w, self.width, self.ncols
+        p, w, ncols = self.p, self.w, self.ncols
         rank = len(self.pivots)
         if rank == ncols and not self.record:
             return False
         mask = (1 << w) - 1
-        v = self._pack([x % p for x in row])
+        v = pack([x % p for x in row], w)
         nslots = ncols
         if self.record:
             v |= 1 << (w * (ncols + rank))
@@ -430,27 +462,14 @@ class RowEchelon:
             c = (v >> shift & mask) % p
             if c:
                 v += (p - c) * prow
-        # Shifts up to 128 slots, bytes above: each shift copies the int, so
-        # shifting grows with the square of the slot count.  Over slots of
-        # 72 bits shifts won 1.9x at 8-21 slots (Norton's kernels) and
-        # 1.1-1.6x at 64-129 (adjoint SL(3)); bytes won 1.3x at 160-201 and
-        # 1.2-6x at 225-1225 (Sp(4), SL(4), SL(6); Python 3.11).
-        if nslots <= 128:
-            vals = []
-            for _ in range(nslots):
-                vals.append((v & mask) % p)
-                v >>= w
-        else:
-            raw = v.to_bytes(width * nslots, "little")
-            vals = [int.from_bytes(raw[i : i + width], "little") % p
-                    for i in range(0, len(raw), width)]
+        vals = unpack(v, nslots, w, p)
         lead = next((j for j in range(ncols) if vals[j]), None)
         if lead is None:
             if self.record:  # 0 = row - sum of relation[i] times kept row i
                 self.relation = [-x % p for x in vals[ncols:-1]]
             return False
         inv = pow(vals[lead], -1, p)
-        self.pivots.append((lead * w, self._pack([x * inv % p for x in vals])))
+        self.pivots.append((lead * w, pack([x * inv % p for x in vals], w)))
         return True
 
 

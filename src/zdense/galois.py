@@ -308,7 +308,7 @@ def _lifted_factor(
     for k, chosen in sorted(u for u in unions if u[0] in survivors):
         union = parts[chosen[0]]
         for d in chosen[1:]:
-            union = [c % q for c in (IntPoly(union) * IntPoly(parts[d])).coeffs]
+            union = kernels.kmul(union, parts[d], q)
         coeff_bounds = [math.comb(k, j) * min(1 << root_bits * (k - j), norm)
                         for j in range(k + 1)]
         lift = kernels.hensel_lift(f.coeffs, union, q, coeff_bounds)

@@ -12,13 +12,16 @@ coefficients on the kept rows mod p; rank_mod is one pass of rows through
 it.  crt and rational_reconstruction turn such coefficients into
 fractions, for the Burnside walk's exact NO check, and
 rational_reconstruction also lifts the reduced echelon rows of Norton's
-invariant subspaces.  The callers check every lift exactly.
+invariant subspaces.  The callers check every lift exactly.  kmul is one
+product mod m; slot_bits, pack_signed and unpack_signed give the word fold
+and the span check the kernels' packed-integer format.
 
 Callers import them from here; BACKEND fills the reports' kernel_backend.
 """
 
 from ._kernel_py import (
-    RowEchelon, crt, ddf_degrees, find_root, hensel_lift, rank_mod, rational_reconstruction,
+    RowEchelon, crt, ddf_degrees, find_root, hensel_lift, kmul, pack_signed, rank_mod,
+    rational_reconstruction, slot_bits, unpack_signed,
 )
 
 BACKEND = "python"

@@ -13,6 +13,7 @@ from math import isqrt
 from random import Random
 from typing import Iterable, Sequence
 
+from . import kernels
 from .polynomials import IntPoly
 
 
@@ -171,6 +172,13 @@ def symplectic_form(dim: int) -> Matrix:
     return Matrix(rows)
 
 
+def j_times(x: Matrix) -> Matrix:
+    """J x for the standard form J of x's even size, with no product: x's
+    bottom half of rows over its negated top half."""
+    n = x.dim // 2
+    return _trusted(x.rows[n:] + tuple(tuple(-v for v in row) for row in x.rows[:n]))
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """Validated generators of a subgroup of SL(dim,Z) or Sp(dim,Z), with
@@ -216,7 +224,7 @@ def validate(
             inverses.append(adjugate_inverse(g))
         except ValueError as exc:
             raise ValueError(f"generator {idx}: {exc}") from None
-        if j is not None and multiply(multiply(g.transpose(), j), g) != j:
+        if j is not None and multiply(g.transpose(), j_times(g)) != j:
             raise ValueError(f"generator {idx} does not preserve the symplectic form")
         fsq = g.frobenius_sq()
         root = isqrt(fsq)
@@ -263,17 +271,17 @@ def word_from_letters(gs: GeneratorSet, letters: Sequence[int]) -> Matrix:
         columns = [[(k, v) for k, v in enumerate(col) if v] for col in zip(*g.rows)]
         c = max(sum(abs(v) for _, v in col) for col in columns)
         table.append(([(*col[0], col[1:]) for col in columns], c))
-    room = _ROOM_LETTERS * max(c for _, c in table).bit_length() + 1
+    room = _ROOM_LETTERS * max(c for _, c in table).bit_length()
     bound = 1
-    w = _slot_width(bound, room)
+    w = kernels.slot_bits(bound.bit_length() + room)
     packed = [1 << (w * j) for j in range(n)]
     for letter in letters:
         columns, c = table[letter]
         if (bound * c) >> (w - 1):
-            entries = _unpack_columns(packed, w)
+            entries = [kernels.unpack_signed(col, n, w) for col in packed]
             bound = max(max(map(abs, col)) for col in entries)
-            w = _slot_width(bound, room)
-            packed = [sum(v << (w * i) for i, v in enumerate(col)) for col in entries]
+            w = kernels.slot_bits(bound.bit_length() + room)
+            packed = [kernels.pack_signed(col, w) for col in entries]
         bound *= c
         out = []
         for k0, v0, rest in columns:  # every column of an invertible L has a nonzero
@@ -282,35 +290,7 @@ def word_from_letters(gs: GeneratorSet, letters: Sequence[int]) -> Matrix:
                 s += v * packed[k]
             out.append(s)
         packed = out
-    return _trusted(tuple(zip(*_unpack_columns(packed, w))))
-
-
-def _slot_width(bound: int, room: int) -> int:
-    """Whole bytes holding bound's bits plus `room` bits, sign bit included."""
-    return -(-(bound.bit_length() + room) // 8) * 8
-
-
-def _unpack_columns(packed: Sequence[int], w: int) -> list[list[int]]:
-    """The n = len(packed) slots of each packed column sum_i s_i * 2^(w*i),
-    given |s_i| < 2^(w-1).
-
-    Adding tops (the top bit of every slot) lifts every slot s to
-    s + 2^(w-1) in [0, 2^w) with no carry, so the column is the slots
-    exactly when the residue above the top slot is 0; flipping the top
-    bits then leaves each slot in two's complement.
-    """
-    n = len(packed)
-    size = w // 8
-    tops = sum(1 << (w * i + w - 1) for i in range(n))
-    cuts = [(i, i + size) for i in range(0, n * size, size)]
-    out = []
-    for x in packed:
-        lifted = x + tops
-        if lifted < 0 or lifted >> (n * w):
-            raise ArithmeticError("packed word entries overflowed their slots")
-        raw = (lifted ^ tops).to_bytes(n * size, "little")
-        out.append([int.from_bytes(raw[i:j], "little", signed=True) for i, j in cuts])
-    return out
+    return _trusted(tuple(zip(*[kernels.unpack_signed(col, n, w) for col in packed])))
 
 
 def random_word(gs: GeneratorSet, length: int, rng: Random) -> Matrix:

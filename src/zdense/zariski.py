@@ -42,9 +42,9 @@ from .matrices import (
     Matrix,
     characteristic_polynomial,
     commutes,
+    j_times,
     multiply,
     random_word_letters,
-    symplectic_form,
     word_from_letters,
 )
 from .modular import is_prime, random_prime_avoiding
@@ -274,22 +274,13 @@ def _lift_primes(avoid: int):
         q -= 2
 
 
-def _pack_signed(values: Sequence[int], width: int) -> int:
-    """The sum of values[j] 2^(8 width j), for |values[j]| < 2^(8 width - 1):
-    the slots' bytes are joined with each value offset by that half."""
-    half = 1 << (8 * width - 1)
-    offsets = int.from_bytes(half.to_bytes(width, "little") * len(values), "little")
-    raw = b"".join([(x + half).to_bytes(width, "little") for x in values])
-    return int.from_bytes(raw, "little") - offsets
-
-
 def _lies_in_span(row: Sequence[int], den: int, nums: Sequence[int],
-                  packed: Sequence[int], width: int) -> bool:
+                  packed: Sequence[int], w: int) -> bool:
     """Is den * row the sum of nums[i] times kept row i, exactly?  packed[i]
-    is kept row i by _pack_signed at a width whose slots hold every entry
-    of the difference, so the packed difference is 0 iff every entry is;
-    one big-int multiply-add per nonzero coefficient."""
-    acc = -den * _pack_signed(row, width)
+    is kept row i by kernels.pack_signed at a width w whose slots hold every
+    entry of the difference, so the packed difference is 0 iff every entry
+    is; one big-int multiply-add per nonzero coefficient."""
+    acc = -den * kernels.pack_signed(row, w)
     for n, k in zip(nums, packed):
         if n:
             acc += n * k
@@ -304,10 +295,10 @@ def _span_checks(kept: Sequence[Sequence[int]], claims: Sequence[tuple]) -> Iter
     top = max(max(map(abs, k)) for k in kept)
     bound = max([top] + [den * max(map(abs, row)) + top * sum(map(abs, nums))
                          for row, den, nums in claims])
-    width = (bound.bit_length() + 8) // 8  # bound < 2^(8 width - 1)
-    packed = [_pack_signed(k, width) for k in kept]
+    w = kernels.slot_bits(bound.bit_length())  # bound < 2^(w - 1)
+    packed = [kernels.pack_signed(k, w) for k in kept]
     for row, den, nums in claims:
-        yield _lies_in_span(row, den, nums, packed, width)
+        yield _lies_in_span(row, den, nums, packed, w)
 
 
 def _lift_invariant(basis: Sequence[Sequence[int]], mats: Sequence[Matrix],
@@ -619,10 +610,10 @@ def zariski_dense(
         )
         if galois.confirmed and (gs.dim > 2 or abs(w.rows[0][0] + w.rows[1][1]) > 2):
             if symplectic and gs.dim > 2:
-                j = symplectic_form(gs.dim)
-                jwj = multiply(multiply(j, w.transpose()), j)
-                tested, x = "c", Matrix([map(operator.sub, *rows)
-                                         for rows in zip(w.rows, jwj.rows)])
+                # c = w - J w^T J = w + J (J w)^T, and J permutes rows: no product
+                rest = j_times(j_times(w).transpose())
+                tested, x = "c", Matrix([map(operator.add, *rows)
+                                         for rows in zip(w.rows, rest.rows)])
             else:
                 tested, x = "w", w
             generator = _normalizer_test(gs, x)

@@ -1,6 +1,8 @@
 """The benchmark's build path: `python setup.py -q build --build-base DIR`
-must give an importable pure-Python package."""
+must give an importable pure-Python package, whose _kernel_py.py the
+benchmark also loads alone."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -33,3 +35,12 @@ def test_every_exported_name_is_an_attribute():
     import zdense
 
     assert [name for name in zdense.__all__ if not hasattr(zdense, name)] == []
+
+
+def test_kernel_module_has_no_relative_import():
+    # perfbench loads _kernel_py.py alone, by file path, to re-check the
+    # reports' ddf witnesses: a relative import there would fail to load.
+    tree = ast.parse((ROOT / "src" / "zdense" / "_kernel_py.py").read_text())
+    relative = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert relative == []

@@ -592,4 +592,52 @@ def test_kronecker_product_matches_schoolbook():
         a = [rng.randrange(m) for _ in range(rng.randrange(0, 20))]
         b = [rng.randrange(m) for _ in range(rng.randrange(0, 20))]
         want = _strip([c % m for c in _poly_mul(a, b)]) if a and b else []
-        assert _kernel_py._kmul(_strip(a), _strip(b), m) == want
+        assert _kernel_py.kmul(_strip(a), _strip(b), m) == want
+
+
+def _shift_sum(values, w):
+    return sum(v << (w * i) for i, v in enumerate(values))
+
+
+# 0 and 1 slots, and both sides of each shifts-or-bytes crossover
+_SLOT_COUNTS = sorted({0, 1, 2} | {c + d for c in (_kernel_py._PACK_BYTES_FROM,
+                                                   _kernel_py._UNPACK_BYTES_FROM)
+                                   for d in (-1, 0, 1)})
+
+
+def test_slot_bits_is_the_least_multiple_of_8_above():
+    for bits in range(200):
+        w = kernels.slot_bits(bits)
+        assert w % 8 == 0 and bits < w <= bits + 8
+
+
+@pytest.mark.parametrize("w", [8, 16, 48, 72, 520, 4104])
+def test_pack_matches_the_shift_sum_oracle(w):
+    rng = Random(w)
+    top = (1 << w) - 1
+    for n in _SLOT_COUNTS:
+        values = [rng.choice((0, top, rng.randrange(top + 1))) for _ in range(n)]
+        if n:
+            values[0], values[-1] = top, top  # both ends at the slot limit
+        v = _kernel_py.pack(values, w)
+        assert v == _shift_sum(values, w), (w, n)
+        m = rng.choice((2, (1 << 31) - 1, rng.randrange(2, 1 << (w + 3))))
+        assert _kernel_py.unpack(v, n, w, m) == [x % m for x in values], (w, n, m)
+        assert _kernel_py.unpack(v, n, w, 1 << w) == values
+
+
+@pytest.mark.parametrize("w", [8, 16, 48, 72, 520, 4104])
+def test_signed_pack_matches_the_shift_sum_oracle(w):
+    rng = Random(-w)
+    half = 1 << (w - 1)
+    for n in _SLOT_COUNTS:
+        values = [rng.choice((-half, half - 1, rng.randrange(-half, half))) for _ in range(n)]
+        if n > 1:
+            values[0], values[-1] = -half, half - 1
+        v = kernels.pack_signed(values, w)
+        assert v == _shift_sum(values, w), (w, n)
+        assert kernels.unpack_signed(v, n, w) == values, (w, n)
+        if n:  # the top slot one past either end leaves the packed range
+            for past in (-half - 1, half):
+                with pytest.raises(ArithmeticError):
+                    kernels.unpack_signed(_shift_sum(values[:-1] + [past], w), n, w)

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from zdense import matrices
+from zdense import kernels, matrices
 from zdense.matrices import (
     GroupKind,
     Matrix,
@@ -362,6 +362,26 @@ def test_validate_checks_sizes_before_building_the_form(monkeypatch):
         validate(GroupKind.SYMPLECTIC, 4, [Matrix.identity(4), I2])
 
 
+def test_validate_checks_the_form_with_one_product_per_generator(monkeypatch, sp4):
+    # J g is a signed permutation of g's rows: g^T (J g) is the one product
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(matrices, "multiply", counted)
+    validate(GroupKind.SYMPLECTIC, 4, sp4.generators)
+    assert len(calls) == len(sp4.generators)
+
+
+def test_j_times_is_the_product_with_the_form():
+    rng = Random(29)
+    for dim in (2, 4, 6, 10):
+        x = Matrix([[rng.randrange(-9, 10) for _ in range(dim)] for _ in range(dim)])
+        assert matrices.j_times(x) == multiply(symplectic_form(dim), x)
+
+
 def test_validate_symplectic_blocks():
     # I + E_13 is [[I, S], [0, I]] with S = E_11 symmetric: allowed
     good = Matrix([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -483,8 +503,9 @@ def _word_alphabets(rng):
 
 def test_word_fold_matches_multiply_oracle(monkeypatch):
     widths = []  # the slot width of every decode: each repack, then the last
-    unpack = matrices._unpack_columns
-    monkeypatch.setattr(matrices, "_unpack_columns", lambda p, w: widths.append(w) or unpack(p, w))
+    unpack = kernels.unpack_signed
+    monkeypatch.setattr(kernels, "unpack_signed",
+                        lambda v, n, w: widths.append(w) or unpack(v, n, w))
     rng = Random("word-fold")
     for gs, lengths in _word_alphabets(rng):
         big = max(abs(v) for g in gs.generators for v in g.flatten()).bit_length() >= 199
