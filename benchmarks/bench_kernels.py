@@ -2,7 +2,7 @@
 """Benchmark the hot kernels (zdense._kernel_py), the word product, the
 Burnside gate, the S_n certifier and the Weyl route.
 
-Ten workloads, all straight from the deciders' inner loops:
+Eleven workloads, all straight from the deciders' inner loops:
   * ddf: factorization degree patterns of random monic polynomials of
     degree 8, 17 and 30 modulo 21-bit primes (one call per sampling trial
     of every certifier);
@@ -23,11 +23,13 @@ Ten workloads, all straight from the deciders' inner loops:
     Sp(4), Sp(10), Sp(16) and Sp(24), each for dense generators and for
     block-triangular (parabolic) ones, conjugated by a word in the dense
     group; the dense rows time a YES, the
-    parabolic rows a NO.  Its NO is the walk plus its lifted check: each
-    product the walk did not keep is rebuilt from the kept ones by rational
-    reconstruction of its coefficients mod p and one exact packed check
-    (the rows before that timed a fraction-free rank of every product
-    instead).  Each parabolic row is followed by a `gate` row: the adjoint
+    parabolic rows a NO.  Its NO is the walk plus its lifted check: the
+    reduced echelon basis of the walk's span mod p is rationally
+    reconstructed, and each kept element and each product the walk did not
+    keep is checked in its span by one exact packed check (rows before
+    that rebuilt each product from its own coefficients on the kept ones,
+    and rows before those timed a fraction-free rank of every product).
+    Each parabolic row is followed by a `gate` row: the adjoint
     route's gate, zdense.zariski._irreducible, on the same inputs and
     seeds, whose NO is Norton's short spin, its subspace lifted and checked
     exactly, and the walk only when no attempt answers.  Three more `gate` rows time
@@ -55,7 +57,9 @@ Ten workloads, all straight from the deciders' inner loops:
   * block-triangular walk: is_irreducible_algebra on three 10 x 10
     matrices with entries in [-3, 3] that keep span(e_1, e_2), conjugated
     by a product of ten random transvections: its NO (algebra dimension
-    84) is the walk, whose lifted check needs many primes;
+    84) is the walk, whose span has tall entries (rows before the walk
+    lifted its span's reduced form needed over 100 primes to lift each
+    product's coefficients; the reduced form lifts at the walk's prime);
   * certify: zdense.galois.is_sn on x^n - x - 1 (Galois group S_n) at
     n = 6, 7, 13 and 22 and eps 1e-6, once for each of 50 seeded rngs: the
     whole certifier, whose cost is its trials.  Each row also records the
@@ -78,11 +82,17 @@ Ten workloads, all straight from the deciders' inner loops:
     bits).  Each row times the helper as it runs and, beside it, with the
     shifts-or-bytes constant forced to either side (shifts_ms, bytes_ms);
     the slot counts straddle both constants, so the rows re-measure the
-    crossover.
+    crossover;
+  * lift: zdense.zariski._rref_mod on the small bases Norton's lifts
+    reduce, 1 to 3 random rows mod 2^31 - 1 at d = 8 and 10 (adjoint SL(3),
+    Sp(4)), and zdense.zariski._closed_over_q, the walk's exact check, on
+    a system whose 6 kept rows of length 12 have 40-bit entries, so that
+    their reduced form needs several 31-bit primes, with 12 integer
+    combinations of them as the dependent rows.
 
-The kernel, block-triangular, certify, band, weyl and pack jobs are drawn
-after all the others, in that order, so adding them moved no earlier row's
-input.
+The kernel, block-triangular, certify, band, weyl, pack and lift jobs are
+drawn after all the others, in that order, so adding them moved no earlier
+row's input.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--json PATH [--label TEXT]]
 
@@ -145,6 +155,9 @@ PACK_SIZES = (
 )
 PACK_SLOTS = 20000  # slots per row: 20000 // slots values lists
 PACK_PRIME = (1 << 31) - 1
+RREF_SIZES = ((8, 600), (10, 600))  # (d, bases of 1 to 3 rows)
+# (kept rows, columns, entry bits, dependent rows) of the _closed_over_q row
+CLOSED_SYSTEM = (6, 12, 40, 12)
 
 
 def make_ddf_workload(rng, count, degree):
@@ -316,6 +329,32 @@ def make_block_triangular_job(rng, n=10, k=2, count=3):
     return [multiply(multiply(g, x), g_inv) for x in mats], n, rng.randrange(1 << 63)
 
 
+def make_rref_workload(rng, count, d):
+    """`count` bases of 1 to 3 random rows mod KERNEL_PRIME, in turn."""
+    p = KERNEL_PRIME
+    return [([[rng.randrange(p) for _ in range(d)] for _ in range(1 + i % 3)], p)
+            for i in range(count)]
+
+
+def make_closed_job(rng):
+    """_closed_over_q's arguments on CLOSED_SYSTEM: kept rows with entries
+    of the given bits, independent mod the walk prime 2^31 - 1, the echelon
+    that holds them, and dependent rows that are integer combinations of
+    them with coefficients in [-3, 3]."""
+    nkept, ncols, bits, ndependent = CLOSED_SYSTEM
+    kept = [[rng.randrange(-(1 << bits), 1 << bits) for _ in range(ncols)] for _ in range(nkept)]
+    dependent = []
+    for _ in range(ndependent):
+        row = [0] * ncols
+        for k in kept:
+            c = rng.randrange(-3, 4)
+            row = [a + c * b for a, b in zip(row, k)]
+        dependent.append(row)
+    echelon = _kernel_py.RowEchelon(KERNEL_PRIME, ncols)
+    assert all(echelon.add(k) for k in kept)
+    return kept, dependent, echelon
+
+
 def certify(f, seed):
     return galois.is_sn(f, CERTIFY_EPS, Random(seed))
 
@@ -445,6 +484,8 @@ def main():
                  for name, gs in weyl_sets]
     pack_jobs = [(site, signed, n, w, *make_pack_workload(rng, signed, n, w))
                  for site, signed, sizes in PACK_SIZES for n, w in sizes]
+    rref_jobs = [(d, make_rref_workload(rng, count, d)) for d, count in RREF_SIZES]
+    closed_job = make_closed_job(rng)
 
     rows = [
         measure(
@@ -507,6 +548,15 @@ def main():
     rows.append(measure("is_irreducible_algebra",
                         "3 block-triangular 10x10, entries in [-3, 3] (algebra dim 84)",
                         [block_triangular_job], args.repeat, irreducibility))
+    rows.extend(
+        measure("_rref_mod", f"{len(jobs)} bases of 1 to 3 rows, d = {d}, 31-bit prime",
+                jobs, args.repeat, zariski._rref_mod)
+        for d, jobs in rref_jobs
+    )
+    nkept, ncols, bits, ndependent = CLOSED_SYSTEM
+    rows.append(measure("_closed_over_q", f"{nkept} kept rows of {ncols} with {bits}-bit"
+                        f" entries, {ndependent} dependent", [closed_job], args.repeat,
+                        zariski._closed_over_q))
     rows.extend(
         certify_row(f"x^{n} - x - 1", [(IntPoly([-1, -1] + [0] * (n - 2) + [1]), seed)
                                        for seed in seeds], args.repeat)

@@ -1,6 +1,6 @@
 """The hot kernels: distinct-degree factorization mod q, one root mod q,
-the Hensel lift of a factor mod q, row rank mod p with the dependencies
-it finds, and their lift to Q, in pure Python with big-int packing.
+the Hensel lift of a factor mod q, row echelon forms mod p and their
+lift to Q, in pure Python with big-int packing.
 
 Every packed int in the package has one format: value i in w-bit slot i,
 w = slot_bits(the bits a slot must hold), written by pack and read by
@@ -25,16 +25,11 @@ RowEchelon also packs each row into one int with a column per slot, so
 eliminating against a pivot row is one big-int multiply-add.  It reduces
 each added row once against the rows it has kept, so a caller that feeds
 rows as it forms them (the Burnside walk) never eliminates a kept row
-again; rank_mod is one pass of rows through a fresh RowEchelon.  With
-record=True a row also carries its combination of the kept rows in slots
-past its columns, so the same multiply-adds leave each dependent row's
-coefficients on the kept rows mod p: the walk's products, and the columns
-of a matrix whose reduced echelon form the Burnside layer reads off their
-relations.
-Norton's spins and rank_mod leave it off and pay one flag test per row.
-crt and rational_reconstruction (Wang's, over a common denominator) lift
-such coefficients from residues to fractions; the caller checks the
-fractions exactly, as it checks hensel_lift's lift.
+again; rank_mod is one pass of rows through a fresh RowEchelon, and
+reduced() and kernel() read the kept rows' reduced echelon form and
+kernel off it.  crt and rational_reconstruction (Wang's, over a common
+denominator) lift that form's rows to fractions; the caller checks them
+exactly, as it checks hensel_lift's lift.
 
 Polynomials here are lists of ints in [0, q), constant term first;
 hensel_lift takes f over Z and returns its lift in the symmetric range.
@@ -43,6 +38,7 @@ hensel_lift takes f over Z and returns its lift in the symmetric range.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator, Sequence
 
 
@@ -80,11 +76,11 @@ def _gcd(a: list[int], b: list[int], q: int) -> list[int]:
 
 
 # Shifts or bytes, by slot count: each shift copies the growing int, so a
-# shift loop grows with the square of the slot count.  Over 48- and 72-bit
-# slots shifts packed faster up to 40 slots and bytes from 48-56; shifts
-# unpacked faster up to 128-192 and bytes from 160-224, the lower counts at
-# 72 bits, RowEchelon's (Python 3.11, best of 5, five runs).  The pack rows
-# of benchmarks/bench_kernels.py time both sides of each constant.
+# shift loop grows with the square of the slot count.  Over 48- to 72-bit
+# slots shifts packed faster up to 32-46 slots and unpacked faster up to
+# 150-190 (Python 3.11).  No bit count does better: pack's crossover falls
+# from about 2,200 bits at 48-bit slots to 37,000 at 4,096-bit slots.  The
+# pack rows of benchmarks/bench_kernels.py time both sides of each constant.
 _PACK_BYTES_FROM = 48
 _UNPACK_BYTES_FROM = 160
 
@@ -429,48 +425,68 @@ class RowEchelon:
     it, normalized, iff it is independent of them.  Eliminating against a
     normalized pivot row adds (p - c) times it, which clears the pivot
     column mod p and adds less than p^2 to every slot; a row meets at most
-    ncols pivots, so no slot carries into the next.
-
-    With record=True each row also carries its combination of the kept
-    rows, in the slots after its ncols columns: slot ncols + i holds the
-    coefficient of the i-th row kept, and a new row starts with 1 in the
-    slot of the index it would be kept at.  Elimination then updates the
-    combination by the same multiply-add, at no extra big-int operation.
-    When add returns False, `relation` holds the coefficients, in [0, p),
-    of the row on the rows kept so far, in the order they were kept.
+    ncols pivots, so no slot carries into the next.  A kept row is 1 at its
+    pivot and 0 at the earlier rows' pivots, so reduced() and kernel() go
+    back from the last kept row.
     """
 
-    def __init__(self, p: int, ncols: int, record: bool = False):
-        self.p, self.ncols, self.record = p, ncols, record
+    def __init__(self, p: int, ncols: int):
+        self.p, self.ncols = p, ncols
         self.w = slot_bits(2 * p.bit_length() + ncols.bit_length())
         self.pivots: list[tuple[int, int]] = []  # (pivot slot offset, packed normalized row)
-        self.relation: list[int] = []
 
     def add(self, row: Sequence[int]) -> bool:
         """Keep row iff it is independent mod p of the rows kept so far."""
         p, w, ncols = self.p, self.w, self.ncols
-        rank = len(self.pivots)
-        if rank == ncols and not self.record:
+        if len(self.pivots) == ncols:
             return False
         mask = (1 << w) - 1
         v = pack([x % p for x in row], w)
-        nslots = ncols
-        if self.record:
-            v |= 1 << (w * (ncols + rank))
-            nslots += rank + 1
         for shift, prow in self.pivots:
             c = (v >> shift & mask) % p
             if c:
                 v += (p - c) * prow
-        vals = unpack(v, nslots, w, p)
+        vals = unpack(v, ncols, w, p)
         lead = next((j for j in range(ncols) if vals[j]), None)
         if lead is None:
-            if self.record:  # 0 = row - sum of relation[i] times kept row i
-                self.relation = [-x % p for x in vals[ncols:-1]]
             return False
         inv = pow(vals[lead], -1, p)
         self.pivots.append((lead * w, pack([x * inv % p for x in vals], w)))
         return True
+
+    def reduced(self) -> tuple[list[list[int]], list[int]]:
+        """The reduced row echelon form mod p of the kept rows, sorted by
+        pivot, and the pivots.  Each row reads its coefficients at the later
+        rows' pivots by shifts and takes those rows, already reduced and 0
+        at every other pivot, off by one multiply-add each."""
+        p, w, ncols = self.p, self.w, self.ncols
+        mask = (1 << w) - 1
+        done: list[tuple[int, list[int], int]] = []  # (pivot slot offset, row, packed row)
+        for shift, v in reversed(self.pivots):
+            later = [(c, r) for at, _, r in done if (c := v >> at & mask)]
+            for c, r in later:
+                v += (p - c) * r
+            vals = unpack(v, ncols, w, p)
+            done.append((shift, vals, pack(vals, w) if later else v))
+        done.sort()
+        return [vals for _, vals, _ in done], [shift // w for shift, _, _ in done]
+
+    def kernel(self) -> list[list[int]]:
+        """A kernel basis mod p of the kept rows: for each non-pivot column
+        j, the v with v_j = 1 and 0 at the other non-pivot columns.  Each
+        row, from the last kept, sets its pivot entry of v to minus its
+        product with v so far (it is 0 at the earlier rows' pivots)."""
+        p, w, ncols = self.p, self.w, self.ncols
+        free = sorted(set(range(ncols)) - {shift // w for shift, _ in self.pivots})
+        rows = [(shift // w, unpack(v, ncols, w, p)) for shift, v in reversed(self.pivots)]
+        basis = []
+        for j in free:
+            v = [0] * ncols
+            v[j] = 1
+            for col, row in rows:
+                v[col] = -sum(map(operator.mul, row, v)) % p
+            basis.append(v)
+        return basis
 
 
 def rank_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[int, list[int]]:

@@ -7,12 +7,12 @@ the same run; hensel_lift lifts a union of those parts to a candidate
 factor over Z, for the Galois layer's exact factor NO.
 find_root finds one root of a polynomial mod an odd prime by an
 equal-degree split.  RowEchelon reduces each added row once against the
-rows it has kept, and with record=True gives each dependent row's
-coefficients on the kept rows mod p; rank_mod is one pass of rows through
-it.  crt and rational_reconstruction turn such coefficients into
-fractions, for the Burnside walk's exact NO check, and
-rational_reconstruction also lifts the reduced echelon rows of Norton's
-invariant subspaces.  The callers check every lift exactly.  kmul is one
+rows it has kept, and reads off their reduced echelon form and a kernel
+basis; rank_mod is one pass of rows through it.  crt and
+rational_reconstruction lift a reduced echelon form mod p (by CRT over
+further primes when p is not enough) to Q, for the Burnside layer's two
+exact NO checks, the walk's span and Norton's invariant subspace.  The
+callers check every lift exactly.  kmul is one
 product mod m; slot_bits, pack_signed and unpack_signed give the word fold
 and the span check the kernels' packed-integer format.
 

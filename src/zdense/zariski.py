@@ -16,12 +16,11 @@ subspace mod p is lifted to Q by rational reconstruction and checked
 exactly, one mat-vec per generator and basis vector, and the report
 records its integer basis.  When no attempt answers, the walk at the same
 p reduces each product once mod p and answers YES as soon as the rank is
-full.  A walk
-that ends short of it proves NO by lifting its own mod-p dependencies:
-each product it did not keep is rebuilt exactly from the kept ones, by
-rational reconstruction (and CRT over further primes when one is not
-enough) and one exact check.  is_irreducible_algebra, which promises the
-algebra dimension, takes no NO from Norton's test.
+full.  A walk that ends short of it proves NO as Norton's spin does: its
+span's reduced echelon basis mod p is lifted (with CRT over further
+primes when p is not enough), and each kept element and each product it
+did not keep is checked exactly in the lift's span.  is_irreducible_algebra,
+which promises the algebra dimension, takes no NO from Norton's test.
 """
 
 from __future__ import annotations
@@ -149,37 +148,22 @@ def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
     return chis[-1]
 
 
+def _echelon(rows: Sequence[Sequence[int]], p: int) -> kernels.RowEchelon:
+    """One RowEchelon mod p fed `rows`.  _rref_mod reads its reduced() (the
+    reduced row echelon form's nonzero rows, and their pivots), _kernel_mod
+    its kernel() (a basis of {v : rows v = 0}, one v per non-pivot column)."""
+    echelon = kernels.RowEchelon(p, len(rows[0]))
+    for row in rows:
+        echelon.add(row)
+    return echelon
+
+
 def _rref_mod(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """The nonzero rows of the reduced row echelon form mod p of `rows`
-    (entries in [0, p)), and their pivot columns, read off one recording
-    RowEchelon fed the columns in order: the kept columns are the pivots,
-    and row i holds at each other column its relation[i], its coefficient
-    on pivot column i."""
-    echelon = kernels.RowEchelon(p, len(rows), record=True)
-    pivots, columns = [], []
-    for j, col in enumerate(zip(*rows)):
-        if echelon.add(col):
-            columns.append([0] * len(pivots) + [1])
-            pivots.append(j)
-        else:
-            columns.append(echelon.relation)
-    padded = [c + [0] * (len(pivots) - len(c)) for c in columns]
-    return [list(row) for row in zip(*padded)], pivots
+    return _echelon(rows, p).reduced()
 
 
 def _kernel_mod(a: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """A basis of {v : a v = 0} mod p, read off the reduced echelon form:
-    e_j - sum_i relation_i e_(pivot_i) for each non-pivot column j."""
-    rows, pivots = _rref_mod(a, p)
-    n = len(a[0])
-    basis = []
-    for free in sorted(set(range(n)) - set(pivots)):
-        v = [0] * n
-        v[free] = 1
-        for row, col in zip(rows, pivots):
-            v[col] = -row[free] % p
-        basis.append(v)
-    return basis
+    return _echelon(a, p).kernel()
 
 
 def _spin(v: list[int], gens: list[list[list[int]]], p: int) -> list[list[int]]:
@@ -287,109 +271,109 @@ def _lies_in_span(row: Sequence[int], den: int, nums: Sequence[int],
     return acc == 0
 
 
-def _span_checks(kept: Sequence[Sequence[int]], claims: Sequence[tuple]) -> Iterator[bool]:
-    """Yields for each claim (row, den, nums), in order: is den * row =
-    sum_i nums[i] kept[i], exactly?  At the first one, each kept row is
-    packed once, at one width whose slots hold every kept entry and every
-    entry of every claim's difference; each claim is one _lies_in_span."""
-    top = max(max(map(abs, k)) for k in kept)
-    bound = max([top] + [den * max(map(abs, row)) + top * sum(map(abs, nums))
-                         for row, den, nums in claims])
+def _lift_reduced(reduced: Sequence[Sequence[int]], modulus: int) -> tuple | None:
+    """(dens, rows): the rows of a reduced echelon form mod `modulus`, each
+    rationally reconstructed over its least common denominator, or None.
+    Row i is 0 before its pivot and 1 there, so its lift holds dens[i] at
+    its pivot and 0 at the other pivots: the lifted rows are independent."""
+    lifts = [kernels.rational_reconstruction(row, modulus) for row in reduced]
+    if None in lifts:
+        return None
+    dens, rows = zip(*lifts)
+    return dens, list(rows)
+
+
+def _span_checks(lift: tuple, pivots: Sequence[int],
+                 ys: Sequence[Sequence[int]]) -> Iterator[bool]:
+    """Yields for each y of ys, in order: does y lie in the Q-span of the
+    rows of lift = (dens, rows), whose pivot columns are `pivots`?  Read at
+    the pivots, y lies in it iff L y = sum_i y[pivots[i]] (L / dens[i])
+    row_i, with L the lcm of the dens.  At the first y each row is packed
+    once, at one width whose slots hold every entry of every difference;
+    each y is then one _lies_in_span."""
+    dens, rows = lift
+    lcm = math.lcm(*dens)
+    claims = [(y, [y[c] * (lcm // d) for c, d in zip(pivots, dens)]) for y in ys]
+    top = max(max(map(abs, r)) for r in rows)
+    bound = max([top] + [lcm * max(map(abs, y)) + top * sum(map(abs, nums))
+                         for y, nums in claims])
     w = kernels.slot_bits(bound.bit_length())  # bound < 2^(w - 1)
-    packed = [kernels.pack_signed(k, w) for k in kept]
-    for row, den, nums in claims:
-        yield _lies_in_span(row, den, nums, packed, w)
+    packed = [kernels.pack_signed(r, w) for r in rows]
+    for y, nums in claims:
+        yield _lies_in_span(y, lcm, nums, packed, w)
 
 
 def _lift_invariant(basis: Sequence[Sequence[int]], mats: Sequence[Matrix],
                     p: int) -> list[list[int]] | None:
     """Integer rows spanning a subspace of Q^d that every matrix of `mats`
     keeps, lifted from `basis`, which spans mod p a subspace they keep mod
-    p; None when the lift or its exact check fails.
-
-    Each row of the reduced echelon form of span(basis) mod p is rationally
-    reconstructed mod p over its least common denominator den_i.  Row i
-    then holds den_i at its pivot column and 0 at every other pivot
-    column, so y lies in the rows' span over Q iff y = sum_i (y[pivot_i] /
-    den_i) row_i; with L the lcm of the den_i, one packed check (by
-    _span_checks) of L y = sum_i y[pivot_i] (L / den_i) row_i for each
-    image y = g row, one exact mat-vec per generator g and row.  Distinct
-    pivots make the rows independent over Q.
-    """
-    echelon, pivots = _rref_mod(basis, p)
-    lifts = [kernels.rational_reconstruction(row, p) for row in echelon]
-    if None in lifts:
+    p; None when the lift or its exact check fails.  The reduced echelon
+    form of span(basis) mod p is lifted (_lift_reduced), and each image
+    g row, one exact mat-vec per generator g and row, is checked in the
+    lift's span (_span_checks)."""
+    reduced, pivots = _rref_mod(basis, p)
+    lift = _lift_reduced(reduced, p)
+    if lift is None:
         return None
-    dens, rows = zip(*lifts)
-    lcm = math.lcm(*dens)
-    claims = []
-    for g in mats:
-        for row in rows:
-            y = [sum(map(operator.mul, r, row)) for r in g.rows]
-            claims.append((y, lcm, [y[c] * (lcm // den) for c, den in zip(pivots, dens)]))
-    return list(rows) if all(_span_checks(rows, claims)) else None
+    images = [[sum(map(operator.mul, r, row)) for r in g.rows] for g in mats for row in lift[1]]
+    return lift[1] if all(_span_checks(lift, pivots, images)) else None
 
 
-def _closed_over_q(kept: Sequence[Sequence[int]], dependent: list, p: int) -> bool:
-    """Does every row of `dependent` lie in span_Q(kept)?  Each comes as
-    (row, its coefficients on `kept` mod p), and `kept` is independent
-    mod p, hence over Q.
+def _closed_over_q(kept: Sequence[Sequence[int]], dependent: Sequence[Sequence[int]],
+                   echelon: kernels.RowEchelon) -> bool:
+    """Does every row of `dependent` lie in span_Q(kept)?  `echelon` holds
+    exactly the rows of `kept` mod p, so they are independent over Q.
 
-    Each coefficient is rationally reconstructed from its residue mod M
-    (M = p at first), and each row is checked exactly: den * row = sum of
-    num_i kept_i.  Rows that fail are solved again mod the next prime of
-    _lift_primes at which `kept` is independent, and CRT folds the new
-    residues into M.  A failing row independent of `kept` mod such a prime
-    q lies outside span_Q(kept), since the Cramer denominators of a row in
-    it, over a minor of `kept` that is nonzero mod q, are prime to q: the
-    answer is False.
-
-    The loop ends.  Let A = |row| prod |kept_i| (Euclidean norms).  A row
-    dependent on `kept` mod every prime of M has all the minors of kept +
-    [row] of full size divisible by M, and by Hadamard they are at most A,
-    so once M > A they vanish and the row lies in the span.  Its Cramer
-    numerators and denominators are at most A too, so once M > 2 A^2 they
-    are within the reconstruction bound isqrt((M - 1) / 2), and the check
-    passes.
-    """
-    modulus = p
-    primes = _lift_primes(p)
-    pending = [(row, rel + [0] * (len(kept) - len(rel))) for row, rel in dependent]
+    The reduced echelon form of span(kept) mod M (M = p at first) is lifted
+    (_lift_reduced) and each kept row checked in the lift's span
+    (_span_checks).  Once all are in it, that span, of dimension len(kept),
+    is span_Q(kept), and the dependent rows' checks answer exactly.  Else
+    the form is taken mod the next prime q of _lift_primes at which `kept`
+    stays independent: a lexicographically smaller pivot list replaces the
+    residues, an equal one is folded in by CRT (M becomes M q), and a
+    larger one is skipped.  The loop ends: with R the form over Q and P its
+    pivots, the i-th pivot mod q is never left of P's (a rank mod q is at
+    most the rank over Q), and the pivots are P, with the form R mod q,
+    iff q does not divide the minor of kept at P.  So after finitely many
+    primes M is a product of such q, and once M > 2 B^2, B the Hadamard
+    bound on the minors of kept, whose ratios R's entries are, the lift
+    is R and every kept row passes."""
+    reduced, pivots = echelon.reduced()
+    modulus = echelon.p
+    primes = _lift_primes(modulus)
     while True:
-        lifts = [kernels.rational_reconstruction(residues, modulus) for _, residues in pending]
-        checks = _span_checks(kept, [(r, *lift) for (r, _), lift in zip(pending, lifts) if lift])
-        failed = [pair for pair, lift in zip(pending, lifts) if lift is None or not next(checks)]
-        if not failed:
-            return True
+        lift = _lift_reduced(reduced, modulus)
+        if lift is not None:
+            checks = _span_checks(lift, pivots, [*kept, *dependent])
+            if all(next(checks) for _ in kept):
+                return all(checks)
         for q in primes:
-            echelon = kernels.RowEchelon(q, len(kept[0]), record=True)
-            if all(echelon.add(k) for k in kept):
+            at_q = kernels.RowEchelon(q, echelon.ncols)
+            if all(at_q.add(k) for k in kept):
                 break
-        pending = []
-        for row, residues in failed:
-            if echelon.add(row):
-                return False
-            pending.append((row, [kernels.crt(u, modulus, v, q)
-                                  for u, v in zip(residues, echelon.relation)]))
-        modulus *= q
+        reduced_q, pivots_q = at_q.reduced()
+        if pivots_q < pivots:
+            reduced, pivots, modulus = reduced_q, pivots_q, q
+        elif pivots_q == pivots:
+            reduced = [[kernels.crt(a, modulus, b, q) for a, b in zip(r, r_q)]
+                       for r, r_q in zip(reduced, reduced_q)]
+            modulus *= q
 
 
 def _walk(mats: Sequence[Matrix], dim: int, p: int) -> IrreducibilityResult | None:
     """The Burnside walk at the prime p: the exact algebra dimension, or
     None when p divided a minor (see is_irreducible_algebra).
 
-    The RowEchelon records, for each product it does not keep, the
-    product's coefficients on the kept elements mod p.  A walk that ends
-    short of full rank answers NO, with the number kept as the dimension,
-    iff _closed_over_q finds every such product in the span over Q of the
-    kept elements: that span, closed under every generator and holding I,
-    is then the algebra.  No kept element is checked, and each product
-    not kept is checked once (again only if a further prime is needed)."""
+    A walk that ends short of full rank answers NO, with the number kept
+    as the dimension, iff _closed_over_q finds every product it did not
+    keep in the span over Q of the kept elements: that span, closed under
+    every generator and holding I, is then the algebra.  Each lift checks
+    every kept element, then every product not kept, once."""
     target = dim * dim
-    echelon = kernels.RowEchelon(p, target, record=True)
+    echelon = kernels.RowEchelon(p, target)
     kept = [Matrix.identity(dim)]
     rows = [kept[0].flatten()]  # the kept elements, flattened
-    dependent = []  # (product, its coefficients on rows mod p)
+    dependent = []  # the products not kept, flattened
     echelon.add(rows[0])
     for b in kept:  # kept grows while the walk reads it
         for g in mats:
@@ -401,8 +385,8 @@ def _walk(mats: Sequence[Matrix], dim: int, p: int) -> IrreducibilityResult | No
                 kept.append(m)
                 rows.append(row)
             else:
-                dependent.append((row, echelon.relation))
-    if _closed_over_q(rows, dependent, p):
+                dependent.append(row)
+    if _closed_over_q(rows, dependent, echelon):
         # NO, but for dim = 1 and no generators, where I fills M_1
         return IrreducibilityResult(len(kept) == target, len(kept))
     return None
@@ -425,15 +409,13 @@ def is_irreducible_algebra(
     independent of K mod p.  The row that makes the rank full proves YES
     (I alone when dim = 1): full rank mod p certifies it over Q.
 
-    Otherwise the walk ends with span(K) closed under the generators mod
-    p, and the echelon has recorded each product it did not keep as a
-    combination of K mod p.  _closed_over_q lifts those combinations and
-    checks each product exactly.  If every one lies in span_Q(K), the NO is
-    certain: K is independent mod p, so over Q; every product is in K or
-    in span_Q(K), so span_Q(K) holds I and is closed under every
-    generator; it is the algebra, of dimension len(K) < dim^2.  Otherwise
-    some product lies outside span_Q(K), so p divided a minor, and the
-    next round draws a fresh prime.  Both answers are certain.
+    Otherwise span(K) is closed under the generators mod p, and
+    _closed_over_q lifts its reduced echelon basis to span_Q(K) and checks
+    each product not kept exactly.  If every one lies in span_Q(K), the NO
+    is certain: K is independent mod p, so over Q, and span_Q(K) holds I
+    and is closed under every generator; it is the algebra, of dimension
+    len(K) < dim^2.  Otherwise p divided a minor, and the next round draws
+    a fresh prime.  Both answers are certain; the lifts draw no rng.
 
     The adjoint route's gate (_irreducible) runs the same rounds, but there
     Norton's test also answers NO, by a lifted invariant subspace, and the

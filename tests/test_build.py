@@ -44,3 +44,32 @@ def test_kernel_module_has_no_relative_import():
     relative = [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level > 0]
     assert relative == []
+
+
+def test_benchmark_harness_reads_only_names_the_modules_have():
+    # the kernel harness reads private helpers (zariski._kernel_mod,
+    # galois._lifted_factor, ...) that no other test imports it to reach:
+    # every attribute it reads of a zdense module, every name it imports
+    # from one and every literal name it hands getattr or setattr must
+    # exist there
+    import importlib
+
+    modules = {name: importlib.import_module(f"zdense.{name}")
+               for name in ("zariski", "galois", "kernels", "_kernel_py")}
+    read = set()
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                read.add((path.name, node.value.id, node.attr))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "setattr") and len(node.args) >= 2
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id in modules
+                    and isinstance(node.args[1], ast.Constant)):
+                read.add((path.name, node.args[0].id, node.args[1].value))
+            elif isinstance(node, ast.ImportFrom) and node.module in {
+                    f"zdense.{name}" for name in modules}:
+                read.update((path.name, node.module[7:], alias.name) for alias in node.names)
+    assert any(module == "zariski" for _, module, _ in read)
+    missing = sorted(entry for entry in read if not hasattr(modules[entry[1]], entry[2]))
+    assert missing == []

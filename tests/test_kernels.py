@@ -353,7 +353,7 @@ def test_row_echelon_fed_in_chunks_matches_greedy_oracle(p):
 
 
 # sha256 of repr((add's bools, pivots)) over _seeded_matrices(p), first 16
-# hex digits, as the echelon made them before it could record relations
+# hex digits, as the echelon made them before it read off reduced forms
 _PIVOT_DIGESTS = {
     2: "32a2d5f9ea21feb7",
     3: "cadc398335f2e5c6",
@@ -363,44 +363,95 @@ _PIVOT_DIGESTS = {
 }
 
 
+def _gauss_jordan(rows, p):
+    """The reference: the nonzero rows of the reduced row echelon form mod p
+    of rows with at least one column, by list Gauss-Jordan elimination, and
+    their pivot columns."""
+    rows = [[x % p for x in r] for r in rows]
+    pivots = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        prow = rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            c = row[col]
+            if c and i != r:
+                rows[i] = [(x - c * y) % p for x, y in zip(row, prow)]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def _rank_matrices(p):
+    """Seeded integer matrices of every rank: for each r <= min(m, n), an
+    m x r times an r x n product mod p, of rank r (the first r rows of the
+    left factor and r random columns of the right are identities), each
+    entry shifted by a random multiple of p; then _seeded_matrices(p)."""
+    rng = Random(p % 1000 + 3)
+    shapes = [(1, n) for n in range(1, 6)] + [(m, 1) for m in range(1, 6)]
+    shapes += [(rng.randrange(1, 10), rng.randrange(1, 10)) for _ in range(30)]
+    for m, n in shapes:
+        for rank in range(min(m, n) + 1):
+            left = [[int(i == t) if i < rank else rng.randrange(p) for t in range(rank)]
+                    for i in range(m)]
+            right = [[rng.randrange(p) for _ in range(n)] for _ in range(rank)]
+            for t, col in enumerate(rng.sample(range(n), rank)):
+                for u in range(rank):
+                    right[u][col] = int(u == t)
+            yield [[sum(r[t] * right[t][j] for t in range(rank)) % p + p * rng.randrange(-2, 3)
+                    for j in range(n)] for r in left]
+    for _, rows in _seeded_matrices(p):
+        yield rows
+
+
+def _fed_shuffled(rows, p, rng):
+    """A RowEchelon mod p fed the rows in a seeded random order."""
+    echelon = kernels.RowEchelon(p, len(rows[0]))
+    for row in rng.sample(rows, len(rows)):
+        echelon.add(row)
+    return echelon
+
+
 @pytest.mark.parametrize("p", _ORACLE_PRIMES)
-def test_row_echelon_without_recording_is_unchanged(p):
-    # recording is off by default: the same bools and the same packed pivots
+def test_row_echelon_reduced_matches_gauss_jordan(p):
+    # the reduced form of the span is unique, whatever order the rows come in
+    rng = Random(p % 1000 + 4)
+    ranks = set()
+    for rows in _rank_matrices(p):
+        echelon, pivots = _gauss_jordan(rows, p)
+        assert _fed_shuffled(rows, p, rng).reduced() == (echelon, pivots), rows
+        ranks.add((len(pivots), len(rows), len(rows[0])))
+    assert any(r == 0 for r, _, _ in ranks)
+    assert any(r == m == n > 1 for r, m, n in ranks)
+    assert any(0 < r < min(m, n) for r, m, n in ranks)
+    # add keeps the same bools and the same packed pivots
     digest = hashlib.sha256()
     for trial, rows in _seeded_matrices(p):
-        plain = kernels.RowEchelon(p, len(rows[0]))
-        recording = kernels.RowEchelon(p, len(rows[0]), record=True)
-        bools = [plain.add(row) for row in rows]
-        assert [recording.add(row) for row in rows] == bools, trial
-        # the recorded combination sits above the ncols slots of each row
-        low = (1 << (plain.w * plain.ncols)) - 1
-        assert [(shift, v & low) for shift, v in recording.pivots] == plain.pivots, trial
-        digest.update(repr((bools, plain.pivots)).encode())
+        echelon = kernels.RowEchelon(p, len(rows[0]))
+        bools = [echelon.add(row) for row in rows]
+        digest.update(repr((bools, echelon.pivots)).encode())
     assert digest.hexdigest()[:16] == _PIVOT_DIGESTS[p]
 
 
-@pytest.mark.parametrize("p", [3, (1 << 31) - 1])
-def test_row_echelon_relation_reproduces_each_dependent_row(p):
-    # rank-deficient seeded matrices, zero rows and rows past full rank
-    rng = Random(p % 1000 + 2)
-    dependent = 0
-    for trial, rows in _seeded_matrices(p):
-        ncols = len(rows[0])
-        rows = rows + [[0] * ncols] + [[rng.randrange(-p, p) for _ in range(ncols)]
-                                       for _ in range(3)]
-        rng.shuffle(rows)
-        echelon = kernels.RowEchelon(p, ncols, record=True)
-        kept = []
-        for row in rows:
-            if echelon.add(row):
-                kept.append(row)
-                continue
-            dependent += 1
-            relation = echelon.relation
-            assert len(relation) == len(kept) and all(0 <= c < p for c in relation)
-            combination = [sum(c * k[j] for c, k in zip(relation, kept)) for j in range(ncols)]
-            assert [(a - b) % p for a, b in zip(row, combination)] == [0] * ncols, trial
-    assert dependent >= 100
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+def test_row_echelon_kernel_matches_gauss_jordan(p):
+    # the kernel vector with 1 at one non-pivot column and 0 at the others
+    # is unique: e_j minus the reduced form's entries at j, at the pivots
+    rng = Random(p % 1000 + 5)
+    for rows in _rank_matrices(p):
+        echelon, pivots = _gauss_jordan(rows, p)
+        n = len(rows[0])
+        want = []
+        for free in sorted(set(range(n)) - set(pivots)):
+            v = [0] * n
+            v[free] = 1
+            for row, col in zip(echelon, pivots):
+                v[col] = -row[free] % p
+            want.append(v)
+        assert _fed_shuffled(rows, p, rng).kernel() == want, rows
 
 
 def _brute_reconstruction(u, m):

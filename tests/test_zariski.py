@@ -66,11 +66,11 @@ def _fraction_rank(rows):
     return rank
 
 
-def _planted_system(rng, ncols, nkept, ndependent, coeff_bits):
-    """kept rows d_i u_i, for small random u_i and d_i in 1..3, and rows
-    sum of n_i u_i in their span, with coefficients n_i / d_i and n_i of
-    up to coeff_bits bits."""
-    units = [[rng.randrange(-4, 5) for _ in range(ncols)] for _ in range(nkept)]
+def _planted_system(rng, ncols, nkept, ndependent, coeff_bits, entry=4):
+    """kept rows d_i u_i, for random u_i with entries in [-entry, entry] and
+    d_i in 1..3, and rows sum of n_i u_i in their span, with coefficients
+    n_i / d_i and n_i of up to coeff_bits bits."""
+    units = [[rng.randrange(-entry, entry + 1) for _ in range(ncols)] for _ in range(nkept)]
     kept = [[d * x for x in u] for u, d in zip(units, [rng.randrange(1, 4) for _ in units])]
     top = 1 << coeff_bits
     extra = []
@@ -83,19 +83,19 @@ def _planted_system(rng, ncols, nkept, ndependent, coeff_bits):
     return kept, extra
 
 
-def _walk_relations(kept, extra, p):
-    """Each row of extra with its coefficients on kept mod p, from one
-    recording RowEchelon as the walk makes them, or None if kept is
-    dependent mod p or a row of extra is independent of it."""
-    echelon = kernels.RowEchelon(p, len(kept[0]), record=True)
+def _walk_echelon(kept, extra, p):
+    """A RowEchelon mod p holding the rows of kept, as the walk leaves it,
+    or None if kept is dependent mod p or a row of extra is independent of
+    it."""
+    echelon = kernels.RowEchelon(p, len(kept[0]))
     if not all(echelon.add(k) for k in kept):
         return None
-    dependent = []
-    for row in extra:
-        if echelon.add(row):
-            return None
-        dependent.append((row, echelon.relation))
-    return dependent
+    probe = kernels.RowEchelon(p, len(kept[0]))
+    for row in kept:
+        probe.add(row)
+    if any(probe.add(row) for row in extra):
+        return None
+    return echelon
 
 
 def test_lift_matches_fraction_elimination():
@@ -110,11 +110,11 @@ def test_lift_matches_fraction_elimination():
                                           rng.randrange(0, 4), 3)
             extra = [[a + p * rng.randrange(-2, 3) for a in row] if rng.random() < 0.3 else row
                      for row in extra]
-            dependent = _walk_relations(kept, extra, p)
-            if dependent is None:
+            echelon = _walk_echelon(kept, extra, p)
+            if echelon is None:
                 continue
             inside = all(_fraction_rank(kept + [row]) == len(kept) for row in extra)
-            assert zariski._closed_over_q(kept, dependent, p) is inside, (p, kept, extra)
+            assert zariski._closed_over_q(kept, extra, echelon) is inside, (p, kept, extra)
             answers.append(inside)
     assert answers.count(True) >= 100 and answers.count(False) >= 10, answers
 
@@ -133,26 +133,41 @@ def _recording_lift_primes(monkeypatch):
 
 
 def test_lift_folds_in_primes_for_tall_coefficients(monkeypatch):
-    # coefficients of about 40 bits over denominators up to 3 are beyond
-    # one 31-bit prime's reconstruction bound of about 2^15
+    # kept rows with entries of about 40 bits: the reduced form's entries,
+    # ratios of their 3 x 3 minors, are beyond one 31-bit prime's
+    # reconstruction bound of about 2^15
     used = _recording_lift_primes(monkeypatch)
-    kept, extra = _planted_system(Random(5), 7, 4, 3, 40)
-    dependent = _walk_relations(kept, extra, WALK_PRIME)
+    kept, extra = _planted_system(Random(5), 7, 3, 3, 3, entry=1 << 40)
+    echelon = _walk_echelon(kept, extra, WALK_PRIME)
     assert all(_fraction_rank(kept + [row]) == len(kept) for row in extra)
-    assert zariski._closed_over_q(kept, dependent, WALK_PRIME)
+    assert zariski._closed_over_q(kept, extra, echelon)
     assert len(used) >= 2 and WALK_PRIME not in used, used
 
 
 def test_lift_refutes_a_row_dependent_only_mod_p(monkeypatch):
-    # the third row reduces to a member of the span mod p, but is not one
+    # the third row reduces to a member of the span mod p, but is not one;
+    # the kept rows' reduced form lifts at p, so the refutation draws no
+    # further prime
     used = _recording_lift_primes(monkeypatch)
     rng = Random(7)
     kept, extra = _planted_system(rng, 6, 3, 3, 3)
     extra[2] = [a + WALK_PRIME * rng.randrange(1, 3) for a in extra[2]]
-    dependent = _walk_relations(kept, extra, WALK_PRIME)
+    echelon = _walk_echelon(kept, extra, WALK_PRIME)
     assert [_fraction_rank(kept + [row]) == len(kept) for row in extra] == [True, True, False]
-    assert zariski._closed_over_q(kept, dependent, WALK_PRIME) is False
-    assert len(used) == 1  # the row is independent mod the first lift prime
+    assert zariski._closed_over_q(kept, extra, echelon) is False
+    assert used == []
+
+
+def test_lift_restarts_at_a_prime_with_smaller_pivots(monkeypatch):
+    # [3, 1] is [0, 1] mod 3, pivot column 1, but [1, 1/3] over Q, pivot
+    # column 0: the form mod 3 lifts to [0, 1], which the kept row is not
+    # in, and the first lift prime replaces it
+    used = _recording_lift_primes(monkeypatch)
+    kept = [[3, 1]]
+    for extra, inside in (([[6, 2]], True), ([[0, 3]], False)):
+        echelon = _walk_echelon(kept, extra, 3)
+        assert zariski._closed_over_q(kept, extra, echelon) is inside
+    assert used == [WALK_PRIME, WALK_PRIME]
 
 
 def _algebra_dimension_over_q(mats, dim):
@@ -308,8 +323,8 @@ def test_spin_multiplies_each_basis_element_once(group, request, monkeypatch):
 
 @pytest.mark.parametrize("group", ["sl3_parabolic", "sp4_siegel_parabolic"])
 def test_exact_step_checks_each_dependent_product_once(group, request, monkeypatch):
-    # the exact step checks every product the echelon did not keep, once,
-    # and never a kept row: they are the basis it checks against
+    # the exact step checks every kept row once, against the lifted reduced
+    # form, and then every product the echelon did not keep, once
     mats = adjoint_matrices(request.getfixturevalue(group))
     adds = []
 
@@ -330,10 +345,11 @@ def test_exact_step_checks_each_dependent_product_once(group, request, monkeypat
     monkeypatch.setattr(zariski, "_lies_in_span", recording_check)
     res = _walk(mats, mats[0].dim, WALK_PRIME)
     assert not res.irreducible
+    kept = [row for row, kept in adds if kept]
     dependent = [row for row, kept in adds if not kept]
-    assert len(dependent) == len(adds) - res.algebra_dimension > 0
-    assert checked == dependent
-    assert all(any(c is row for c in checked) is not kept for row, kept in adds)
+    assert len(kept) == res.algebra_dimension and len(dependent) > 0
+    assert len(checked) == len(adds)
+    assert all(c is row for c, row in zip(checked, kept + dependent))
 
 
 @pytest.mark.parametrize("group", ["sl3", "sp4"])
